@@ -9,7 +9,10 @@ graph Laplacian. Attention scores follow the additive form
     s_ij = LeakyReLU(delta^T [W q_i || W k_j])
 
 restricted to j in N(i) or j = i, normalized row-wise by softmax. Heads
-split the hidden width into equal slices that attend independently.
+split the hidden width into equal slices that attend independently. The
+admissible pairs come from a CSR pattern of the clique adjacency plus the
+identity (see :func:`attention_pattern`), so scores, softmax and the
+weighted sums all cost O(nnz), never O(n^2).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "UpdateVariant",
     "propagation_matrix",
     "single_layer_update",
+    "attention_pattern",
     "cross_attention",
     "taa_forward",
 ]
@@ -129,35 +133,50 @@ def _head_slices(width: int, num_heads: int) -> list[slice]:
     return [slice(i * step, (i + 1) * step) for i in range(num_heads)]
 
 
+def attention_pattern(adjacency: SparseMatrix) -> SparseMatrix:
+    """Unit-valued CSR pattern of ``adjacency + I``.
+
+    Row i lists the neighbors of i and i itself in increasing column
+    order: the candidate set each node attends over.
+    """
+    n = adjacency.rows
+    rows, cols, _ = adjacency.to_coo()
+    idx = np.arange(n, dtype=np.int64)
+    merged = SparseMatrix.from_coo(
+        n, n, np.concatenate([rows, idx]), np.concatenate([cols, idx]), np.ones(len(rows) + n)
+    )
+    return SparseMatrix(n, n, merged.indptr, merged.indices, np.ones(merged.nnz), validate=False)
+
+
 def cross_attention(
     query: Tensor,
     key: Tensor,
     value: Tensor,
-    neighborhoods: np.ndarray | SparseMatrix,
+    neighborhoods: SparseMatrix,
     params: TaaParams,
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> Tensor:
-    """Neighborhood-masked additive attention.
+    """Neighborhood-restricted additive attention.
 
-    ``neighborhoods`` is an n x n adjacency (dense boolean or sparse);
-    each node attends over its neighbors plus itself. With a zero score
-    vector the output row i is the plain mean of projected values over
-    that set.
+    ``neighborhoods`` is an n x n CSR pattern, as built by
+    :func:`attention_pattern`, whose row i lists node i's neighbors and i
+    itself; only its sparsity structure is read. With a zero score vector
+    the output row i is the plain mean of projected values over that set.
     """
-    if isinstance(neighborhoods, SparseMatrix):
-        mask = neighborhoods.to_dense() != 0.0
-    else:
-        mask = np.asarray(neighborhoods) != 0.0
-    n = mask.shape[0]
-    if mask.shape != (n, n):
+    n = neighborhoods.rows
+    if neighborhoods.shape != (n, n):
         raise ShapeMismatchError("neighborhoods must be square")
-    mask = mask | np.eye(n, dtype=bool)
     # Scores exist only for admissible (i, j) pairs, laid out row-major so
     # each node's candidates form one contiguous segment.
-    pair_rows, pair_cols = np.nonzero(mask)
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    indptr = neighborhoods.indptr
+    pair_cols = neighborhoods.indices
+    pair_rows = np.repeat(np.arange(n), np.diff(indptr))
+    # Columns increase strictly within a row, so a row holds at most one
+    # diagonal entry and n of them means every node attends to itself.
+    if np.count_nonzero(pair_rows == pair_cols) != n:
+        raise ShapeMismatchError("every row of neighborhoods must hold its own diagonal entry")
 
     width = params.weight.value.shape[1]
     q_proj = matmul(query, params.weight)
@@ -236,7 +255,7 @@ def taa_forward(
         row_mask(star_feats, RowTarget.NODES, star),
         clique_feats,
         hyper_feats,
-        structure.attention_mask,
+        structure.attention_pattern,
         params,
         attn_dropout=attn_dropout,
         rng=rng,
@@ -249,7 +268,7 @@ def taa_forward(
         spectral_star,
         matmul(structure.laplacians.clique, clique_feats),
         matmul(structure.laplacians.hypergcn, hyper_feats),
-        structure.attention_mask,
+        structure.attention_pattern,
         params,
         attn_dropout=attn_dropout,
         rng=rng,

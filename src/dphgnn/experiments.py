@@ -148,7 +148,10 @@ def build_iso_pool(
             label = 0
             kind = "non_iso"
         if spec.verify_ground_truth and base.num_nodes <= 10:
-            assert brute_force_isomorphic(base, other) == (label == 1)
+            if brute_force_isomorphic(base, other) != (label == 1):
+                raise InfeasibleSpecError(
+                    f"pair {i} ({kind}) failed its brute-force isomorphism check"
+                )
         pair_nodes = base.num_nodes + other.num_nodes
         pairs.append(
             IsoPair(

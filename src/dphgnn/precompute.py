@@ -3,18 +3,23 @@
 Everything a forward pass multiplies by but never differentiates through
 is built here once. The bundle can be cached on disk keyed by a content
 hash of the hypergraph plus the input features (the distance-pair
-expansion depends on features).
+expansion depends on features) and the cache format version. Every stored
+array is O(nnz) or O(n + m); nothing n x n is built or written.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
-from .attention import UpdateVariant, propagation_matrix
+from .attention import UpdateVariant, attention_pattern, propagation_matrix
+from .errors import DphgnnError
 from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
 from .hypergraph import Hypergraph, build_hypergraph, incidence
 from .sparse import SparseMatrix
@@ -33,15 +38,20 @@ class StructureBundle:
     prop_clique: SparseMatrix
     prop_star: SparseMatrix
     prop_hypergcn: SparseMatrix
-    attention_mask: np.ndarray          # clique adjacency + self, dense bool
+    attention_pattern: SparseMatrix     # clique adjacency + I, unit values
     edge_from_node: SparseMatrix        # H^T D_v^{-1/2}
     super_gather: SparseMatrix          # D_e^{-1} (A_star restricted to supernode rows)
     node_from_edge: SparseMatrix        # H D_e^{-1}
     key: str
 
 
+# Bump whenever the npz layout changes, so files from older code are never read.
+CACHE_FORMAT_VERSION = 2
+
+
 def content_hash(hg: Hypergraph, features: np.ndarray) -> str:
     digest = hashlib.sha256()
+    digest.update(f"dphgnn-structure-v{CACHE_FORMAT_VERSION}".encode())
     digest.update(str(hg.num_nodes).encode())
     for e in hg.edges:
         digest.update(b"e")
@@ -72,7 +82,7 @@ def build_structure(hg: Hypergraph, features: np.ndarray) -> StructureBundle:
         prop_clique=propagation_matrix(clique, UpdateVariant.RESIDUAL_RW),
         prop_star=propagation_matrix(star.graph, UpdateVariant.RESIDUAL_RW),
         prop_hypergcn=propagation_matrix(hyper, UpdateVariant.SYM_NORM),
-        attention_mask=(clique.adjacency.to_dense() != 0.0) | np.eye(n, dtype=bool),
+        attention_pattern=attention_pattern(clique.adjacency),
         edge_from_node=h.transpose().scale_cols(inv_sqrt_node),
         super_gather=super_rows.scale_rows(inv_edge),
         node_from_edge=h.scale_cols(inv_edge),
@@ -116,7 +126,6 @@ def save_structure(bundle: StructureBundle, path: str | Path) -> None:
         "edge_members": np.array(
             [v for e in bundle.hypergraph.edges for v in e], dtype=np.int64
         ),
-        "attention_mask": bundle.attention_mask,
     }
     for name in _GRAPH_FIELDS:
         g = getattr(bundle, name)
@@ -126,11 +135,22 @@ def save_structure(bundle: StructureBundle, path: str | Path) -> None:
         _pack_sparse(f"lap.{name}", getattr(bundle.laplacians, name), arrays)
     for name in _SPARSE_FIELDS:
         _pack_sparse(name, getattr(bundle, name), arrays)
-    np.savez(path, **arrays)
+    # Write beside the target and rename, so readers never see a half-written file.
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_structure(path: str | Path, key: str) -> StructureBundle:
-    blob = np.load(path)
+    # Read every member up front; the archive is closed before any parsing.
+    with np.load(path) as npz:
+        blob = {name: npz[name] for name in npz.files}
     sizes = blob["edge_sizes"]
     members = blob["edge_members"]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -160,7 +180,7 @@ def load_structure(path: str | Path, key: str) -> StructureBundle:
         star=star,
         hypergcn=hyper,
         laplacians=laps,
-        attention_mask=blob["attention_mask"].astype(bool),
+        attention_pattern=attention_pattern(clique.adjacency),
         key=key,
         **fields,
     )
@@ -177,7 +197,10 @@ def load_or_build(
     key = content_hash(hg, np.asarray(features, dtype=np.float64))
     path = cache_dir / f"structure-{key}.npz"
     if path.exists():
-        return load_structure(path, key)
+        try:
+            return load_structure(path, key)
+        except (BadZipFile, KeyError, ValueError, OSError, EOFError, DphgnnError):
+            pass  # unreadable or incomplete: rebuild and overwrite it
     bundle = build_structure(hg, features)
     save_structure(bundle, path)
     return bundle

@@ -385,6 +385,10 @@ def evaluate(
         raise ShapeMismatchError(
             f"dataset has {data.num_features} features, checkpoint expects {extra.get('in_dim')}"
         )
+    if data.num_classes != extra.get("num_classes"):
+        raise ShapeMismatchError(
+            f"dataset has {data.num_classes} classes, checkpoint expects {extra.get('num_classes')}"
+        )
     structure = load_or_build(hg, data.features, cache_dir)
     if model == "hgnn":
         logits = hgnn_baseline_forward(data, params, structure=structure)

@@ -1,5 +1,7 @@
 """Attention block vs straight-line dense re-computation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dphgnn.attention import (
     LEAKY_SLOPE,
     TaaParams,
     UpdateVariant,
+    attention_pattern,
     cross_attention,
     propagation_matrix,
     single_layer_update,
@@ -17,6 +20,7 @@ from dphgnn.errors import ShapeMismatchError
 from dphgnn.expand import clique_expand, star_expand
 from dphgnn.hypergraph import build_hypergraph
 from dphgnn.precompute import build_structure
+from dphgnn.sparse import SparseMatrix
 
 
 def make_params(rng, width, heads=1):
@@ -28,6 +32,11 @@ def make_params(rng, width, heads=1):
         theta_hypergcn=Tensor(rng.standard_normal((width, width)), requires_grad=True),
         num_heads=heads,
     )
+
+
+def pattern_of(mask):
+    """CSR attention pattern (neighbors plus self) of a dense boolean mask."""
+    return attention_pattern(SparseMatrix.from_dense(mask))
 
 
 def leaky(x):
@@ -109,22 +118,6 @@ def test_zero_theta_zero_output(spec_example):
     np.testing.assert_array_equal(out.value, np.zeros((4, 2)))
 
 
-def test_cross_attention_matches_oracle():
-    rng = np.random.default_rng(1)
-    for heads in (1, 2):
-        n, width = 5, 4
-        q, k, v = (rng.standard_normal((n, width)) for _ in range(3))
-        mask = rng.random((n, n)) < 0.4
-        mask = mask | mask.T
-        np.fill_diagonal(mask, False)
-        params = make_params(rng, width, heads)
-        got = cross_attention(Tensor(q), Tensor(k), Tensor(v), mask, params)
-        expected = attention_oracle(
-            q, k, v, mask, params.delta.value, params.weight.value, heads
-        )
-        np.testing.assert_allclose(got.value, expected, atol=1e-8)
-
-
 def test_zero_delta_gives_neighborhood_mean():
     rng = np.random.default_rng(2)
     n, width = 6, 4
@@ -133,7 +126,7 @@ def test_zero_delta_gives_neighborhood_mean():
     mask = mask | mask.T
     params = make_params(rng, width)
     params.delta.value[:] = 0.0
-    got = cross_attention(Tensor(q), Tensor(k), Tensor(v), mask, params)
+    got = cross_attention(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params)
     vp = v @ params.weight.value
     full = mask | np.eye(n, dtype=bool)
     expected = np.vstack([vp[np.flatnonzero(full[i])].mean(axis=0) for i in range(n)])
@@ -146,7 +139,7 @@ def test_isolated_node_attends_to_itself():
     v = rng.standard_normal((n, width))
     mask = np.zeros((n, n), dtype=bool)  # no neighbors anywhere
     params = make_params(rng, width)
-    got = cross_attention(Tensor(v), Tensor(v), Tensor(v), mask, params)
+    got = cross_attention(Tensor(v), Tensor(v), Tensor(v), pattern_of(mask), params)
     np.testing.assert_allclose(got.value, v @ params.weight.value, atol=1e-10)
 
 
@@ -155,7 +148,7 @@ def test_heads_must_divide_width():
     params = make_params(rng, 4, heads=3)
     x = Tensor(rng.standard_normal((3, 4)))
     with pytest.raises(ShapeMismatchError):
-        cross_attention(x, x, x, np.zeros((3, 3), dtype=bool), params)
+        cross_attention(x, x, x, pattern_of(np.zeros((3, 3), dtype=bool)), params)
 
 
 def test_taa_forward_shapes_and_star_content(spec_example):
@@ -201,7 +194,7 @@ def test_taa_forward_spectral_premultiplies(spec_example):
     hyper_feats = np.maximum(hyper_prop @ x @ params.theta_hypergcn.value, 0.0)
     smoothed_values = structure.laplacians.hypergcn.to_dense() @ hyper_feats
     vp = smoothed_values @ params.weight.value
-    full = (structure.attention_mask | np.eye(4, dtype=bool))
+    full = (structure.clique.adjacency.to_dense() != 0) | np.eye(4, dtype=bool)
     expected = np.vstack([vp[np.flatnonzero(full[i])].mean(axis=0) for i in range(4)])
     np.testing.assert_allclose(spectral.value, expected, atol=1e-10)
 
@@ -239,12 +232,81 @@ def test_cross_attention_permutation_equivariance():
     mask = rng.random((n, n)) < 0.5
     mask = mask | mask.T
     params = make_params(rng, width, heads=2)
-    base = cross_attention(Tensor(q), Tensor(k), Tensor(v), mask, params).value
+    base = cross_attention(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params).value
 
     perm = rng.permutation(n)
     inv = np.empty(n, dtype=int)
     inv[perm] = np.arange(n)
     permuted = cross_attention(
-        Tensor(q[inv]), Tensor(k[inv]), Tensor(v[inv]), mask[np.ix_(inv, inv)], params
+        Tensor(q[inv]), Tensor(k[inv]), Tensor(v[inv]), pattern_of(mask[np.ix_(inv, inv)]),
+        params,
     ).value
     np.testing.assert_allclose(permuted, base[inv], atol=1e-10)
+
+
+def random_mask(rng, n, density):
+    """Symmetric neighbor mask with no self loops; some rows may be empty."""
+    mask = rng.random((n, n)) < density
+    mask = mask | mask.T
+    np.fill_diagonal(mask, False)
+    isolated = rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)
+    mask[isolated, :] = False
+    mask[:, isolated] = False
+    return mask
+
+
+def test_attention_pattern_is_adjacency_plus_identity():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        mask = random_mask(rng, n, rng.uniform(0.0, 0.6))
+        weights = np.where(mask, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        weights = weights + weights.T
+        pattern = attention_pattern(SparseMatrix.from_dense(weights))
+        full = mask | np.eye(n, dtype=bool)
+        np.testing.assert_array_equal(pattern.to_dense(), full.astype(float))
+        np.testing.assert_array_equal(pattern.data, 1.0)
+        # row-major pair order, as a scan of the dense mask gives it
+        rows, cols = np.nonzero(full)
+        np.testing.assert_array_equal(
+            np.repeat(np.arange(n), np.diff(pattern.indptr)), rows
+        )
+        np.testing.assert_array_equal(pattern.indices, cols)
+
+
+def test_cross_attention_matches_oracle():
+    # random graphs, some with isolated nodes or no edges at all, one and two heads
+    rng = np.random.default_rng(11)
+    for n, density, heads in itertools.product(range(1, 9), (0.0, 0.3, 0.7), (1, 2)):
+        mask = random_mask(rng, n, density)
+        width = 4
+        q, k, v = (rng.standard_normal((n, width)) for _ in range(3))
+        params = make_params(rng, width, heads)
+        got = cross_attention(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params)
+        expected = attention_oracle(
+            q, k, v, mask, params.delta.value, params.weight.value, heads
+        )
+        np.testing.assert_allclose(got.value, expected, atol=1e-8)
+
+
+def test_pattern_missing_diagonal_rejected():
+    rng = np.random.default_rng(12)
+    params = make_params(rng, 2)
+    x = Tensor(rng.standard_normal((3, 2)))
+    # a path 0-1-2 without self entries: every row lacks its diagonal
+    path = SparseMatrix.from_dense(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    with pytest.raises(ShapeMismatchError):
+        cross_attention(x, x, x, path, params)
+    # only row 2 lacks its diagonal
+    partial = SparseMatrix.from_dense(np.array([[1, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    with pytest.raises(ShapeMismatchError):
+        cross_attention(x, x, x, partial, params)
+
+
+def test_pattern_must_be_square():
+    rng = np.random.default_rng(13)
+    params = make_params(rng, 2)
+    x = Tensor(rng.standard_normal((3, 2)))
+    wide = SparseMatrix.from_dense(np.eye(3, 4))
+    with pytest.raises(ShapeMismatchError):
+        cross_attention(x, x, x, wide, params)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dphgnn.experiments as experiments
 from dphgnn.errors import InfeasibleSpecError
 from dphgnn.experiments import (
     DEFAULT_GRID,
@@ -112,6 +113,20 @@ def test_iso_pool_deterministic():
 def test_iso_pool_rejects_tiny():
     with pytest.raises(InfeasibleSpecError):
         build_iso_pool(IsoPoolSpec(num_pairs=1), seed=0)
+
+
+def test_iso_pool_ground_truth_failure_raises(monkeypatch):
+    # an oracle that contradicts every label must stop the pool build, also under -O
+    monkeypatch.setattr(experiments, "brute_force_isomorphic", lambda a, b: False)
+    with pytest.raises(InfeasibleSpecError):
+        build_iso_pool(IsoPoolSpec(num_pairs=4, feature_dim=4), seed=0)
+    monkeypatch.setattr(experiments, "brute_force_isomorphic", lambda a, b: True)
+    with pytest.raises(InfeasibleSpecError):
+        build_iso_pool(IsoPoolSpec(num_pairs=4, feature_dim=4), seed=0)
+    data, _ = build_iso_pool(
+        IsoPoolSpec(num_pairs=4, feature_dim=4, verify_ground_truth=False), seed=0
+    )
+    assert data.num_nodes == 80
 
 
 def test_iso_experiment_summary_keys():

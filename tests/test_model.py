@@ -277,6 +277,7 @@ def full_forward_oracle(data, params, structure):
     hyper_feats = np.maximum(sym_prop @ proj @ params.taa.theta_hypergcn.value, 0.0)
 
     mask = (a_clique != 0) | np.eye(n, dtype=bool)
+    np.testing.assert_array_equal(structure.attention_pattern.to_dense(), mask.astype(float))
     delta = params.taa.delta.value
     W = params.taa.weight.value
 

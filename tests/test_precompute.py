@@ -1,16 +1,24 @@
 """Structure bundle assembly and the content-addressed disk cache."""
 
-import numpy as np
+import dataclasses
+import io
+import zipfile
 
+import numpy as np
+import pytest
+
+import dphgnn.precompute as precompute
 from conftest import dense_incidence
-from dphgnn.hypergraph import build_hypergraph
+from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.model import dphgnn_forward, init_dphgnn
 from dphgnn.precompute import (
     StructureBundle,
     build_structure,
     content_hash,
     load_or_build,
+    save_structure,
 )
+from dphgnn.sparse import SparseMatrix
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
@@ -33,12 +41,10 @@ def test_bundle_operators_match_dense(spec_example):
         bundle.super_gather.to_dense(), np.diag(1 / de) @ a_star[4:], atol=1e-12
     )
 
-    mask = bundle.attention_mask
-    assert mask.dtype == bool
-    np.testing.assert_array_equal(mask, mask.T)
-    assert mask.diagonal().all()
+    expected = (H @ H.T != 0).astype(float)  # shares an edge with, or is, the node
+    np.testing.assert_array_equal(bundle.attention_pattern.to_dense(), expected)
     # nodes 0 and 3 share no hyperedge
-    assert not mask[0, 3]
+    assert expected[0, 3] == 0.0
 
 
 def test_content_hash_sensitivity(spec_example):
@@ -53,7 +59,10 @@ def test_content_hash_sensitivity(spec_example):
 def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
     assert a.key == b.key
     assert a.hypergraph.edges == b.hypergraph.edges
-    np.testing.assert_array_equal(a.attention_mask, b.attention_mask)
+    for field in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(
+            getattr(a.attention_pattern, field), getattr(b.attention_pattern, field)
+        )
     for name in (
         "prop_clique", "prop_star", "prop_hypergcn",
         "edge_from_node", "super_gather", "node_from_edge",
@@ -100,3 +109,106 @@ def test_cached_bundle_gives_identical_logits(tmp_path):
 def test_no_cache_dir_builds_directly(spec_example):
     bundle = load_or_build(spec_example, np.ones((4, 2)), cache_dir=None)
     assert bundle.hypergraph is spec_example
+
+
+def test_content_hash_carries_format_version(spec_example, monkeypatch):
+    features = np.ones((4, 2))
+    current = content_hash(spec_example, features)
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", precompute.CACHE_FORMAT_VERSION + 1)
+    assert content_hash(spec_example, features) != current
+
+
+def test_failed_save_keeps_previous_file(tmp_path, spec_example, monkeypatch):
+    bundle = build_structure(spec_example, np.ones((4, 2)))
+    path = tmp_path / "bundle.npz"
+    save_structure(bundle, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.npz"]
+    before = path.read_bytes()
+
+    def broken_savez(file, **arrays):
+        file.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(precompute.np, "savez", broken_savez)
+    with pytest.raises(OSError):
+        save_structure(bundle, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.npz"]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _rewrite_members(path, edit):
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+
+
+def _drop_member(path):
+    _rewrite_members(path, lambda members: members.pop("lap.star.data.npy"))
+
+
+def _bad_indices(path):
+    buf = io.BytesIO()
+    np.save(buf, np.array([99, 100], dtype=np.int64))
+    _rewrite_members(path, lambda members: members.update({"lap.star.indices.npy": buf.getvalue()}))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.write_bytes(b""),
+        lambda p: p.write_bytes(b"not an npz archive at all"),
+        _truncate,
+        _drop_member,
+        _bad_indices,
+    ],
+    ids=["empty", "garbage", "truncated", "missing_member", "inconsistent_arrays"],
+)
+def test_unreadable_cache_file_is_a_miss(tmp_path, spec_example, corrupt):
+    features = np.ones((4, 2))
+    fresh = load_or_build(spec_example, features, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("structure-*.npz")
+    good = path.read_bytes()
+    corrupt(path)
+    rebuilt = load_or_build(spec_example, features, cache_dir=tmp_path)
+    assert_bundles_equal(fresh, rebuilt)
+    assert path.read_bytes() == good
+    assert_bundles_equal(fresh, load_or_build(spec_example, features, cache_dir=tmp_path))
+
+
+def _arrays_in(obj, seen=None):
+    """Every ndarray reachable from a bundle through fields, slots and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_in(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays_in(getattr(obj, f.name), seen)
+    elif isinstance(obj, SparseMatrix):
+        for name in ("indptr", "indices", "data"):
+            yield getattr(obj, name)
+
+
+def test_bundle_and_cache_hold_no_quadratic_array(tmp_path):
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=2000, num_edges=1200), seed=0)
+    n = data.num_nodes
+    hg = ensure_min_degree(data.hypergraph)
+    bundle = load_or_build(hg, data.features, cache_dir=tmp_path)
+    sizes = [a.size for a in _arrays_in(bundle)]
+    assert len(sizes) > 30
+    assert max(sizes) < n * n
+    (path,) = tmp_path.glob("structure-*.npz")
+    with np.load(path) as blob:
+        assert max(blob[name].size for name in blob.files) < n * n

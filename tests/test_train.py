@@ -175,6 +175,15 @@ def test_evaluate_rejects_feature_mismatch(tmp_path):
         evaluate(report.checkpoint, resolve_dataset(cfg), mask_name="all")
 
 
+def test_evaluate_rejects_class_count_mismatch(tmp_path):
+    cfg = small_config(epochs=1)
+    report = train(cfg, out_dir=tmp_path)
+    data = resolve_dataset(cfg)
+    more = dataclasses.replace(data, num_classes=data.num_classes + 1)
+    with pytest.raises(ShapeMismatchError, match="classes"):
+        evaluate(report.checkpoint, more)
+
+
 def test_train_accepts_explicit_data():
     data = generate_synthetic(TwoCommunitySpec(num_nodes=20, num_edges=15), seed=3)
     report = train(small_config(epochs=3, dataset=None), data=data)
