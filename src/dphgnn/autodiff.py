@@ -2,8 +2,9 @@
 
 Tensors hold at most two axes (plus 0-d scalars for losses). Every op
 records its parents and a backward closure; ``backward`` runs a reverse
-topological sweep and accumulates gradients into tensors that require
-them. Structure matrices enter as constants, either dense or as
+topological sweep and accumulates gradients into leaf tensors that
+require them; an op's own gradient is dropped once it has been passed
+on. Structure matrices enter as constants, either dense or as
 :class:`~dphgnn.sparse.SparseMatrix`, and never receive gradients.
 """
 
@@ -179,8 +180,10 @@ def matmul(a, b) -> Tensor:
     val = a.value @ b.value
 
     def bwd(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.value.T)
+        if b.requires_grad:
+            _accum(b, a.value.T @ g)
 
     return _make(val, (a, b), bwd)
 
@@ -372,8 +375,14 @@ def select_rows(a, index: np.ndarray) -> Tensor:
     val = a.value[index]
 
     def bwd(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, index, g)
+        # bincount adds in index order from zero, as np.add.at does, but fast.
+        rows = a.value.shape[0]
+        if g.ndim == 1:
+            full = np.bincount(index, weights=g, minlength=rows)
+        else:
+            full = np.empty_like(a.value)
+            for j in range(g.shape[1]):
+                full[:, j] = np.bincount(index, weights=g[:, j], minlength=rows)
         _accum(a, full)
 
     return _make(val, (a,), bwd)
@@ -477,6 +486,9 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            # An op's gradient is spent once passed to its parents; only
+            # leaves keep theirs.
+            node.grad = None
 
 
 def grad_check(

@@ -4,6 +4,19 @@ Only the operations the hypergraph pipeline needs are implemented:
 construction from COO triplets, dense round-trips, transposition,
 sparse @ dense and sparse @ sparse products, elementwise addition,
 diagonal scaling, and contiguous row slicing.
+
+Sparse @ dense groups the rows by their entry count L and, per group,
+gathers the L scaled input rows of every row into one (L, rows, width)
+block. Axis 0 of a block is reduced in the order ``np.add.reduceat``
+uses, so products are bit-identical to that formulation: the first term
+plus numpy's pairwise sum of the other L - 1 terms. A pairwise sum of
+fewer than 8 terms is a running sum; of 8 to 128 terms it keeps 8
+running sums, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+then adds the leftover terms one by one; longer sums split at half the
+count, rounded down to a multiple of 8, and recurse on both halves.
+
+A matrix is immutable once built: its transpose and the row grouping of
+its products are cached on the instance.
 """
 
 from __future__ import annotations
@@ -24,6 +37,31 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
 
 
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    # numpy's pairwise summation of terms[0], terms[1], ... along axis 0.
+    n = len(terms)
+    if n < 8:
+        total = terms[0] if n == 1 else terms[0] + terms[1]
+        for i in range(2, n):
+            total += terms[i]
+        return total
+    if n <= 128:
+        blocked = n - n % 8
+        acc = terms[:8].copy()
+        for i in range(8, blocked, 8):
+            acc += terms[i : i + 8]
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), one tree level per step.
+        acc = acc[0::2] + acc[1::2]
+        acc = acc[0::2] + acc[1::2]
+        total = acc[0] + acc[1]
+        for i in range(blocked, n):
+            total += terms[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
 class SparseMatrix:
     """CSR matrix: row offsets, column indices, and values.
 
@@ -32,7 +70,7 @@ class SparseMatrix:
     value is exactly zero.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_row_groups")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -41,6 +79,7 @@ class SparseMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self._transpose: SparseMatrix | None = None
+        self._row_groups: list[tuple[np.ndarray, np.ndarray]] | None = None
         if validate:
             self._check()
 
@@ -169,6 +208,20 @@ class SparseMatrix:
             return self._matmul_sparse(other)
         return self.matmul_dense(other)
 
+    def _rows_by_length(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # Nonempty rows grouped by entry count L: (row ids, (L, rows) positions
+        # into indices and data) per L, built on the first product and kept.
+        if self._row_groups is None:
+            lengths = np.diff(self.indptr)
+            order = np.argsort(lengths, kind="stable")
+            cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+            self._row_groups = [
+                (rows, self.indptr[rows] + np.arange(lengths[rows[0]])[:, None])
+                for rows in np.split(order, cuts)
+                if rows.size and lengths[rows[0]]
+            ]
+        return self._row_groups
+
     def matmul_dense(self, other) -> np.ndarray:
         other = np.asarray(other, dtype=np.float64)
         if other.ndim != 2 or other.shape[0] != self.cols:
@@ -176,14 +229,10 @@ class SparseMatrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         out = np.zeros((self.rows, other.shape[1]))
-        if self.nnz == 0 or other.shape[1] == 0:
-            return out
-        contrib = self.data[:, None] * other[self.indices]
-        starts = self.indptr[:-1]
-        nonempty = np.flatnonzero(self.indptr[1:] > starts)
-        # reduceat over starts of nonempty rows only; each segment ends at the
-        # next listed start because the skipped rows hold no entries.
-        out[nonempty] = np.add.reduceat(contrib, starts[nonempty], axis=0)
+        for rows, pos in self._rows_by_length():
+            terms = other[self.indices[pos]]
+            terms *= self.data[pos][..., None]
+            out[rows] = terms[0] + _pairwise_sum(terms[1:]) if len(pos) > 1 else terms[0]
         return out
 
     def _matmul_sparse(self, other: SparseMatrix) -> SparseMatrix:

@@ -282,6 +282,36 @@ def test_gradient_accumulation_and_zero_grad():
     assert w.grad is None
 
 
+def test_backward_frees_intermediate_gradients_and_keeps_leaves():
+    rng = np.random.default_rng(30)
+    w = param(rng, 3, 2)
+    x = Tensor(rng.standard_normal((4, 3)))
+    hidden = matmul(x, w)
+    act = relu(hidden)
+    loss = sum_all(mul(act, act))
+    backward(loss)
+    assert hidden.grad is None and act.grad is None and loss.grad is None
+    assert x.grad is None
+    first = w.grad.copy()
+    np.testing.assert_allclose(first, x.value.T @ (2.0 * act.value), atol=1e-12)
+    backward(sum_all(mul(relu(matmul(x, w)), relu(matmul(x, w)))))
+    np.testing.assert_array_equal(w.grad, first + first)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (7,)])
+def test_select_rows_gradient_adds_repeated_rows_in_index_order(shape):
+    rng = np.random.default_rng(31)
+    index = rng.integers(0, 5, 300)  # rows 5 and 6 are never picked
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    spread = 10.0 ** rng.uniform(-6, 6, (300,) + (1,) * (len(shape) - 1))
+    weight = rng.standard_normal((300,) + shape[1:]) * spread
+    backward(sum_all(mul(select_rows(x, index), Tensor(weight))))
+    want = np.zeros(shape)
+    np.add.at(want, index, weight)
+    assert np.array_equal(x.grad, want)
+    assert np.all(x.grad[5:] == 0.0)
+
+
 def test_segment_softmax_matches_rowwise():
     from dphgnn.autodiff import segment_softmax
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import dense_sym
 
+from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.sparse import SparseMatrix
+from dphgnn.spectral import laplacian_sym
 
 
 def random_dense(rng, rows, cols, density=0.3):
@@ -49,6 +52,81 @@ def test_matmul_dense_with_empty_rows_and_empty_matrix():
     np.testing.assert_array_equal(SparseMatrix.from_dense(dense) @ other, dense @ other)
     empty = SparseMatrix.from_coo(3, 4, [], [], [])
     np.testing.assert_array_equal(empty @ other, np.zeros((3, 2)))
+    no_rows = SparseMatrix.from_coo(0, 4, [], [], [])
+    assert (no_rows @ other).shape == (0, 2)
+    assert (SparseMatrix.from_dense(dense) @ np.ones((4, 0))).shape == (3, 0)
+
+
+def reduceat_product(m, other):
+    """CSR x dense as one np.add.reduceat over the stored entries' products."""
+    out = np.zeros((m.rows, other.shape[1]))
+    if m.nnz == 0 or other.shape[1] == 0:
+        return out
+    contrib = m.data[:, None] * other[m.indices]
+    starts = m.indptr[:-1]
+    nonempty = np.flatnonzero(m.indptr[1:] > starts)
+    out[nonempty] = np.add.reduceat(contrib, starts[nonempty], axis=0)
+    return out
+
+
+def with_row_lengths(rng, lengths, cols):
+    """Random CSR matrix whose row i holds exactly lengths[i] entries."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    picked = [rng.choice(cols, length, replace=False) for length in lengths]
+    col_idx = np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
+    return SparseMatrix.from_coo(len(lengths), cols, rows, col_idx, rng.standard_normal(len(rows)))
+
+
+def wide_range(rng, rows, width):
+    # Rows spread over twelve decades, so each summation order rounds differently.
+    return rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+
+
+# Around the 8-term blocks, the 128-term block limit and the recursion beyond it.
+ROW_LENGTHS = (1, 2, 8, 9, 16, 17, 128, 129, 130, 300)
+
+
+@pytest.mark.parametrize("length", ROW_LENGTHS)
+def test_matmul_dense_bit_identical_to_reduceat(length):
+    rng = np.random.default_rng(length)
+    m = with_row_lengths(rng, [length] * 6, 400)
+    for width in (1, 5):
+        other = wide_range(rng, 400, width)
+        assert np.array_equal(m @ other, reduceat_product(m, other))
+
+
+def test_matmul_dense_mixed_lengths_and_empty_rows_bit_identical():
+    rng = np.random.default_rng(20)
+    lengths = rng.permutation([0, 0, 0, 3, 1, 300, *ROW_LENGTHS])
+    m = with_row_lengths(rng, lengths, 400)
+    other = wide_range(rng, 400, 4)
+    got = m @ other
+    assert np.array_equal(got, reduceat_product(m, other))
+    assert np.all(got[lengths == 0] == 0.0)
+
+
+def test_transpose_product_has_its_own_cached_row_groups():
+    rng = np.random.default_rng(22)
+    m = with_row_lengths(rng, rng.integers(0, 150, 60), 200)
+    other, other_t = wide_range(rng, 200, 3), wide_range(rng, 60, 3)
+    assert np.array_equal(m @ other, reduceat_product(m, other))
+    assert np.array_equal(m.T @ other_t, reduceat_product(m.T, other_t))
+    groups, groups_t = m._row_groups, m.T._row_groups
+    assert groups is not None and groups_t is not None and groups is not groups_t
+    assert np.array_equal(m.T @ other_t, reduceat_product(m.T, other_t))
+    assert m._row_groups is groups and m.T._row_groups is groups_t
+
+
+def test_matmul_dense_matches_dense_laplacian_oracle():
+    rng = np.random.default_rng(23)
+    edges = [tuple(rng.choice(300, int(rng.integers(20, 70)), replace=False)) for _ in range(30)]
+    hg = ensure_min_degree(build_hypergraph(300, edges))
+    lap = laplacian_sym(hg)
+    assert np.diff(lap.indptr).max() > 128
+    x = rng.standard_normal((300, 4))
+    np.testing.assert_allclose(lap @ x, dense_sym(hg) @ x, atol=1e-12)
+    np.testing.assert_allclose(lap.T @ x, dense_sym(hg).T @ x, atol=1e-12)
+    assert np.array_equal(lap @ x, reduceat_product(lap, x))
 
 
 def test_matmul_sparse_matches_numpy():
