@@ -11,8 +11,11 @@ graph Laplacian. Attention scores follow the additive form
 restricted to j in N(i) or j = i, normalized row-wise by softmax. Heads
 split the hidden width into equal slices that attend independently. The
 admissible pairs come from a CSR pattern of the clique adjacency plus the
-identity (see :func:`attention_pattern`), so scores, softmax and the
-weighted sums all cost O(nnz), never O(n^2).
+identity (see :func:`attention_pattern`), so scores and softmax cost
+O(nnz), never O(n^2). Each head's weighted sum is one CSR product: the
+pattern carries the attention weights as its values and multiplies the
+head's projected values (:func:`~dphgnn.autodiff.segment_sums`), so no
+(pairs x head width) array is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .autodiff import (
     dropout,
     leaky_relu,
     matmul,
-    mul,
     relu,
     segment_softmax,
     segment_sums,
@@ -197,9 +199,9 @@ def cross_attention(
         weights = segment_softmax(scores, indptr)
         if attn_dropout:
             weights = dropout(weights, attn_dropout, rng=rng, train=train)
-        spread = matmul(weights, Tensor(np.ones((1, head_cols.size))))
-        picked = select_rows(select_cols(v_proj, head_cols), pair_cols)
-        head_outputs.append(segment_sums(mul(spread, picked), indptr))
+        head_outputs.append(
+            segment_sums(weights, select_cols(v_proj, head_cols), neighborhoods)
+        )
     out = head_outputs[0]
     for extra in head_outputs[1:]:
         out = concat_cols(out, extra)
@@ -213,7 +215,6 @@ def taa_forward(
     params: TaaParams,
     structure: "StructureBundle | None" = None,
     attn_dropout: float = 0.0,
-    update_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -246,10 +247,6 @@ def taa_forward(
         structure.hypergcn, x, params.theta_hypergcn,
         UpdateVariant.SYM_NORM, prop=structure.prop_hypergcn,
     )
-    if update_dropout:
-        star_feats = dropout(star_feats, update_dropout, rng=rng, train=train)
-        clique_feats = dropout(clique_feats, update_dropout, rng=rng, train=train)
-        hyper_feats = dropout(hyper_feats, update_dropout, rng=rng, train=train)
 
     spatial = cross_attention(
         row_mask(star_feats, RowTarget.NODES, star),

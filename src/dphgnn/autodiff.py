@@ -326,24 +326,37 @@ def segment_softmax(a, indptr: np.ndarray) -> Tensor:
     return _make(val, (a,), bwd)
 
 
-def segment_sums(a, indptr: np.ndarray) -> Tensor:
-    """Sum contiguous row segments; returns one row per segment."""
-    a = as_tensor(a)
-    x = a.value
-    if x.ndim != 2:
-        raise ShapeMismatchError("segment_sums expects a two-axis tensor")
-    indptr = _check_segments(indptr, x.shape[0])
-    starts = indptr[:-1]
-    if x.shape[0]:
-        val = np.add.reduceat(x, starts, axis=0)
-    else:
-        val = np.zeros((0, x.shape[1]))
-    seg_id = np.repeat(np.arange(starts.size), np.diff(indptr))
+def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
+    """Weighted neighbor sums over the stored entries of a CSR pattern.
+
+    Output row i is the sum over the entries p of row i of ``pattern`` of
+    ``weights[p] * values[pattern.indices[p]]``: one sparse @ dense product
+    with the (nnz, 1) weights as the pattern's values. Only the pattern's
+    structure is read; an empty row sums to zero.
+    """
+    weights, values = as_tensor(weights), as_tensor(values)
+    w, v = weights.value, values.value
+    if w.shape != (pattern.nnz, 1):
+        raise ShapeMismatchError(
+            f"segment_sums needs ({pattern.nnz}, 1) weights, got {w.shape}"
+        )
+    # matmul_dense rejects values whose row count is not pattern.cols.
+    val = pattern.with_data(w[:, 0]).matmul_dense(v)
 
     def bwd(g):
-        _accum(a, g[seg_id])
+        cols = pattern.indices
+        g_pairs = g[np.repeat(np.arange(pattern.rows), np.diff(pattern.indptr))]
+        if weights.requires_grad:
+            terms = v[cols]
+            terms *= g_pairs
+            # Summed over the width by a product with ones, so the result
+            # matches the broadcast-and-multiply formulation bit for bit.
+            _accum(weights, terms @ np.ones((1, v.shape[1])).T)
+        if values.requires_grad:
+            g_pairs *= w
+            _accum(values, _scatter_rows(cols, g_pairs, pattern.cols))
 
-    return _make(val, (a,), bwd)
+    return _make(val, (weights, values), bwd)
 
 
 def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bool = True) -> Tensor:
@@ -369,21 +382,24 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
     return _make(val, (a,), bwd)
 
 
+def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    # Row k of g added into row index[k] of a zero (rows, ...) array.
+    # bincount adds in index order from zero, as np.add.at does, but fast.
+    if g.ndim == 1:
+        return np.bincount(index, weights=g, minlength=rows)
+    full = np.empty((rows, g.shape[1]))
+    for j in range(g.shape[1]):
+        full[:, j] = np.bincount(index, weights=g[:, j], minlength=rows)
+    return full
+
+
 def select_rows(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     val = a.value[index]
 
     def bwd(g):
-        # bincount adds in index order from zero, as np.add.at does, but fast.
-        rows = a.value.shape[0]
-        if g.ndim == 1:
-            full = np.bincount(index, weights=g, minlength=rows)
-        else:
-            full = np.empty_like(a.value)
-            for j in range(g.shape[1]):
-                full[:, j] = np.bincount(index, weights=g[:, j], minlength=rows)
-        _accum(a, full)
+        _accum(a, _scatter_rows(index, g, a.value.shape[0]))
 
     return _make(val, (a,), bwd)
 

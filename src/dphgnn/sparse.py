@@ -16,7 +16,10 @@ then adds the leftover terms one by one; longer sums split at half the
 count, rounded down to a multiple of 8, and recurse on both halves.
 
 A matrix is immutable once built: its transpose and the row grouping of
-its products are cached on the instance.
+its products are cached on the instance. :meth:`SparseMatrix.with_data`
+puts new values on the same pattern and shares that row grouping with
+its source. Such a matrix may hold zeros (an attention weight that
+dropout removed, say), since only products read it.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class SparseMatrix:
 
     Invariants: ``indptr`` has ``rows + 1`` monotone entries ending at nnz,
     column indices are strictly increasing within each row, and no stored
-    value is exactly zero.
+    value is exactly zero (except in a :meth:`with_data` matrix).
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_row_groups")
@@ -221,6 +224,21 @@ class SparseMatrix:
                 if rows.size and lengths[rows[0]]
             ]
         return self._row_groups
+
+    def with_data(self, data) -> SparseMatrix:
+        """The same pattern with new values, one per stored entry.
+
+        Shares ``indptr``, ``indices`` and the row grouping with this
+        matrix; zeros are kept, so the result is only fit for products.
+        """
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ShapeMismatchError(
+                f"with_data needs {self.nnz} values, got shape {data.shape}"
+            )
+        out = SparseMatrix(self.rows, self.cols, self.indptr, self.indices, data, validate=False)
+        out._row_groups = self._rows_by_length()
+        return out
 
     def matmul_dense(self, other) -> np.ndarray:
         other = np.asarray(other, dtype=np.float64)

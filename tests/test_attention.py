@@ -15,12 +15,14 @@ from dphgnn.attention import (
     single_layer_update,
     taa_forward,
 )
-from dphgnn.autodiff import Tensor
+from dphgnn import autodiff
+from dphgnn.autodiff import Tensor, backward, grad_check, mul, sum_all
 from dphgnn.errors import ShapeMismatchError
 from dphgnn.expand import clique_expand, star_expand
-from dphgnn.hypergraph import build_hypergraph
+from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.precompute import build_structure
 from dphgnn.sparse import SparseMatrix
+from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
 def make_params(rng, width, heads=1):
@@ -310,3 +312,63 @@ def test_pattern_must_be_square():
     wide = SparseMatrix.from_dense(np.eye(3, 4))
     with pytest.raises(ShapeMismatchError):
         cross_attention(x, x, x, wide, params)
+
+
+def test_cross_attention_gradients_with_attention_dropout():
+    rng = np.random.default_rng(14)
+    mask = random_mask(rng, 7, 0.5)
+    pattern = pattern_of(mask)
+    q, k, v = (Tensor(rng.standard_normal((7, 4)), requires_grad=True) for _ in range(3))
+    params = make_params(rng, 4, heads=2)
+    upstream = Tensor(rng.standard_normal((7, 4)))
+
+    def loss():
+        # A fresh generator per call keeps the dropout mask fixed.
+        out = cross_attention(q, k, v, pattern, params, attn_dropout=0.4,
+                              rng=np.random.default_rng(3), train=True)
+        return sum_all(mul(out, upstream))
+
+    tensors = {"q": q, "k": k, "v": v, "delta": params.delta, "weight": params.weight}
+    assert grad_check(loss, tensors) < 1e-6
+
+
+def record_op_sizes(monkeypatch, sizes):
+    """Append the size of every op output and of every gradient an op receives."""
+    make = autodiff._make
+
+    def recording_make(value, parents, bwd):
+        sizes.append(np.size(value))
+
+        def recording_bwd(g):
+            sizes.append(np.size(g))
+            bwd(g)
+
+        return make(value, parents, recording_bwd)
+
+    monkeypatch.setattr(autodiff, "_make", recording_make)
+
+
+def test_cross_attention_ops_are_o_nnz_and_scale_linearly_in_nodes(monkeypatch):
+    # Node count doubles at a fixed mean degree (m = n / 2 edges of size 8).
+    width, heads = 8, 2
+    head_width = width // heads
+    largest = {}
+    for n in (400, 800):
+        data = generate_synthetic(TwoCommunitySpec(num_nodes=n, num_edges=n // 2, edge_size=8), 0)
+        pattern = attention_pattern(clique_expand(ensure_min_degree(data.hypergraph)).adjacency)
+        pairs = pattern.nnz
+        rng = np.random.default_rng(n)
+        q, k, v = (Tensor(rng.standard_normal((n, width)), requires_grad=True) for _ in range(3))
+        params = make_params(rng, width, heads)
+        sizes = []
+        with monkeypatch.context() as patched:
+            record_op_sizes(patched, sizes)
+            out = cross_attention(q, k, v, pattern, params, attn_dropout=0.2,
+                                  rng=np.random.default_rng(0), train=True)
+            backward(sum_all(out))
+        assert v.grad is not None and params.delta.grad is not None
+        assert pairs * head_width not in sizes
+        # The (pairs, 1) scores and the (n, width) projections are the largest.
+        assert max(sizes) == max(pairs, n * width)
+        largest[n] = max(sizes)
+    assert largest[800] <= 2.2 * largest[400]

@@ -368,8 +368,11 @@ def test_segment_sums_values_and_gradient():
 
     rng = np.random.default_rng(33)
     x = param(rng, 6, 3)
+    # Row i of the pattern picks the rows of segment i: [0, 2), [2, 3), [3, 6).
     indptr = np.array([0, 2, 3, 6])
-    out = segment_sums(x, indptr)
+    pattern = SparseMatrix(3, 6, indptr, np.arange(6), np.ones(6))
+    ones = Tensor(np.ones((6, 1)), requires_grad=True)
+    out = segment_sums(ones, x, pattern)
     expected = np.vstack([
         x.value[0:2].sum(axis=0),
         x.value[2:3].sum(axis=0),
@@ -380,9 +383,127 @@ def test_segment_sums_values_and_gradient():
     weights = Tensor(rng.standard_normal((3, 3)))
 
     def loss():
-        return sum_all(mul(segment_sums(x, indptr), weights))
+        return sum_all(mul(segment_sums(ones, x, pattern), weights))
 
     assert grad_check(loss, {"x": x}) < 1e-7
+    assert grad_check(loss, {"ones": ones}) < 1e-7
     x.zero_grad()
-    backward(sum_all(segment_sums(x, indptr)))
+    ones.zero_grad()
+    backward(sum_all(segment_sums(ones, x, pattern)))
     np.testing.assert_array_equal(x.grad, np.ones((6, 3)))
+    np.testing.assert_allclose(ones.grad[:, 0], x.value.sum(axis=1), atol=1e-12)
+
+
+def pattern_with_row_lengths(rng, lengths, cols):
+    """Unit-valued CSR pattern whose row i holds lengths[i] sorted columns."""
+    picked = [np.sort(rng.choice(cols, length, replace=False)) for length in lengths]
+    indices = np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return SparseMatrix(len(lengths), cols, indptr, indices, np.ones(len(indices)))
+
+
+def old_weighted_sums(w, v, pattern, g):
+    """The former spread / pick / multiply / reduceat chain and its gradients.
+
+    Returns (output, d weights, d values) for the upstream gradient g, each
+    formed the way that chain formed it. Every row must be non-empty.
+    """
+    width = v.shape[1]
+    rows = np.repeat(np.arange(pattern.rows), np.diff(pattern.indptr))
+    ones = np.ones((1, width))
+    spread = w @ ones
+    picked = v[pattern.indices]
+    out = np.add.reduceat(spread * picked, pattern.indptr[:-1], axis=0)
+    g_pairs = g[rows]
+    d_weights = (g_pairs * picked) @ ones.T
+    d_values = np.zeros_like(v)
+    np.add.at(d_values, pattern.indices, g_pairs * spread)
+    return out, d_weights, d_values
+
+
+def new_weighted_sums(w, v, pattern, g):
+    from dphgnn.autodiff import segment_sums
+
+    wt, vt = Tensor(w, requires_grad=True), Tensor(v, requires_grad=True)
+    out = segment_sums(wt, vt, pattern)
+    backward(sum_all(mul(out, Tensor(g))))
+    return out.value, wt.grad, vt.grad
+
+
+# Length-1 rows, 8-term blocks, the 128-term block limit and the recursion beyond it.
+SEGMENT_LENGTHS = (1, 1, 2, 7, 8, 9, 17, 128, 129, 200, 3, 1)
+
+
+@pytest.mark.parametrize("width", [1, 4, 32])
+def test_segment_sums_bit_identical_to_old_chain(width):
+    rng = np.random.default_rng(34 + width)
+    pattern = pattern_with_row_lengths(rng, SEGMENT_LENGTHS, 300)
+    # Spread over twelve decades, so any other summation order rounds differently.
+    v = rng.standard_normal((300, width)) * 10.0 ** rng.uniform(-6, 6, (300, 1))
+    w = rng.random((pattern.nnz, 1))
+    w[rng.random(pattern.nnz) < 0.3] = 0.0  # entries that dropout removed
+    g = rng.standard_normal((pattern.rows, width)) * 10.0 ** rng.uniform(-6, 6, (pattern.rows, 1))
+    for got, want in zip(new_weighted_sums(w, v, pattern, g), old_weighted_sums(w, v, pattern, g)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_segment_sums_matches_dense_oracle_with_empty_rows():
+    from dphgnn.autodiff import segment_sums
+
+    rng = np.random.default_rng(36)
+    pattern = pattern_with_row_lengths(rng, [3, 0, 1, 5, 0, 2], 7)
+    w = Tensor(rng.standard_normal((pattern.nnz, 1)), requires_grad=True)
+    v = param(rng, 7, 3)
+    out = segment_sums(w, v, pattern)
+    dense = pattern.with_data(w.value[:, 0]).to_dense()
+    np.testing.assert_allclose(out.value, dense @ v.value, rtol=1e-12, atol=1e-15)
+    assert np.all(out.value[[1, 4]] == 0.0)
+    upstream = Tensor(rng.standard_normal((6, 3)))
+
+    def loss():
+        return sum_all(mul(segment_sums(w, v, pattern), upstream))
+
+    assert grad_check(loss, {"w": w, "v": v}) < 1e-7
+
+
+def test_segment_sums_gradient_with_zero_weights_and_long_row():
+    from dphgnn.autodiff import segment_sums
+
+    rng = np.random.default_rng(37)
+    pattern = pattern_with_row_lengths(rng, [1, 140, 4], 150)
+    w_value = rng.random((pattern.nnz, 1))
+    w_value[::4] = 0.0
+    w = Tensor(w_value, requires_grad=True)
+    v = param(rng, 150, 2)
+    upstream = Tensor(rng.standard_normal((3, 2)))
+    dense = pattern.with_data(w.value[:, 0]).to_dense()
+    out = segment_sums(w, v, pattern)
+    np.testing.assert_allclose(out.value, dense @ v.value, rtol=1e-12, atol=1e-15)
+
+    def loss():
+        return sum_all(mul(segment_sums(w, v, pattern), upstream))
+
+    assert grad_check(loss, {"w": w, "v": v}, max_entries=400) < 1e-6
+    # A weight of zero still passes a gradient to itself, none to its value row.
+    w.zero_grad()
+    v.zero_grad()
+    backward(loss())
+    rows = np.repeat(np.arange(3), np.diff(pattern.indptr))
+    expected_w = (upstream.value[rows] * v.value[pattern.indices]).sum(axis=1)
+    np.testing.assert_allclose(w.grad[:, 0], expected_w, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(v.grad, dense.T @ upstream.value, rtol=1e-12, atol=1e-15)
+
+
+def test_segment_sums_rejects_bad_shapes():
+    from dphgnn.autodiff import segment_sums
+    from dphgnn.errors import ShapeMismatchError
+
+    pattern = SparseMatrix(2, 4, np.array([0, 2, 3]), np.array([0, 3, 1]), np.ones(3))
+    values = Tensor(np.ones((4, 2)))
+    for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 1)), np.ones((4, 1))):
+        with pytest.raises(ShapeMismatchError):
+            segment_sums(Tensor(bad), values, pattern)
+    for bad in (np.ones((3, 2)), np.ones((5, 2)), np.ones(4)):
+        with pytest.raises(ShapeMismatchError):
+            segment_sums(Tensor(np.ones((3, 1))), Tensor(bad), pattern)

@@ -117,6 +117,31 @@ def test_transpose_product_has_its_own_cached_row_groups():
     assert m._row_groups is groups and m.T._row_groups is groups_t
 
 
+def test_with_data_shares_pattern_and_row_groups_and_keeps_zeros():
+    rng = np.random.default_rng(24)
+    m = with_row_lengths(rng, rng.integers(0, 140, 30), 200)
+    before = m.data.copy()
+    data = rng.standard_normal(m.nnz)
+    data[::3] = 0.0
+    w = m.with_data(data)
+    assert w.indptr is m.indptr and w.indices is m.indices
+    assert m._row_groups is not None and w._row_groups is m._row_groups
+    np.testing.assert_array_equal(w.data, data)
+    np.testing.assert_array_equal(m.data, before)
+    other = wide_range(rng, 200, 3)
+    assert np.array_equal(w @ other, reduceat_product(w, other))
+    np.testing.assert_allclose(w @ other, w.to_dense() @ other, rtol=1e-12, atol=0)
+
+
+def test_with_data_rejects_wrong_length():
+    from dphgnn.errors import ShapeMismatchError
+
+    m = SparseMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    for bad in (np.ones(2), np.ones(4), np.ones((3, 1)), np.float64(1.0)):
+        with pytest.raises(ShapeMismatchError):
+            m.with_data(bad)
+
+
 def test_matmul_dense_matches_dense_laplacian_oracle():
     rng = np.random.default_rng(23)
     edges = [tuple(rng.choice(300, int(rng.integers(20, 70)), replace=False)) for _ in range(30)]
