@@ -142,11 +142,10 @@ def attention_pattern(adjacency: SparseMatrix) -> SparseMatrix:
     order: the candidate set each node attends over.
     """
     n = adjacency.rows
-    rows, cols, _ = adjacency.to_coo()
-    idx = np.arange(n, dtype=np.int64)
-    merged = SparseMatrix.from_coo(
-        n, n, np.concatenate([rows, idx]), np.concatenate([cols, idx]), np.ones(len(rows) + n)
-    )
+    # Unit values on both sides sum to 1 or 2, so no position cancels.
+    unit = SparseMatrix(n, n, adjacency.indptr, adjacency.indices, np.ones(adjacency.nnz),
+                        validate=False)
+    merged = unit.add(SparseMatrix.identity(n))
     return SparseMatrix(n, n, merged.indptr, merged.indices, np.ones(merged.nnz), validate=False)
 
 

@@ -1,22 +1,26 @@
 """Graph expansions of a hypergraph: clique, star, and distance-pair forms.
 
 Each expansion returns an undirected weighted graph whose adjacency is a
-symmetric SparseMatrix with a zero diagonal. The star expansion works on
-n + m vertices, where vertex n + e is the supernode of hyperedge e;
-``row_mask`` selects the node block or the supernode block of any matrix
-living on those stacked rows.
+symmetric SparseMatrix with a zero diagonal. All three are built from the
+incidence matrix H by sparse algebra, with no per-pair Python loop:
+
+- clique: the unit-valued pattern of H H^T without its diagonal;
+- star: [[0, H], [H^T, 0]] on n + m vertices, where vertex n + e is the
+  supernode of hyperedge e; ``row_mask`` selects the node block or the
+  supernode block of any matrix living on those stacked rows;
+- distance-pair (HyperGCN): one pair per edge, picked for a whole bucket
+  of same-size edges at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, incidence
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -29,6 +33,10 @@ __all__ = [
     "row_mask",
 ]
 
+# Values one slice of a HyperGCN size bucket may hold (gathered feature rows
+# or Gram entries): about 32 MB of float64.
+_SLICE_FLOATS = 1 << 22
+
 
 @dataclass(eq=False)
 class Graph:
@@ -38,19 +46,10 @@ class Graph:
     adjacency: SparseMatrix
     degrees: np.ndarray = field(repr=False)
 
-
-def _graph_from_weights(num_vertices: int, weights: dict[tuple[int, int], float]) -> Graph:
-    if weights:
-        pairs = np.array(sorted(weights), dtype=np.int64)
-        vals = np.array([weights[(u, v)] for u, v in map(tuple, pairs)])
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        adj = SparseMatrix.from_coo(
-            num_vertices, num_vertices, rows, cols, np.concatenate([vals, vals])
-        )
-    else:
-        adj = SparseMatrix.from_coo(num_vertices, num_vertices, [], [], [])
-    return Graph(num_vertices, adj, adj.row_sums())
+    @classmethod
+    def from_adjacency(cls, adjacency: SparseMatrix) -> Graph:
+        """The graph on ``adjacency``'s rows; degrees are its row sums."""
+        return cls(adjacency.rows, adjacency, adjacency.row_sums())
 
 
 @dataclass(eq=False)
@@ -60,15 +59,6 @@ class StarGraph:
     graph: Graph
     num_nodes: int
     num_supernodes: int
-    edge_to_supernode: np.ndarray = field(repr=False)
-
-    @property
-    def node_rows(self) -> np.ndarray:
-        return np.arange(self.num_nodes)
-
-    @property
-    def supernode_rows(self) -> np.ndarray:
-        return np.arange(self.num_nodes, self.num_nodes + self.num_supernodes)
 
 
 class RowTarget(Enum):
@@ -80,21 +70,48 @@ class RowTarget(Enum):
 
 def clique_expand(hg: Hypergraph) -> Graph:
     """Unweighted graph joining every pair of nodes that co-occur in an edge."""
-    seen: dict[tuple[int, int], float] = {}
-    for e in hg.edges:
-        for u, v in combinations(e, 2):
-            seen[(u, v)] = 1.0
-    return _graph_from_weights(hg.num_nodes, seen)
+    h = incidence(hg)
+    co = h @ h.transpose()
+    rows, cols, _ = co.to_coo()
+    off = rows != cols
+    kept = np.concatenate(([0], np.cumsum(off)))
+    return Graph.from_adjacency(SparseMatrix(
+        co.rows, co.cols, kept[co.indptr], co.indices[off], np.ones(kept[-1]), validate=False
+    ))
 
 
 def star_expand(hg: Hypergraph) -> StarGraph:
     """Bipartite graph linking each node to the supernodes of its edges."""
     n, m = hg.num_nodes, hg.num_edges
-    weights = {
-        (v, n + j): 1.0 for j, e in enumerate(hg.edges) for v in e
-    }
-    g = _graph_from_weights(n + m, weights)
-    return StarGraph(g, n, m, np.arange(n, n + m, dtype=np.int64))
+    h = incidence(hg)
+    ht = h.transpose()
+    adjacency = SparseMatrix(
+        n + m,
+        n + m,
+        np.concatenate((h.indptr, h.nnz + ht.indptr[1:])),
+        np.concatenate((h.indices + n, ht.indices)),
+        np.ones(2 * h.nnz),
+        validate=False,
+    )
+    return StarGraph(Graph.from_adjacency(adjacency), n, m)
+
+
+def _farthest_pairs(
+    blocks: np.ndarray, sq: np.ndarray, iu: np.ndarray, ju: np.ndarray
+) -> np.ndarray:
+    """Per (k, d) block, the index into (iu, ju) of its farthest member pair.
+
+    ``sq`` holds the members' squared norms. d2 is
+    |x_a|^2 + |x_b|^2 - 2 x_a . x_b with each term formed as for a single
+    (k, d) block, so it rounds the same. The first maximal pair in (iu, ju)
+    order wins; a NaN distance never wins, except that a NaN first pair is
+    kept.
+    """
+    gram = blocks @ blocks.transpose(0, 2, 1)
+    d2 = sq[:, iu] + sq[:, ju] - 2.0 * gram[:, iu, ju]
+    pick = np.argmax(np.where(np.isnan(d2), -np.inf, d2), axis=1)
+    pick[np.isnan(d2[:, 0])] = 0
+    return pick
 
 
 def hypergcn_expand(hg: Hypergraph, features: np.ndarray) -> Graph:
@@ -104,37 +121,64 @@ def hypergcn_expand(hg: Hypergraph, features: np.ndarray) -> Graph:
     with weight 1 / (2|e| - 3); ties break to the lexicographically
     smallest pair. Size-2 edges are kept directly with weight 1 and
     singletons contribute nothing. Weights accumulate when several edges
-    pick the same pair.
+    pick the same pair, as a running sum from 0.0 in edge order.
+
+    Edges are bucketed by size k; a bucket's distances are formed in
+    slices of about 4M values at most (gathered features or Gram entries),
+    unless a single edge needs more.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != hg.num_nodes:
         raise ShapeMismatchError(
             f"features must be ({hg.num_nodes}, d), got {features.shape}"
         )
-    weights: dict[tuple[int, int], float] = {}
-    for e in hg.edges:
-        if len(e) < 2:
-            continue
-        if len(e) == 2:
-            best = (e[0], e[1])
-            w = 1.0
+    n, d = features.shape
+    by_edge = incidence(hg).transpose()
+    sizes = np.diff(by_edge.indptr)
+    if np.any(sizes > 2):
+        # Squared norms once per node, in slices; each row sums on its own,
+        # so the values equal np.sum over a single (k, d) block's rows.
+        step = max(1, _SLICE_FLOATS // max(d, 1))
+        sq = np.concatenate(
+            [np.sum(x * x, axis=1) for x in np.split(features, range(step, n, step))]
+        )
+    first = np.zeros(hg.num_edges, dtype=np.int64)
+    second = np.zeros(hg.num_edges, dtype=np.int64)
+    weight = np.zeros(hg.num_edges)
+    for k in np.unique(sizes[sizes >= 2]):
+        edges = np.flatnonzero(sizes == k)
+        members = by_edge.indices[by_edge.indptr[edges, None] + np.arange(k)]
+        iu, ju = np.nonzero(np.less.outer(np.arange(k), np.arange(k)))  # a < b, row-major
+        if k == 2:
+            pick = np.zeros(len(edges), dtype=np.int64)
         else:
-            block = features[list(e)]
-            sq = np.sum(block * block, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (block @ block.T)
-            # Seeding with the first pair keeps the choice well defined
-            # even when every distance is NaN.
-            best = (e[0], e[1])
-            best_d = d2[0, 1]
-            for a, b in combinations(range(len(e)), 2):
-                # Strict > keeps the first maximal pair, which is the
-                # lexicographically smallest because members are sorted.
-                if d2[a, b] > best_d:
-                    best_d = d2[a, b]
-                    best = (e[a], e[b])
-            w = 1.0 / (2 * len(e) - 3)
-        weights[best] = weights.get(best, 0.0) + w
-    return _graph_from_weights(hg.num_nodes, weights)
+            # A slice's gathered rows and its (k, k) Gram stack stay within bound.
+            per = max(1, _SLICE_FLOATS // (k * max(d, k)))
+            pick = np.concatenate([
+                _farthest_pairs(features[part], sq[part], iu, ju)
+                for part in np.split(members, range(per, len(edges), per))
+            ])
+        rows = np.arange(len(edges))
+        first[edges] = members[rows, iu[pick]]
+        second[edges] = members[rows, ju[pick]]
+        weight[edges] = 1.0 / (2 * k - 3)
+
+    # Sum each pair's weights in edge order: a stable sort groups equal pairs,
+    # and a cumsum along each group (groups bucketed by size) adds left to right.
+    paired = np.flatnonzero(sizes >= 2)
+    keys = first[paired] * n + second[paired]
+    order = np.argsort(keys, kind="stable")
+    keys, w, edge_of = keys[order], weight[paired][order], paired[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(np.append(starts, len(keys)))
+    totals = np.empty(len(starts))
+    for c in np.unique(counts):
+        at = np.flatnonzero(counts == c)
+        totals[at] = np.cumsum(w[starts[at, None] + np.arange(c)], axis=1)[:, -1]
+    u, v = first[edge_of[starts]], second[edge_of[starts]]
+    return Graph.from_adjacency(SparseMatrix.from_coo(
+        n, n, np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((totals, totals))
+    ))
 
 
 def row_mask(matrix, target: RowTarget, star: StarGraph):

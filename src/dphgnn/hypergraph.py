@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,6 +65,23 @@ class Hypergraph:
         """Canonical edge multiset: sorted tuple of member tuples."""
         return tuple(sorted(self.edges))
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """Every edge's sorted members, edge after edge, as one int64 array."""
+        return np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int64, count=int(self.edge_degrees.sum())
+        )
+
+    @cached_property
+    def _incidence(self) -> SparseMatrix:
+        # Row e of H^T lists edge e's sorted members, so H^T is CSR as it stands.
+        indptr = np.zeros(self.num_edges + 1, dtype=np.int64)
+        np.cumsum(self.edge_degrees, out=indptr[1:])
+        by_edge = SparseMatrix(
+            self.num_edges, self.num_nodes, indptr, self.members, np.ones(len(self.members))
+        )
+        return by_edge.transpose()
+
 
 def build_hypergraph(num_nodes: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Validate and construct a hypergraph.
@@ -96,12 +115,12 @@ def build_hypergraph(num_nodes: int, edges: Iterable[Iterable[int]]) -> Hypergra
 
 
 def incidence(hg: Hypergraph) -> SparseMatrix:
-    """n x m binary incidence matrix H with H[v, e] = 1 iff v in edge e."""
-    rows = [v for e in hg.edges for v in e]
-    cols = [j for j, e in enumerate(hg.edges) for _ in e]
-    return SparseMatrix.from_coo(
-        hg.num_nodes, hg.num_edges, rows, cols, np.ones(len(rows))
-    )
+    """n x m binary incidence matrix H with H[v, e] = 1 iff v in edge e.
+
+    Built on first use and kept on the (immutable) hypergraph, so every
+    caller shares one H and its cached transpose H^T.
+    """
+    return hg._incidence
 
 
 def density_stats(hg: Hypergraph) -> tuple[float, float]:

@@ -152,14 +152,6 @@ class ForwardTrace:
     updated: Tensor
     logits: Tensor
 
-    @property
-    def equivariant(self) -> Tensor:
-        """Gated half of the static features (first h/2 columns)."""
-        from .autodiff import select_cols
-
-        half = self.static.value.shape[1] // 2
-        return select_cols(self.static, np.arange(half))
-
 
 def init_dphgnn(
     rng: np.random.Generator,

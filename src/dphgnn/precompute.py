@@ -1,10 +1,12 @@
 """Per-dataset structure constants: expansions, Laplacians, propagation.
 
 Everything a forward pass multiplies by but never differentiates through
-is built here once. The bundle can be cached on disk keyed by a content
-hash of the hypergraph plus the input features (the distance-pair
-expansion depends on features) and the cache format version. Every stored
-array is O(nnz) or O(n + m); nothing n x n is built or written.
+is built here once, from one incidence matrix H shared by every
+expansion and Laplacian. The bundle can be cached on disk keyed by a
+content hash of the edge sizes and flat edge members, the input features
+(the distance-pair expansion depends on features) and the cache format
+version. Every stored array is O(nnz) or O(n + m); nothing n x n is built
+or written.
 """
 
 from __future__ import annotations
@@ -45,18 +47,23 @@ class StructureBundle:
     key: str
 
 
-# Bump whenever the npz layout changes, so files from older code are never read.
-CACHE_FORMAT_VERSION = 2
+# Bump whenever the npz layout or the hash inputs change, so files from
+# older code are never read.
+CACHE_FORMAT_VERSION = 3
 
 
 def content_hash(hg: Hypergraph, features: np.ndarray) -> str:
+    """sha256 over the format version, n, m, the feature shape, the edge
+    sizes, the flat edge members and the feature values."""
+    features = np.ascontiguousarray(features, dtype=np.float64)
     digest = hashlib.sha256()
-    digest.update(f"dphgnn-structure-v{CACHE_FORMAT_VERSION}".encode())
-    digest.update(str(hg.num_nodes).encode())
-    for e in hg.edges:
-        digest.update(b"e")
-        digest.update(np.asarray(e, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(features, dtype=np.float64).tobytes())
+    digest.update(
+        f"dphgnn-structure-v{CACHE_FORMAT_VERSION}"
+        f":{hg.num_nodes}:{hg.num_edges}:{features.shape}".encode()
+    )
+    digest.update(hg.edge_degrees.astype(np.int64).tobytes())
+    digest.update(hg.members.tobytes())
+    digest.update(features.tobytes())
     return digest.hexdigest()
 
 
@@ -101,7 +108,7 @@ _SPARSE_FIELDS = (
     "super_gather",
     "node_from_edge",
 )
-_LAPLACIAN_FIELDS = ("smoothing", "sym", "rw", "clique", "star", "hypergcn", "rw_plus_sym")
+_LAPLACIAN_FIELDS = ("smoothing", "clique", "star", "hypergcn", "rw_plus_sym")
 _GRAPH_FIELDS = ("clique", "star", "hypergcn")
 
 
@@ -123,9 +130,7 @@ def save_structure(bundle: StructureBundle, path: str | Path) -> None:
     arrays: dict[str, np.ndarray] = {
         "num_nodes": np.array([bundle.hypergraph.num_nodes], dtype=np.int64),
         "edge_sizes": bundle.hypergraph.edge_degrees,
-        "edge_members": np.array(
-            [v for e in bundle.hypergraph.edges for v in e], dtype=np.int64
-        ),
+        "edge_members": bundle.hypergraph.members,
     }
     for name in _GRAPH_FIELDS:
         g = getattr(bundle, name)
@@ -158,18 +163,11 @@ def load_structure(path: str | Path, key: str) -> StructureBundle:
     hg = build_hypergraph(int(blob["num_nodes"][0]), edges)
 
     def graph_of(name: str) -> Graph:
-        adj = _unpack_sparse(f"graph.{name}", blob)
-        return Graph(adj.rows, adj, adj.row_sums())
+        return Graph.from_adjacency(_unpack_sparse(f"graph.{name}", blob))
 
     clique = graph_of("clique")
-    star_base = graph_of("star")
+    star = StarGraph(graph_of("star"), hg.num_nodes, hg.num_edges)
     hyper = graph_of("hypergcn")
-    star = StarGraph(
-        star_base,
-        hg.num_nodes,
-        hg.num_edges,
-        np.arange(hg.num_nodes, hg.num_nodes + hg.num_edges, dtype=np.int64),
-    )
     laps = LaplacianSet(
         **{name: _unpack_sparse(f"lap.{name}", blob) for name in _LAPLACIAN_FIELDS}
     )

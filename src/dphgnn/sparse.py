@@ -5,6 +5,15 @@ construction from COO triplets, dense round-trips, transposition,
 sparse @ dense and sparse @ sparse products, elementwise addition,
 diagonal scaling, and contiguous row slicing.
 
+Structure operations work on the CSR arrays directly. ``scale``,
+``scale_rows`` and ``scale_cols`` multiply ``data`` and reuse ``indptr``
+and ``indices``, dropping any product that underflows to 0.0. ``add``
+merges the two row-major entry lists. ``transpose`` counts the columns
+for its row offsets and orders the entries by one stable sort of the
+column indices. ``row_sums`` is one ``np.bincount``. ``from_coo`` sorts
+only triplets that are not already in row-major order; of the callers
+here, only the sparse @ sparse product hands it unsorted triplets.
+
 Sparse @ dense groups the rows by their entry count L and, per group,
 gathers the L scaled input rows of every row into one (L, rows, width)
 block. Axis 0 of a block is reduced in the order ``np.add.reduceat``
@@ -114,7 +123,15 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows: int, cols: int, row_idx, col_idx, values) -> SparseMatrix:
-        """Build from triplets; duplicate positions are summed, zeros dropped."""
+        """Build from triplets; duplicate positions are summed, zeros dropped.
+
+        Triplets already in row-major order are used as they come; any other
+        order is first put right by a stable sort of the key r * cols + c,
+        the order ``np.lexsort((c, r))`` gives. Either way duplicates sum in
+        input order, as ``np.add.reduceat`` over each run adds them.
+        """
+        if rows < 0 or cols < 0:
+            raise ShapeMismatchError("negative matrix dimensions")
         r = np.asarray(row_idx, dtype=np.int64).ravel()
         c = np.asarray(col_idx, dtype=np.int64).ravel()
         v = np.asarray(values, dtype=np.float64).ravel()
@@ -123,17 +140,22 @@ class SparseMatrix:
         if len(r):
             if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
                 raise ShapeMismatchError("COO index out of range")
-            order = np.lexsort((c, r))
-            r, c, v = r[order], c[order], v[order]
-            first = np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])))
-            starts = np.flatnonzero(first)
-            v = np.add.reduceat(v, starts)
-            r, c = r[starts], c[starts]
+            key = r * cols + c
+            if np.any(key[1:] < key[:-1]):
+                order = np.argsort(key, kind="stable")
+                r, c, v, key = r[order], c[order], v[order], key[order]
+            first = np.concatenate(([True], key[1:] != key[:-1]))
+            if not first.all():
+                starts = np.flatnonzero(first)
+                v = np.add.reduceat(v, starts)
+                r, c = r[starts], c[starts]
             keep = v != 0.0
-            r, c, v = r[keep], c[keep], v[keep]
+            if not keep.all():
+                r, c, v = r[keep], c[keep], v[keep]
         indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=rows), out=indptr[1:])
-        return cls(rows, cols, indptr, c, v)
+        # Checked, sorted, summed and zero-free: valid by construction.
+        return cls(rows, cols, indptr, c, v, validate=False)
 
     @classmethod
     def from_dense(cls, dense) -> SparseMatrix:
@@ -166,23 +188,22 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
+    def _row_of(self) -> np.ndarray:
+        # Row index of every stored entry.
+        return np.repeat(np.arange(self.rows, dtype=np.int64), self.indptr[1:] - self.indptr[:-1])
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
         if self.nnz:
-            row_of = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-            out[row_of, self.indices] = self.data
+            out[self._row_of(), self.indices] = self.data
         return out
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        row_of = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        return row_of, self.indices.copy(), self.data.copy()
+        return self._row_of(), self.indices.copy(), self.data.copy()
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows)
-        if self.nnz:
-            row_of = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-            np.add.at(out, row_of, self.data)
-        return out
+        # bincount adds each row's entries in order from zero, as np.add.at does.
+        return np.bincount(self._row_of(), weights=self.data, minlength=self.rows)
 
     def diagonal(self) -> np.ndarray:
         out = np.zeros(min(self.rows, self.cols))
@@ -196,8 +217,15 @@ class SparseMatrix:
 
     def transpose(self) -> SparseMatrix:
         if self._transpose is None:
-            r, c, v = self.to_coo()
-            t = SparseMatrix.from_coo(self.cols, self.rows, c, r, v)
+            # Row offsets by counting columns; a stable sort by column keeps
+            # each column's entries in row order, so every row comes out sorted.
+            order = np.argsort(self.indices, kind="stable")
+            indptr = np.zeros(self.cols + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.indices, minlength=self.cols), out=indptr[1:])
+            t = SparseMatrix(
+                self.cols, self.rows, indptr, self._row_of()[order], self.data[order],
+                validate=False,
+            )
             t._transpose = self
             self._transpose = t
         return self._transpose
@@ -260,7 +288,7 @@ class SparseMatrix:
             )
         if self.nnz == 0 or other.nnz == 0:
             return SparseMatrix.from_coo(self.rows, other.cols, [], [], [])
-        a_row = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+        a_row = self._row_of()
         fan = np.diff(other.indptr)[self.indices]
         pos = np.repeat(other.indptr[self.indices], fan) + _ranges(fan)
         out_r = np.repeat(a_row, fan)
@@ -269,37 +297,51 @@ class SparseMatrix:
         return SparseMatrix.from_coo(self.rows, other.cols, out_r, out_c, out_v)
 
     def add(self, other: SparseMatrix) -> SparseMatrix:
+        """Elementwise sum; entries that cancel to zero are dropped.
+
+        The two row-major entry lists are merged, this matrix's entry first
+        where both hold one, so a shared position sums as self + other.
+        """
         if self.shape != other.shape:
             raise ShapeMismatchError("shapes differ in add")
-        r1, c1, v1 = self.to_coo()
-        r2, c2, v2 = other.to_coo()
-        return SparseMatrix.from_coo(
-            self.rows,
-            self.cols,
-            np.concatenate([r1, r2]),
-            np.concatenate([c1, c2]),
-            np.concatenate([v1, v2]),
-        )
+        r1, r2 = self._row_of(), other._row_of()
+        k1 = r1 * self.cols + self.indices
+        k2 = r2 * self.cols + other.indices
+        at1 = np.arange(len(k1)) + np.searchsorted(k2, k1, side="left")
+        at2 = np.arange(len(k2)) + np.searchsorted(k1, k2, side="right")
+        size = len(k1) + len(k2)
+        r, c, v = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+        r[at1], r[at2] = r1, r2
+        c[at1], c[at2] = self.indices, other.indices
+        v[at1], v[at2] = self.data, other.data
+        return SparseMatrix.from_coo(self.rows, self.cols, r, c, v)
+
+    def _rescaled(self, data: np.ndarray) -> SparseMatrix:
+        # New values on this pattern; a product that underflowed to 0.0 is dropped.
+        keep = data != 0.0
+        if keep.all():
+            indptr, indices = self.indptr, self.indices
+        else:
+            indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+            indices, data = self.indices[keep], data[keep]
+        return SparseMatrix(self.rows, self.cols, indptr, indices, data, validate=False)
 
     def scale(self, factor: float) -> SparseMatrix:
-        r, c, v = self.to_coo()
-        return SparseMatrix.from_coo(self.rows, self.cols, r, c, v * factor)
+        return self._rescaled(self.data * factor)
 
     def scale_rows(self, factors) -> SparseMatrix:
         """Left-multiply by diag(factors)."""
         factors = np.asarray(factors, dtype=np.float64).ravel()
         if len(factors) != self.rows:
             raise ShapeMismatchError("row scaling vector has wrong length")
-        r, c, v = self.to_coo()
-        return SparseMatrix.from_coo(self.rows, self.cols, r, c, v * factors[r])
+        return self._rescaled(self.data * factors[self._row_of()])
 
     def scale_cols(self, factors) -> SparseMatrix:
         """Right-multiply by diag(factors)."""
         factors = np.asarray(factors, dtype=np.float64).ravel()
         if len(factors) != self.cols:
             raise ShapeMismatchError("column scaling vector has wrong length")
-        r, c, v = self.to_coo()
-        return SparseMatrix.from_coo(self.rows, self.cols, r, c, v * factors[c])
+        return self._rescaled(self.data * factors[self.indices])
 
     def take_row_range(self, lo: int, hi: int) -> SparseMatrix:
         """Contiguous row slice [lo, hi) as a new matrix."""

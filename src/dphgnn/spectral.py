@@ -47,10 +47,8 @@ def _degree_checked(hg: Hypergraph) -> np.ndarray:
 def laplacian_hgnn(hg: Hypergraph) -> SparseMatrix:
     """Symmetric smoothing operator D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}."""
     deg = _degree_checked(hg)
-    h = incidence(hg)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    half = h.scale_rows(inv_sqrt).scale_cols(1.0 / hg.edge_degrees.astype(np.float64))
-    return half @ h.scale_rows(inv_sqrt).transpose()
+    left = incidence(hg).scale_rows(1.0 / np.sqrt(deg))
+    return left.scale_cols(1.0 / hg.edge_degrees.astype(np.float64)) @ left.transpose()
 
 
 def laplacian_sym(hg: Hypergraph) -> SparseMatrix:
@@ -73,15 +71,18 @@ def graph_laplacian(g: Graph) -> SparseMatrix:
 
 @dataclass(eq=False)
 class LaplacianSet:
-    """All operators one forward pass needs, built once per dataset."""
+    """All operators one forward pass needs, built once per dataset.
+
+    The symmetric and random-walk Laplacians are only ever read as their
+    sum, so only ``rw_plus_sym`` is kept; :func:`laplacian_sym` and
+    :func:`laplacian_rw` still build either one alone.
+    """
 
     smoothing: SparseMatrix       # D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}
-    sym: SparseMatrix             # I - smoothing
-    rw: SparseMatrix              # I - D_v^{-1} H D_e^{-1} H^T
     clique: SparseMatrix          # D - A of the clique expansion
     star: SparseMatrix            # D - A of the star expansion (n + m rows)
     hypergcn: SparseMatrix        # D - A of the distance-pair expansion
-    rw_plus_sym: SparseMatrix     # precomputed sum used by sib_update
+    rw_plus_sym: SparseMatrix     # (I - D_v^{-1} H D_e^{-1} H^T) + (I - smoothing)
 
 
 def build_laplacians(hg: Hypergraph, clique: Graph, star_graph: Graph, hyper: Graph) -> LaplacianSet:
@@ -90,8 +91,6 @@ def build_laplacians(hg: Hypergraph, clique: Graph, star_graph: Graph, hyper: Gr
     rw = laplacian_rw(hg)
     return LaplacianSet(
         smoothing=smoothing,
-        sym=sym,
-        rw=rw,
         clique=graph_laplacian(clique),
         star=graph_laplacian(star_graph),
         hypergcn=graph_laplacian(hyper),

@@ -107,13 +107,6 @@ def parse_generator_spec(payload: dict) -> GeneratorSpec:
         raise ParseError(f"bad parameters for {kind}: {exc}") from exc
 
 
-def spec_kind(spec: GeneratorSpec) -> str:
-    for name, cls in _KINDS.items():
-        if isinstance(spec, cls):
-            return name
-    raise ParseError(f"unknown spec type {type(spec)!r}")  # pragma: no cover
-
-
 # ----------------------------------------------------------------------
 # shared helpers
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from itertools import combinations
 
+import dphgnn.expand as expand
 from dphgnn.errors import ShapeMismatchError
 from dphgnn.expand import (
     RowTarget,
@@ -154,6 +155,117 @@ def test_expansions_match_oracles_fuzz():
         hyper = hypergcn_expand(hg, feats)
         assert graph_pairs(hyper) == pytest.approx(hypergcn_oracle(hg, feats))
         assert_symmetric_zero_diag(hyper)
+
+
+def scan_pick(edge, features):
+    """The first pair by a strict > over d2 in lexicographic pair order,
+    seeded with the first pair: the rule hypergcn_expand keeps."""
+    block = features[list(edge)]
+    sq = np.sum(block * block, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (block @ block.T)
+    best, best_d = (edge[0], edge[1]), d2[0, 1]
+    for a, b in combinations(range(len(edge)), 2):
+        if d2[a, b] > best_d:
+            best, best_d = (edge[a], edge[b]), d2[a, b]
+    return best
+
+
+def test_hypergcn_nan_first_pair_is_kept():
+    # Node 0's row is NaN, so every pair with node 0 (the first pair too) is NaN.
+    feats = np.array([[np.nan, 0.0], [0.0, 0.0], [5.0, 0.0], [1.0, 0.0]])
+    hg = build_hypergraph(4, [(0, 1, 2, 3)])
+    assert graph_pairs(hypergcn_expand(hg, feats)) == {(0, 1): 1.0 / 5.0}
+    assert scan_pick((0, 1, 2, 3), feats) == (0, 1)
+
+
+def test_hypergcn_nan_distances_never_win_after_a_real_first_pair():
+    feats = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [4.0, 0.0]])
+    hg = build_hypergraph(4, [(0, 1, 2, 3)])
+    assert graph_pairs(hypergcn_expand(hg, feats)) == {(0, 3): 1.0 / 5.0}
+    assert scan_pick((0, 1, 2, 3), feats) == (0, 3)
+
+
+def test_hypergcn_all_nan_and_all_tied_keep_first_pair():
+    hg = build_hypergraph(6, [(1, 3, 4), (0, 2, 4, 5), (0, 5)])
+    for feats in (np.full((6, 3), np.nan), np.ones((6, 3)), np.zeros((6, 0))):
+        g = hypergcn_expand(hg, feats)
+        assert graph_pairs(g) == {(1, 3): 1.0 / 3.0, (0, 2): 1.0 / 5.0, (0, 5): 1.0}
+
+
+def test_hypergcn_weights_sum_as_a_running_total_in_edge_order():
+    # Node 0 and node 1 lie farthest apart, so every edge below picks (0, 1).
+    feats = np.array([[0.0], [10.0], [1.0], [2.0], [3.0], [4.0]])
+    edges = [(0, 1, 2, 3)] + [(0, 1, 2)] * 6 + [(0, 1, 2, 3, 4)] + [(0, 1, 2)] * 6 + [(0, 1, 3, 5)]
+    weights = [1.0 / (2 * len(e) - 3) for e in edges]
+    running = 0.0
+    for w in weights:
+        running += w
+    # Both other orders round differently, so the test tells them apart.
+    assert running != np.add.reduceat(np.array(weights), [0])[0]
+    bucket_order = sorted(weights, reverse=True)  # size 3 first, then 4, then 5
+    assert running != sum(bucket_order)
+    g = hypergcn_expand(build_hypergraph(6, edges), feats)
+    r, c, v = g.adjacency.to_coo()
+    assert np.array_equal(r, [0, 1]) and np.array_equal(c, [1, 0])
+    assert np.array_equal(v, [running, running])
+    assert graph_pairs(g) == pytest.approx(hypergcn_oracle(build_hypergraph(6, edges), feats))
+
+
+def test_hypergcn_mixed_size_buckets_in_small_slices(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 30
+    edges = [rng.choice(n, int(rng.integers(1, 10)), replace=False).tolist() for _ in range(80)]
+    hg = build_hypergraph(n, edges)
+    feats = rng.integers(0, 5, size=(n, 4)).astype(float)
+    whole = hypergcn_expand(hg, feats)
+    monkeypatch.setattr(expand, "_SLICE_FLOATS", 40)  # one or a few edges per slice
+    sliced = hypergcn_expand(hg, feats)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(whole.adjacency, name), getattr(sliced.adjacency, name))
+    assert graph_pairs(sliced) == pytest.approx(hypergcn_oracle(hg, feats))
+    feats = rng.standard_normal((n, 4))
+    picks = {}
+    for e in hg.edges:
+        if len(e) >= 2:
+            pair = scan_pick(e, feats)
+            picks[pair] = picks.get(pair, 0.0) + (1.0 if len(e) == 2 else 1.0 / (2 * len(e) - 3))
+    assert graph_pairs(hypergcn_expand(hg, feats)) == picks
+    assert_symmetric_zero_diag(sliced)
+
+
+def test_hypergcn_slices_bound_features_and_gram(monkeypatch):
+    rng = np.random.default_rng(8)
+    hg = build_hypergraph(60, [rng.choice(60, 40, replace=False).tolist() for _ in range(6)]
+                          + [rng.choice(60, 3, replace=False).tolist() for _ in range(9)])
+    feats = rng.standard_normal((60, 2))
+    whole = hypergcn_expand(hg, feats)
+    shapes = []
+    real = expand._farthest_pairs
+
+    def recording(blocks, sq, iu, ju):
+        shapes.append(blocks.shape)
+        return real(blocks, sq, iu, ju)
+
+    monkeypatch.setattr(expand, "_SLICE_FLOATS", 3300)
+    monkeypatch.setattr(expand, "_farthest_pairs", recording)
+    sliced = hypergcn_expand(hg, feats)
+    # Gram stacks of 40-member edges (1600 values each) go two to a slice.
+    assert sorted(shapes) == [(2, 40, 2)] * 3 + [(9, 3, 2)]
+    assert all(e * k * max(k, d) <= 3300 for e, k, d in shapes)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(whole.adjacency, name), getattr(sliced.adjacency, name))
+
+
+def test_singleton_edges_only():
+    hg = build_hypergraph(3, [(0,), (2,), (0,)])
+    clique = clique_expand(hg)
+    assert clique.adjacency.nnz == 0 and clique.adjacency.shape == (3, 3)
+    np.testing.assert_array_equal(clique.degrees, np.zeros(3))
+    star = star_expand(hg)
+    assert graph_pairs(star.graph) == star_oracle(hg) == {(0, 3): 1.0, (2, 4): 1.0, (0, 5): 1.0}
+    np.testing.assert_array_equal(star.graph.degrees, [2.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    assert_symmetric_zero_diag(star.graph)
+    assert hypergcn_expand(hg, np.ones((3, 2))).adjacency.nnz == 0
 
 
 def test_row_mask_blocks(spec_example):

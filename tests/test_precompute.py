@@ -1,6 +1,7 @@
 """Structure bundle assembly and the content-addressed disk cache."""
 
 import dataclasses
+import hashlib
 import io
 import zipfile
 
@@ -9,6 +10,7 @@ import pytest
 
 import dphgnn.precompute as precompute
 from conftest import dense_incidence
+from dphgnn.experiments import IsoPoolSpec, build_iso_pool
 from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.model import dphgnn_forward, init_dphgnn
 from dphgnn.precompute import (
@@ -56,6 +58,57 @@ def test_content_hash_sensitivity(spec_example):
     assert base != content_hash(other, features)
 
 
+def test_content_hash_separates_edges_with_the_same_flat_members():
+    features = np.ones((3, 2))
+    a = build_hypergraph(3, [(0, 1), (2,)])
+    b = build_hypergraph(3, [(0,), (1, 2)])
+    assert np.array_equal(a.members, b.members)
+    assert content_hash(a, features) != content_hash(b, features)
+
+
+def bundle_digest(bundle: StructureBundle) -> str:
+    """sha256 over the shape, indptr, indices and data of every operator, then the degrees."""
+    laps = bundle.laplacians
+    operators = (
+        bundle.clique.adjacency, bundle.star.graph.adjacency, bundle.hypergcn.adjacency,
+        laps.smoothing, laps.clique, laps.star, laps.hypergcn, laps.rw_plus_sym,
+        bundle.prop_clique, bundle.prop_star, bundle.prop_hypergcn, bundle.attention_pattern,
+        bundle.edge_from_node, bundle.super_gather, bundle.node_from_edge,
+    )
+    digest = hashlib.sha256()
+    for mat in operators:
+        for array in (np.array(mat.shape, dtype=np.int64), mat.indptr, mat.indices, mat.data):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    for graph in (bundle.clique, bundle.star.graph, bundle.hypergcn):
+        digest.update(np.ascontiguousarray(graph.degrees).tobytes())
+    return digest.hexdigest()
+
+
+# Digests of the bundles built by the dict-and-lexsort construction this
+# module replaced, on an iso pool of 10 pairs and a two_community instance
+# (120 nodes, 60 edges of size 8), both at seed 0.
+@pytest.mark.parametrize(
+    "make_data, expected",
+    [
+        (
+            lambda: build_iso_pool(IsoPoolSpec(num_pairs=10), 0)[0],
+            "4b61ecaf073716221e8c2a35e56ff77d14e0f99fda3e8190857b64672a8c4e57",
+        ),
+        (
+            lambda: generate_synthetic(
+                TwoCommunitySpec(num_nodes=120, num_edges=60, edge_size=8), 0
+            ),
+            "b04e242716fb05bbfc39115d9d703a429deefe6a061af547dbce17fbeebe9de7",
+        ),
+    ],
+    ids=["iso_pool", "two_community"],
+)
+def test_bundle_operators_frozen_digest(make_data, expected):
+    data = make_data()
+    bundle = build_structure(ensure_min_degree(data.hypergraph), data.features)
+    assert bundle_digest(bundle) == expected
+
+
 def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
     assert a.key == b.key
     assert a.hypergraph.edges == b.hypergraph.edges
@@ -70,7 +123,7 @@ def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
         np.testing.assert_array_equal(
             getattr(a, name).to_dense(), getattr(b, name).to_dense()
         )
-    for name in ("smoothing", "sym", "rw", "clique", "star", "hypergcn", "rw_plus_sym"):
+    for name in ("smoothing", "clique", "star", "hypergcn", "rw_plus_sym"):
         np.testing.assert_array_equal(
             getattr(a.laplacians, name).to_dense(), getattr(b.laplacians, name).to_dense()
         )

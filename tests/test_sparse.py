@@ -215,3 +215,156 @@ def test_invalid_structure_rejected():
     with pytest.raises(ShapeMismatchError):
         # column indices not strictly increasing inside the row
         SparseMatrix(1, 2, np.array([0, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
+
+
+# ----------------------------------------------------------------------
+# CSR operations against the lexsort construction they replaced
+
+
+def lexsort_csr(rows, cols, r, c, v):
+    """(indptr, indices, data) by the reference route: always a stable
+    lexsort, then reduceat over duplicate runs, then drop exact zeros."""
+    r = np.asarray(r, dtype=np.int64)
+    c = np.asarray(c, dtype=np.int64)
+    v = np.asarray(v, dtype=np.float64)
+    if len(r):
+        order = np.lexsort((c, r))
+        r, c, v = r[order], c[order], v[order]
+        starts = np.flatnonzero(np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1]))))
+        v = np.add.reduceat(v, starts)
+        r, c = r[starts], c[starts]
+        keep = v != 0.0
+        r, c, v = r[keep], c[keep], v[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=rows))))
+    return indptr, c, v
+
+
+def assert_csr(mat, expected):
+    for got, want in zip((mat.indptr, mat.indices, mat.data), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def coo_case(rng, rows, cols, count):
+    r = rng.integers(0, rows, count)
+    c = rng.integers(0, cols, count)
+    return r, c, wide_range(rng, count, 1)[:, 0]
+
+
+def test_from_coo_sorted_unique_input():
+    rng = np.random.default_rng(30)
+    key = np.unique(rng.integers(0, 40 * 30, 300))
+    r, c = np.divmod(key, 30)
+    v = wide_range(rng, len(key), 1)[:, 0]
+    v[::7] = 0.0
+    assert_csr(SparseMatrix.from_coo(40, 30, r, c, v), lexsort_csr(40, 30, r, c, v))
+
+
+def test_from_coo_sorted_input_with_duplicates():
+    rng = np.random.default_rng(31)
+    r, c, v = coo_case(rng, 9, 7, 400)
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    # A run of 30 at one position, summed in reduceat's (not a running) order.
+    r, c, v = np.append(r, [8] * 30), np.append(c, [6] * 30), np.append(v, 1.0 / np.arange(3, 33))
+    v[:4] = [1.5, -1.5, 2.0, -2.0]
+    r[:4], c[:4] = 0, 0
+    assert np.all(np.diff(r * 7 + c) >= 0)
+    assert_csr(SparseMatrix.from_coo(9, 7, r, c, v), lexsort_csr(9, 7, r, c, v))
+
+
+def test_from_coo_unsorted_input():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        r, c, v = coo_case(rng, 12, 10, 200)
+        v[rng.random(200) < 0.1] = 0.0
+        assert_csr(SparseMatrix.from_coo(12, 10, r, c, v), lexsort_csr(12, 10, r, c, v))
+
+
+def test_from_coo_empty_input():
+    m = SparseMatrix.from_coo(3, 4, [], [], [])
+    assert_csr(m, lexsort_csr(3, 4, [], [], []))
+    assert m.nnz == 0 and m.shape == (3, 4)
+
+
+def rescale_reference(m, values):
+    r, c, _ = m.to_coo()
+    return lexsort_csr(m.rows, m.cols, r, c, values)
+
+
+def test_scaling_drops_entries_that_underflow():
+    m = SparseMatrix.from_coo(3, 3, [0, 0, 1, 2], [0, 2, 1, 0], [1e-200, 2.0, 1e-200, -3.0])
+    r, c, v = m.to_coo()
+    for got, values in (
+        (m.scale(1e-200), v * 1e-200),
+        (m.scale_rows([1e-200, 1e-200, 1.0]), v * np.array([1e-200, 1e-200, 1.0])[r]),
+        (m.scale_cols([1e-200, 1e-200, 1.0]), v * np.array([1e-200, 1e-200, 1.0])[c]),
+    ):
+        assert_csr(got, rescale_reference(m, values))
+        assert got.nnz < m.nnz
+        assert np.all(got.data != 0.0)
+
+
+def test_scaling_reuses_the_pattern():
+    rng = np.random.default_rng(33)
+    m = SparseMatrix.from_dense(random_dense(rng, 6, 5))
+    r, c, v = m.to_coo()
+    rf, cf = rng.standard_normal(6), rng.standard_normal(5)
+    for got, values in (
+        (m.scale(-2.5), v * -2.5),
+        (m.scale_rows(rf), v * rf[r]),
+        (m.scale_cols(cf), v * cf[c]),
+    ):
+        assert_csr(got, rescale_reference(m, values))
+        assert got.indptr is m.indptr and got.indices is m.indices
+
+
+def test_add_with_exact_cancellation():
+    rng = np.random.default_rng(34)
+    cancelled = 0
+    for _ in range(20):
+        a = SparseMatrix.from_dense(wide_range(rng, 8, 6) * (rng.random((8, 6)) < 0.4))
+        b_dense = wide_range(rng, 8, 6) * (rng.random((8, 6)) < 0.4)
+        cancel = (rng.random((8, 6)) < 0.5) & (a.to_dense() != 0.0)
+        b_dense[cancel] = -a.to_dense()[cancel]
+        b = SparseMatrix.from_dense(b_dense)
+        (r1, c1, v1), (r2, c2, v2) = a.to_coo(), b.to_coo()
+        expected = lexsort_csr(
+            8, 6, np.concatenate([r1, r2]), np.concatenate([c1, c2]), np.concatenate([v1, v2])
+        )
+        got = a.add(b)
+        assert_csr(got, expected)
+        assert not np.any((got.to_dense() != 0.0) & cancel) and np.all(got.data != 0.0)
+        cancelled += int(cancel.sum())
+    assert cancelled > 0
+
+
+def test_add_of_empty_matrices():
+    empty = SparseMatrix.from_coo(2, 3, [], [], [])
+    m = SparseMatrix.from_dense(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 3.0]]))
+    assert_csr(empty.add(empty), lexsort_csr(2, 3, [], [], []))
+    assert_csr(m.add(empty), (m.indptr, m.indices, m.data))
+    assert_csr(empty.add(m), (m.indptr, m.indices, m.data))
+
+
+def test_transpose_with_empty_rows_and_columns():
+    rng = np.random.default_rng(35)
+    dense = random_dense(rng, 9, 7, density=0.5)
+    dense[[0, 4, 8]] = 0.0
+    dense[:, [0, 3, 6]] = 0.0
+    m = SparseMatrix.from_dense(dense)
+    r, c, v = m.to_coo()
+    assert_csr(m.T, lexsort_csr(7, 9, c, r, v))
+    assert m.T.shape == (7, 9) and m.T.T is m
+    empty = SparseMatrix.from_coo(4, 2, [], [], [])
+    assert_csr(empty.T, lexsort_csr(2, 4, [], [], []))
+
+
+def test_row_sums_match_add_at_order():
+    rng = np.random.default_rng(36)
+    m = with_row_lengths(rng, rng.integers(0, 40, 25), 60)
+    m = SparseMatrix(m.rows, m.cols, m.indptr, m.indices, wide_range(rng, m.nnz, 1)[:, 0])
+    r, _, v = m.to_coo()
+    expected = np.zeros(m.rows)
+    np.add.at(expected, r, v)
+    assert np.array_equal(m.row_sums(), expected)
