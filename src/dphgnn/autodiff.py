@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyMaskError, NonScalarLossError, ShapeMismatchError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _scatter_rows
 
 __all__ = [
     "Tensor",
@@ -332,7 +332,11 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     Output row i is the sum over the entries p of row i of ``pattern`` of
     ``weights[p] * values[pattern.indices[p]]``: one sparse @ dense product
     with the (nnz, 1) weights as the pattern's values. Only the pattern's
-    structure is read; an empty row sums to zero.
+    structure is read; an empty row sums to zero. The values gradient is
+    the transposed product with the same weights
+    (:meth:`SparseMatrix.transpose_matmul_dense`), whose column plan the
+    first backward builds on ``pattern`` and keeps; a forward alone builds
+    none.
     """
     weights, values = as_tensor(weights), as_tensor(values)
     w, v = weights.value, values.value
@@ -344,17 +348,18 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     val = pattern.with_data(w[:, 0]).matmul_dense(v)
 
     def bwd(g):
-        cols = pattern.indices
-        g_pairs = g[np.repeat(np.arange(pattern.rows), np.diff(pattern.indptr))]
+        # Values first, before the weights gradient allocates its two
+        # (pairs x width) arrays: that order measured the lower peak RSS.
+        if values.requires_grad:
+            # Column sums in stored-entry order from 0.0, as np.add.at adds;
+            # the plan is cached on ``pattern``, not on the with_data copy.
+            _accum(values, pattern.transpose_matmul_dense(w[:, 0], g))
         if weights.requires_grad:
-            terms = v[cols]
-            terms *= g_pairs
+            terms = v[pattern.indices]
+            terms *= np.repeat(g, np.diff(pattern.indptr), axis=0)
             # Summed over the width by a product with ones, so the result
             # matches the broadcast-and-multiply formulation bit for bit.
             _accum(weights, terms @ np.ones((1, v.shape[1])).T)
-        if values.requires_grad:
-            g_pairs *= w
-            _accum(values, _scatter_rows(cols, g_pairs, pattern.cols))
 
     return _make(val, (weights, values), bwd)
 
@@ -382,17 +387,6 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
     return _make(val, (a,), bwd)
 
 
-def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
-    # Row k of g added into row index[k] of a zero (rows, ...) array.
-    # bincount adds in index order from zero, as np.add.at does, but fast.
-    if g.ndim == 1:
-        return np.bincount(index, weights=g, minlength=rows)
-    full = np.empty((rows, g.shape[1]))
-    for j in range(g.shape[1]):
-        full[:, j] = np.bincount(index, weights=g[:, j], minlength=rows)
-    return full
-
-
 def select_rows(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
@@ -410,9 +404,12 @@ def select_cols(a, index: np.ndarray) -> Tensor:
     val = a.value[:, index]
 
     def bwd(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full.T, index, g.T)
-        _accum(a, full)
+        # Entry (r, k) of g adds into (r, index[k]): one bincount over g in
+        # row-major order, so repeated columns add in index order from 0.0,
+        # as np.add.at does, with no transposed copy of g or of the result.
+        rows, cols = a.value.shape
+        key = np.arange(rows)[:, None] * cols + index
+        _accum(a, np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * cols).reshape(rows, cols))
 
     return _make(val, (a,), bwd)
 

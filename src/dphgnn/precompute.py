@@ -69,6 +69,11 @@ def content_hash(hg: Hypergraph, features: np.ndarray) -> str:
 
 def build_structure(hg: Hypergraph, features: np.ndarray) -> StructureBundle:
     features = np.asarray(features, dtype=np.float64)
+    return _build(hg, features, content_hash(hg, features))
+
+
+def _build(hg: Hypergraph, features: np.ndarray, key: str) -> StructureBundle:
+    # The bundle for features already cast to float64, under a known key.
     clique = clique_expand(hg)
     star = star_expand(hg)
     hyper = hypergcn_expand(hg, features)
@@ -93,7 +98,7 @@ def build_structure(hg: Hypergraph, features: np.ndarray) -> StructureBundle:
         edge_from_node=h.transpose().scale_cols(inv_sqrt_node),
         super_gather=super_rows.scale_rows(inv_edge),
         node_from_edge=h.scale_cols(inv_edge),
-        key=content_hash(hg, features),
+        key=key,
     )
 
 
@@ -192,13 +197,15 @@ def load_or_build(
         return build_structure(hg, features)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = content_hash(hg, np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    # Hashed once: the key names the file and is the bundle's key on a miss.
+    key = content_hash(hg, features)
     path = cache_dir / f"structure-{key}.npz"
     if path.exists():
         try:
             return load_structure(path, key)
         except (BadZipFile, KeyError, ValueError, OSError, EOFError, DphgnnError):
             pass  # unreadable or incomplete: rebuild and overwrite it
-    bundle = build_structure(hg, features)
+    bundle = _build(hg, features, key)
     save_structure(bundle, path)
     return bundle

@@ -2,8 +2,8 @@
 
 Only the operations the hypergraph pipeline needs are implemented:
 construction from COO triplets, dense round-trips, transposition,
-sparse @ dense and sparse @ sparse products, elementwise addition,
-diagonal scaling, and contiguous row slicing.
+sparse @ dense, transposed sparse @ dense and sparse @ sparse products,
+elementwise addition, diagonal scaling, and contiguous row slicing.
 
 Structure operations work on the CSR arrays directly. ``scale``,
 ``scale_rows`` and ``scale_cols`` multiply ``data`` and reuse ``indptr``
@@ -24,11 +24,25 @@ running sums, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
 then adds the leftover terms one by one; longer sums split at half the
 count, rounded down to a multiple of 8, and recurse on both halves.
 
-A matrix is immutable once built: its transpose and the row grouping of
-its products are cached on the instance. :meth:`SparseMatrix.with_data`
-puts new values on the same pattern and shares that row grouping with
-its source. Such a matrix may hold zeros (an attention weight that
-dropout removed, say), since only products read it.
+The transposed product :meth:`SparseMatrix.transpose_matmul_dense` puts
+caller-given values on the pattern and returns (pattern)ᵀ @ dense. Output
+row c adds the terms of column c's entries in stored order, starting from
+0.0: the order of ``np.bincount`` and of ``np.add.at``, signs of zero
+included. Columns with at most ``_LEVEL_CAP`` entries are summed by level:
+level k adds every such column's k-th entry into a contiguous prefix of an
+accumulator whose rows are those columns sorted by entry count, most
+first. The few longer columns are summed by ``_scatter_rows``, one flat
+``np.bincount`` keyed by column and output column, so the level loop
+never runs more than ``_LEVEL_CAP`` times. Its plan (entry positions,
+their row ids, the level sizes and the column order) depends on the
+pattern alone.
+
+A matrix is immutable once built: its transpose, the row grouping of its
+products and the column plan of its transposed product are cached on the
+instance, each built on first use. :meth:`SparseMatrix.with_data` puts new
+values on the same pattern and shares that row grouping with its source.
+Such a matrix may hold zeros (an attention weight that dropout removed,
+say), since only products read it.
 """
 
 from __future__ import annotations
@@ -39,6 +53,10 @@ from .errors import ShapeMismatchError
 
 __all__ = ["SparseMatrix"]
 
+# Columns with more entries than this leave the level loop of the transposed
+# product for one flat bincount, which bounds that loop's Python iterations.
+_LEVEL_CAP = 64
+
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
     # Concatenation of arange(l) for each l in lengths.
@@ -47,6 +65,17 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
+
+
+def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    # Row k of g added into row index[k] of a zero (rows, ...) array.
+    # bincount adds in index order from zero, as np.add.at does, but fast;
+    # a 2-d g is one bincount keyed by (row, column) over g in row-major order.
+    if g.ndim == 1:
+        return np.bincount(index, weights=g, minlength=rows)
+    width = g.shape[1]
+    key = index[:, None] * width + np.arange(width)
+    return np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
@@ -82,7 +111,9 @@ class SparseMatrix:
     value is exactly zero (except in a :meth:`with_data` matrix).
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_row_groups")
+    __slots__ = (
+        "rows", "cols", "indptr", "indices", "data", "_transpose", "_row_groups", "_col_plan",
+    )
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -92,6 +123,7 @@ class SparseMatrix:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self._transpose: SparseMatrix | None = None
         self._row_groups: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._col_plan: tuple[np.ndarray, ...] | None = None
         if validate:
             self._check()
 
@@ -279,6 +311,70 @@ class SparseMatrix:
             terms = other[self.indices[pos]]
             terms *= self.data[pos][..., None]
             out[rows] = terms[0] + _pairwise_sum(terms[1:]) if len(pos) > 1 else terms[0]
+        return out
+
+    def _columns_by_level(self) -> tuple[np.ndarray, ...]:
+        # Plan of transpose_matmul_dense, built on its first call and kept:
+        # (entry positions, their row ids, level sizes, short columns most
+        # entries first, long columns, each long entry's rank among them).
+        # Positions run level by level over the short columns, level k
+        # holding the k-th entry of each column with more than k entries,
+        # then over the long columns' entries in stored order.
+        if self._col_plan is None:
+            counts = np.bincount(self.indices, minlength=self.cols)
+            by_col = np.argsort(self.indices, kind="stable")
+            starts = np.cumsum(counts) - counts
+            short = np.flatnonzero((counts > 0) & (counts <= _LEVEL_CAP))
+            short = short[np.argsort(-counts[short], kind="stable")]
+            depth = int(counts[short[0]]) if short.size else 0
+            # Level k covers the short columns with more than k entries: a prefix.
+            sizes = np.searchsorted(-counts[short], -np.arange(depth), side="left")
+            level = np.repeat(np.arange(depth), sizes)
+            short_pos = by_col[starts[short[_ranges(sizes)]] + level]
+            long_cols = np.flatnonzero(counts > _LEVEL_CAP)
+            long_pos = np.flatnonzero(counts[self.indices] > _LEVEL_CAP)
+            pos = np.concatenate((short_pos, long_pos))
+            self._col_plan = (
+                pos, self._row_of()[pos], sizes, short, long_cols,
+                np.searchsorted(long_cols, self.indices[long_pos]),
+            )
+        return self._col_plan
+
+    def transpose_matmul_dense(self, data, other) -> np.ndarray:
+        """(this pattern with values ``data``)ᵀ @ ``other``.
+
+        Output row c adds ``data[p] * other[row of p]`` over the entries p of
+        column c in stored order, starting from 0.0, as ``np.bincount`` and
+        ``np.add.at`` do. Only the pattern is read; ``data`` may hold zeros.
+        """
+        data = np.asarray(data, dtype=np.float64)
+        other = np.asarray(other, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ShapeMismatchError(
+                f"transpose_matmul_dense needs {self.nnz} values, got shape {data.shape}"
+            )
+        if other.ndim != 2 or other.shape[0] != self.rows:
+            raise ShapeMismatchError(
+                f"cannot multiply the transpose of {self.shape} by {other.shape}"
+            )
+        pos, row_ids, sizes, short, long_cols, long_rank = self._columns_by_level()
+        width = other.shape[1]
+        out = np.zeros((self.cols, width))
+        acc = np.zeros((len(short), width))
+        # One buffer for every level's terms. Row ids are valid by
+        # construction; "clip" keeps take from buffering its output.
+        buf = np.empty_like(acc)
+        at = 0
+        for size in sizes:
+            terms = np.take(other, row_ids[at : at + size], axis=0, out=buf[:size], mode="clip")
+            terms *= data[pos[at : at + size], None]
+            acc[:size] += terms
+            at += size
+        out[short] = acc
+        if long_cols.size:
+            terms = other[row_ids[at:]]
+            terms *= data[pos[at:], None]
+            out[long_cols] = _scatter_rows(long_rank, terms, len(long_cols))
         return out
 
     def _matmul_sparse(self, other: SparseMatrix) -> SparseMatrix:

@@ -332,6 +332,17 @@ def test_cross_attention_gradients_with_attention_dropout():
     assert grad_check(loss, tensors) < 1e-6
 
 
+def test_forward_only_cross_attention_builds_no_backward_plan():
+    rng = np.random.default_rng(15)
+    pattern = pattern_of(random_mask(rng, 9, 0.4))
+    q, k, v = (Tensor(rng.standard_normal((9, 4)), requires_grad=True) for _ in range(3))
+    params = make_params(rng, 4, heads=2)
+    out = cross_attention(q, k, v, pattern, params)
+    assert out.requires_grad and pattern._col_plan is None
+    backward(sum_all(out))
+    assert pattern._col_plan is not None and v.grad is not None
+
+
 def record_op_sizes(monkeypatch, sizes):
     """Append the size of every op output and of every gradient an op receives."""
     make = autodiff._make

@@ -312,6 +312,37 @@ def test_select_rows_gradient_adds_repeated_rows_in_index_order(shape):
     assert np.all(x.grad[5:] == 0.0)
 
 
+def test_select_cols_gradient_adds_repeated_unsorted_columns_like_add_at():
+    rng = np.random.default_rng(38)
+    index = np.array([4, 1, 4, 0, 4, 1, 6])  # columns 2, 3 and 5 are never picked
+    x = Tensor(rng.standard_normal((9, 7)), requires_grad=True)
+    weight = rng.standard_normal((9, 7)) * 10.0 ** rng.uniform(-6, 6, (9, 7))
+    weight[:, 3] = -0.0  # a column of -0.0 terms sums to +0.0, as np.add.at gives
+    backward(sum_all(mul(select_cols(x, index), Tensor(weight))))
+    want = np.zeros((9, 7))
+    np.add.at(want.T, index, weight.T)
+    assert np.array_equal(x.grad, want) and np.array_equal(np.signbit(x.grad), np.signbit(want))
+    assert x.grad.flags.c_contiguous
+    assert np.all(x.grad[:, [2, 3, 5]] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(500,), (500, 1), (500, 6)])
+def test_scatter_rows_matches_add_at_with_negative_zeros(shape):
+    from dphgnn.autodiff import _scatter_rows
+
+    rng = np.random.default_rng(39)
+    index = rng.integers(0, 40, 500)
+    g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    g[rng.random(shape) < 0.3] = -0.0
+    g[index == 7] = -0.0  # row 7 gathers only -0.0 terms
+    got = _scatter_rows(index, g, 45)  # rows 40 to 44 are never hit
+    want = np.zeros((45,) + shape[1:])
+    np.add.at(want, index, g)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert not np.signbit(got[7]).any() and np.all(got[40:] == 0.0)
+
+
 def test_segment_softmax_matches_rowwise():
     from dphgnn.autodiff import segment_softmax
 

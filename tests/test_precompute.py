@@ -148,6 +148,26 @@ def test_cache_round_trip(tmp_path, spec_example):
     assert_bundles_equal(first, second)
 
 
+def test_load_or_build_hashes_once_on_a_miss_and_on_a_hit(tmp_path, spec_example, monkeypatch):
+    calls = []
+
+    def counting_hash(hg, features):
+        calls.append(1)
+        return content_hash(hg, features)
+
+    monkeypatch.setattr(precompute, "content_hash", counting_hash)
+    features = np.random.default_rng(4).standard_normal((4, 3))
+    missed = load_or_build(spec_example, features, cache_dir=tmp_path)
+    assert len(calls) == 1
+    [path] = tmp_path.glob("structure-*.npz")
+    assert path.name == f"structure-{missed.key}.npz"
+    assert missed.key == content_hash(spec_example, features)
+    calls.clear()
+    hit = load_or_build(spec_example, features, cache_dir=tmp_path)
+    assert len(calls) == 1
+    assert hit.key == missed.key
+
+
 def test_cached_bundle_gives_identical_logits(tmp_path):
     data = generate_synthetic(TwoCommunitySpec(num_nodes=20, num_edges=15), seed=3)
     params = init_dphgnn(np.random.default_rng(2), 20, 8, 2)

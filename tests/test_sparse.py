@@ -368,3 +368,120 @@ def test_row_sums_match_add_at_order():
     expected = np.zeros(m.rows)
     np.add.at(expected, r, v)
     assert np.array_equal(m.row_sums(), expected)
+
+
+def bincount_product(m, data, other):
+    """(m with values data)^T @ other, one np.bincount per output column."""
+    rows = np.repeat(np.arange(m.rows), np.diff(m.indptr))
+    out = np.empty((m.cols, other.shape[1]))
+    for j in range(other.shape[1]):
+        out[:, j] = np.bincount(m.indices, weights=data * other[rows, j], minlength=m.cols)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# Column entry counts on both sides of the 64-level cap, with empty columns.
+COLUMN_COUNTS = (0, 1, 2, 7, 8, 9, 63, 64, 65, 129, 300, 0, 3)
+
+
+@pytest.mark.parametrize("width", [1, 5, 32])
+def test_transpose_matmul_dense_bit_identical_to_bincount(width):
+    from dphgnn.sparse import _LEVEL_CAP
+
+    rng = np.random.default_rng(40 + width)
+    # Row lengths of the 13 x 400 matrix are the column counts of its transpose.
+    m = with_row_lengths(rng, COLUMN_COUNTS, 400).T
+    assert np.array_equal(np.bincount(m.indices, minlength=m.cols), COLUMN_COUNTS)
+    data = wide_range(rng, m.nnz, 1)[:, 0]
+    data[rng.random(m.nnz) < 0.2] = 0.0
+    data[rng.random(m.nnz) < 0.1] = -0.0
+    first = np.flatnonzero(m.indices == 1)
+    data[first] = -0.0  # a column of -0.0 terms sums to +0.0 from 0.0
+    other = wide_range(rng, m.rows, width)
+    got = m.transpose_matmul_dense(data, other)
+    assert_same_bits(got, bincount_product(m, data, other))
+    assert not np.signbit(got[1]).any() and np.all(got[[0, 11]] == 0.0)
+    # Short columns run the level loop to its cap; 65, 129 and 300 entries do not.
+    pos, _, sizes, short, long_cols, _ = m._col_plan
+    assert len(sizes) == _LEVEL_CAP and np.array_equal(np.sort(pos), np.arange(m.nnz))
+    assert np.array_equal(np.sort(long_cols), [8, 9, 10]) and len(short) == 8
+    np.testing.assert_allclose(got, m.with_data(data).to_dense().T @ other, rtol=1e-12, atol=0)
+
+
+def test_transpose_matmul_dense_non_symmetric_square_pattern():
+    rng = np.random.default_rng(47)
+    dense = random_dense(rng, 90, 90, density=0.4)
+    dense[:, 5] = rng.standard_normal(90)  # one column over the level cap
+    dense[:, 6] = 0.0
+    m = SparseMatrix.from_dense(dense)
+    assert not np.array_equal(dense != 0, dense.T != 0)
+    other = wide_range(rng, 90, 5)
+    assert_same_bits(m.transpose_matmul_dense(m.data, other), bincount_product(m, m.data, other))
+    add_at = np.zeros((90, 5))
+    r, c, v = m.to_coo()
+    np.add.at(add_at, c, v[:, None] * other[r])
+    assert_same_bits(m.transpose_matmul_dense(m.data, other), add_at)
+
+
+def test_transpose_matmul_dense_matches_dense_incidence_oracle():
+    from conftest import dense_incidence, random_covering_hypergraph
+
+    from dphgnn.hypergraph import incidence
+
+    rng = np.random.default_rng(48)
+    hg = random_covering_hypergraph(rng, 40, 70, max_size=6)
+    h, dense = incidence(hg), dense_incidence(hg)
+    # Small integers: every order of summation is exact, so the dense product is exact too.
+    x = rng.integers(-4, 5, (hg.num_nodes, 5)).astype(float)
+    y = rng.integers(-4, 5, (hg.num_edges, 5)).astype(float)
+    assert_same_bits(h.transpose_matmul_dense(h.data, x), dense.T @ x + 0.0)
+    assert_same_bits(h.T.transpose_matmul_dense(h.T.data, y), dense @ y + 0.0)
+
+
+def test_transpose_matmul_dense_hub_column_leaves_the_level_loop():
+    from dphgnn.attention import attention_pattern
+    from dphgnn.expand import clique_expand
+    from dphgnn.sparse import _LEVEL_CAP
+
+    rng = np.random.default_rng(49)
+    # Node 0 sits in every edge, so its column holds every node.
+    edges = [(0, *range(k, k + 5)) for k in range(1, 301, 5)]
+    edges += [(0, *rng.choice(np.arange(1, 301), 5, replace=False).tolist()) for _ in range(200)]
+    hub = attention_pattern(clique_expand(build_hypergraph(301, edges)).adjacency)
+    assert np.bincount(hub.indices)[0] == 301
+    w = rng.random(hub.nnz)
+    other = wide_range(rng, 301, 32)
+    assert_same_bits(hub.transpose_matmul_dense(w, other), bincount_product(hub, w, other))
+    _, _, sizes, _, long_cols, _ = hub._col_plan
+    assert len(sizes) <= _LEVEL_CAP and 0 in long_cols
+
+
+def test_transpose_matmul_dense_caches_its_plan_on_the_pattern_only():
+    rng = np.random.default_rng(50)
+    m = with_row_lengths(rng, rng.integers(0, 80, 40), 100)
+    copy = m.with_data(rng.standard_normal(m.nnz))
+    assert m._col_plan is None
+    other = wide_range(rng, 40, 3)
+    first = m.transpose_matmul_dense(copy.data, other)
+    plan = m._col_plan
+    assert plan is not None and copy._col_plan is None
+    assert m.transpose_matmul_dense(copy.data, other) is not first
+    assert m._col_plan is plan
+    assert_same_bits(first, bincount_product(m, copy.data, other))
+    empty = SparseMatrix.from_coo(3, 4, [], [], [])
+    assert_same_bits(empty.transpose_matmul_dense(np.zeros(0), np.ones((3, 2))), np.zeros((4, 2)))
+
+
+def test_transpose_matmul_dense_rejects_bad_shapes():
+    from dphgnn.errors import ShapeMismatchError
+
+    m = SparseMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    for data, other in ((np.ones(2), np.ones((2, 1))), (np.ones((3, 1)), np.ones((2, 1))),
+                        (np.ones(3), np.ones((3, 1))), (np.ones(3), np.ones(2))):
+        with pytest.raises(ShapeMismatchError):
+            m.transpose_matmul_dense(data, other)
