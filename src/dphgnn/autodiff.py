@@ -17,6 +17,10 @@ import numpy as np
 from .errors import EmptyMaskError, NonScalarLossError, ShapeMismatchError
 from .sparse import SparseMatrix, _scatter_rows
 
+# Pairs per slice of the segment_sums weights gradient, which holds two
+# (slice x values width) arrays at a time instead of two (pairs x width) ones.
+_WEIGHT_GRAD_PAIRS = 4096
+
 __all__ = [
     "Tensor",
     "as_tensor",
@@ -348,18 +352,23 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     val = pattern.with_data(w[:, 0]).matmul_dense(v)
 
     def bwd(g):
-        # Values first, before the weights gradient allocates its two
-        # (pairs x width) arrays: that order measured the lower peak RSS.
         if values.requires_grad:
             # Column sums in stored-entry order from 0.0, as np.add.at adds;
             # the plan is cached on ``pattern``, not on the with_data copy.
             _accum(values, pattern.transpose_matmul_dense(w[:, 0], g))
         if weights.requires_grad:
-            terms = v[pattern.indices]
-            terms *= np.repeat(g, np.diff(pattern.indptr), axis=0)
+            # g[row] . v[col] per pair, _WEIGHT_GRAD_PAIRS pairs at a time.
             # Summed over the width by a product with ones, so the result
             # matches the broadcast-and-multiply formulation bit for bit.
-            _accum(weights, terms @ np.ones((1, v.shape[1])).T)
+            row_of = pattern._row_of()
+            ones = np.ones((1, v.shape[1])).T
+            grad = np.empty((pattern.nnz, 1))
+            for lo in range(0, pattern.nnz, _WEIGHT_GRAD_PAIRS):
+                at = slice(lo, lo + _WEIGHT_GRAD_PAIRS)
+                terms = v[pattern.indices[at]]
+                terms *= g[row_of[at]]
+                grad[at] = terms @ ones
+            _accum(weights, grad)
 
     return _make(val, (weights, values), bwd)
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .hypergraph import Hypergraph, incidence
+from .hypergraph import Hypergraph, as_features, incidence
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "row_mask",
 ]
 
-# Values one slice of a HyperGCN size bucket may hold (gathered feature rows
+# Values one slice of a HyperGCN size bucket may hold (gathered feature blocks
 # or Gram entries): about 32 MB of float64.
 _SLICE_FLOATS = 1 << 22
 
@@ -114,7 +114,28 @@ def _farthest_pairs(
     return pick
 
 
-def hypergcn_expand(hg: Hypergraph, features: np.ndarray) -> Graph:
+def _member_blocks(features: SparseMatrix, members: np.ndarray) -> np.ndarray:
+    """(E, k, c) dense blocks of each edge's k member rows of a CSR matrix.
+
+    Each edge's block spans only the columns its member rows use, in column
+    order, zero-padded to the widest edge's c; O(entries read) to gather.
+    """
+    e, k = members.shape
+    rows = members.ravel()
+    starts = features.indptr[rows]
+    lengths = features.indptr[rows + 1] - starts
+    slot = np.repeat(np.arange(e * k), lengths)      # (edge, member) slot of each entry
+    pos = np.arange(len(slot)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    edge = slot // k
+    # Number each edge's used columns 0, 1, ... in column order.
+    used, local = np.unique(edge * features.cols + features.indices[pos], return_inverse=True)
+    local -= np.searchsorted(used, edge * features.cols)
+    blocks = np.zeros((e, k, int(local.max(initial=-1)) + 1))
+    blocks[edge, slot % k, local] = features.data[pos]
+    return blocks
+
+
+def hypergcn_expand(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> Graph:
     """One representative pair per hyperedge, chosen by feature distance.
 
     For each edge the pair (i, j), i < j, maximizing ||x_i - x_j|| is kept
@@ -126,16 +147,32 @@ def hypergcn_expand(hg: Hypergraph, features: np.ndarray) -> Graph:
     Edges are bucketed by size k; a bucket's distances are formed in
     slices of about 4M values at most (gathered features or Gram entries),
     unless a single edge needs more.
+
+    CSR features (a SparseMatrix) take their squared norms from the row
+    sums of the squared values, and each edge's Gram from a block over
+    only the columns its member rows use (:func:`_member_blocks`), so the
+    distance work is O(sum of |e| times row nnz) rather than O(sum |e| d).
+    Integer-valued features give the dense path's distances exactly; for
+    other values the norms and the Gram may round differently from a dense
+    (k, d) block, and a near-tie may then pick another pair.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != hg.num_nodes:
+    features = as_features(features)
+    if len(features.shape) != 2 or features.shape[0] != hg.num_nodes:
         raise ShapeMismatchError(
             f"features must be ({hg.num_nodes}, d), got {features.shape}"
         )
     n, d = features.shape
     by_edge = incidence(hg).transpose()
     sizes = np.diff(by_edge.indptr)
-    if np.any(sizes > 2):
+    sparse = isinstance(features, SparseMatrix)
+    if sparse:
+        # Squared norms as row sums of the squared stored values.
+        row_nnz = np.diff(features.indptr)
+        sq = SparseMatrix(
+            n, d, features.indptr, features.indices, features.data * features.data,
+            validate=False,
+        ).row_sums()
+    elif np.any(sizes > 2):
         # Squared norms once per node, in slices; each row sums on its own,
         # so the values equal np.sum over a single (k, d) block's rows.
         step = max(1, _SLICE_FLOATS // max(d, 1))
@@ -152,10 +189,14 @@ def hypergcn_expand(hg: Hypergraph, features: np.ndarray) -> Graph:
         if k == 2:
             pick = np.zeros(len(edges), dtype=np.int64)
         else:
-            # A slice's gathered rows and its (k, k) Gram stack stay within bound.
-            per = max(1, _SLICE_FLOATS // (k * max(d, k)))
+            # A slice's gathered blocks and its (k, k) Gram stack stay within
+            # bound; a CSR block is at most as wide as its edge's entry count.
+            width = min(d, int(row_nnz[members].sum(axis=1).max())) if sparse else d
+            per = max(1, _SLICE_FLOATS // (k * max(width, k)))
             pick = np.concatenate([
-                _farthest_pairs(features[part], sq[part], iu, ju)
+                _farthest_pairs(
+                    _member_blocks(features, part) if sparse else features[part], sq[part], iu, ju
+                )
                 for part in np.split(members, range(per, len(edges), per))
             ])
         rows = np.arange(len(edges))

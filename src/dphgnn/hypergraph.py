@@ -2,8 +2,9 @@
 
 A hypergraph is a node count plus a list of hyperedges, each a set of node
 ids. Edges keep their input order; members are stored sorted. A labeled
-hypergraph adds per-node float64 features, integer class labels, and
-disjoint train/val/test masks, and round-trips through a JSON format.
+hypergraph adds per-node float64 features (a dense array or a CSR
+matrix), integer class labels, and disjoint train/val/test masks, and
+round-trips through a JSON format.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "density_stats",
     "relabel_nodes",
     "ensure_min_degree",
+    "as_features",
     "save_dataset",
     "load_dataset",
 ]
@@ -168,12 +170,26 @@ def ensure_min_degree(hg: Hypergraph) -> Hypergraph:
 # labeled datasets
 
 
+def as_features(features) -> np.ndarray | SparseMatrix:
+    """A SparseMatrix as it is; anything else as a float64 array."""
+    if isinstance(features, SparseMatrix):
+        return features
+    return np.asarray(features, dtype=np.float64)
+
+
 @dataclass(eq=False)
 class LabeledHypergraph:
-    """Hypergraph with node features, labels, and split masks."""
+    """Hypergraph with node features, labels, and split masks.
+
+    ``features`` is an (n, d) float64 array or an (n, d) SparseMatrix. The
+    CSR form keeps featureless data (X = I, see
+    ``synthetic.one_hot_features``) O(n): the model projects it with the
+    row-bucket sparse product, the distance-pair expansion reads only each
+    edge's member rows, and the cache hashes its CSR arrays.
+    """
 
     hypergraph: Hypergraph
-    features: np.ndarray
+    features: np.ndarray | SparseMatrix
     labels: np.ndarray
     train_mask: np.ndarray
     val_mask: np.ndarray
@@ -182,11 +198,11 @@ class LabeledHypergraph:
 
     def __post_init__(self) -> None:
         n = self.hypergraph.num_nodes
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = as_features(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
-        if self.features.ndim != 2 or self.features.shape[0] != n:
+        if len(self.features.shape) != 2 or self.features.shape[0] != n:
             raise ShapeMismatchError(
                 f"features must be ({n}, d), got {self.features.shape}"
             )
@@ -216,24 +232,38 @@ class LabeledHypergraph:
         return self.features.shape[1]
 
 
+_CSR_KEYS = ("shape", "indptr", "indices", "data")
+
+
 def _dataset_payload(data: LabeledHypergraph) -> dict:
-    return {
+    payload = {
         "num_nodes": data.hypergraph.num_nodes,
         "hyperedges": [list(e) for e in data.hypergraph.edges],
-        "features": data.features.tolist(),
         "labels": data.labels.tolist(),
         "train_mask": data.train_mask.tolist(),
         "val_mask": data.val_mask.tolist(),
         "test_mask": data.test_mask.tolist(),
         "num_classes": data.num_classes,
     }
+    feats = data.features
+    if isinstance(feats, SparseMatrix):
+        payload["features_csr"] = {
+            "shape": list(feats.shape),
+            "indptr": feats.indptr.tolist(),
+            "indices": feats.indices.tolist(),
+            "data": feats.data.tolist(),
+        }
+    else:
+        payload["features"] = feats.tolist()
+    return payload
 
 
 def save_dataset(data: LabeledHypergraph, path: str | Path) -> None:
     """Write the JSON dataset format.
 
-    Floats serialize via Python's shortest round-trip repr (at most 17
-    significant digits), so save/load is bit-exact.
+    Dense features go to ``features``; CSR features go to ``features_csr``,
+    O(nnz) numbers. Floats serialize via Python's shortest round-trip repr
+    (at most 17 significant digits), so save/load is bit-exact.
     """
     payload = _dataset_payload(data)
     with open(path, "w") as fh:
@@ -241,11 +271,43 @@ def save_dataset(data: LabeledHypergraph, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _csr_array(form: dict, key: str, kinds: str) -> np.ndarray:
+    # One flat list of the given numpy dtype kinds; empty lists pass.
+    try:
+        arr = np.asarray(form[key])
+    except ValueError as exc:
+        raise ParseError(f"features_csr.{key} is not a flat list: {exc}") from exc
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+        raise ParseError(f"features_csr.{key} must be a flat list of numbers")
+    return arr
+
+
+def _parse_features_csr(form) -> SparseMatrix:
+    if not isinstance(form, dict) or sorted(form) != sorted(_CSR_KEYS):
+        raise ParseError(f"features_csr must be an object with exactly the keys {list(_CSR_KEYS)}")
+    shape = _csr_array(form, "shape", "iu")
+    if shape.shape != (2,):
+        raise ParseError("features_csr.shape must hold two integers")
+    indptr = _csr_array(form, "indptr", "iu")
+    indices = _csr_array(form, "indices", "iu")
+    values = _csr_array(form, "data", "iuf")
+    try:
+        return SparseMatrix(int(shape[0]), int(shape[1]), indptr, indices, values)
+    except ShapeMismatchError as exc:
+        raise ParseError(f"features_csr malformed: {exc}") from exc
+
+
 def load_dataset(path: str | Path) -> LabeledHypergraph:
     """Read a dataset file written by :func:`save_dataset`.
 
+    The file holds exactly one of ``features`` (row-major floats) and
+    ``features_csr`` (``shape``, ``indptr``, ``indices``, ``data``).
+
     Raises:
-        ParseError: malformed JSON, missing keys, or labels out of range.
+        ParseError: malformed JSON, missing keys, labels out of range, or a
+            malformed ``features_csr``: bad lengths, a non-monotone
+            ``indptr``, a column out of range, unsorted columns in a row or
+            an explicit zero.
         ShapeMismatchError: array lengths inconsistent with num_nodes.
         MaskOverlapError: split masks intersect.
     """
@@ -259,7 +321,6 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
     required = {
         "num_nodes",
         "hyperedges",
-        "features",
         "labels",
         "train_mask",
         "val_mask",
@@ -268,15 +329,21 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
     missing = required - payload.keys()
     if missing:
         raise ParseError(f"dataset file missing keys: {sorted(missing)}")
+    if ("features" in payload) == ("features_csr" in payload):
+        raise ParseError("dataset file must hold exactly one of features and features_csr")
     try:
         hg = build_hypergraph(payload["num_nodes"], payload["hyperedges"])
         labels = np.asarray(payload["labels"], dtype=np.int64)
         num_classes = payload.get("num_classes")
         if num_classes is None:
             num_classes = int(labels.max()) + 1 if labels.size else 1
+        if "features_csr" in payload:
+            features = _parse_features_csr(payload["features_csr"])
+        else:
+            features = np.asarray(payload["features"], dtype=np.float64)
         return LabeledHypergraph(
             hypergraph=hg,
-            features=np.asarray(payload["features"], dtype=np.float64),
+            features=features,
             labels=labels,
             train_mask=payload["train_mask"],
             val_mask=payload["val_mask"],

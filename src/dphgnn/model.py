@@ -2,7 +2,7 @@
 
 The full pipeline per forward pass:
 
-1. project input features to the hidden width,
+1. project input features (dense or CSR) to the hidden width,
 2. spectral identifier block (skippable),
 3. topology-aware attention over the expansion views (skippable),
 4. gated feature mixing into a static representation,
@@ -282,8 +282,7 @@ def dphgnn_forward(
     train = mode is Mode.TRAIN
     flags = params.flags
 
-    x = Tensor(data.features)
-    projected = params.proj(x)
+    projected = params.proj(data.features)
     if train and rates.gnn:
         projected = dropout(projected, rates.gnn, rng=rng, train=True)
 
@@ -364,8 +363,7 @@ def hgnn_baseline_forward(
         structure = build_structure(hg, data.features)
     smoothing = structure.laplacians.smoothing
     train = mode is Mode.TRAIN
-    x = Tensor(data.features)
-    hidden = relu(matmul(smoothing, matmul(x, params.theta1)))
+    hidden = relu(matmul(smoothing, matmul(data.features, params.theta1)))
     if train and dropout_rate:
         hidden = dropout(hidden, dropout_rate, rng=rng, train=True)
     return matmul(smoothing, matmul(hidden, params.theta2))

@@ -2,11 +2,18 @@
 
 Everything a forward pass multiplies by but never differentiates through
 is built here once, from one incidence matrix H shared by every
-expansion and Laplacian. The bundle can be cached on disk keyed by a
-content hash of the edge sizes and flat edge members, the input features
-(the distance-pair expansion depends on features) and the cache format
-version. Every stored array is O(nnz) or O(n + m); nothing n x n is built
-or written.
+expansion and Laplacian. The bundle can be cached on disk under a sha256
+content hash (:func:`content_hash`) of:
+
+- the cache format version, now 4, and the node and edge counts;
+- the edge sizes and the flat edge members;
+- the input features, which the distance-pair expansion reads. A dense
+  array contributes a ``dense`` tag, its shape and its float64 values; a
+  CSR matrix (featureless data as X = I, say) contributes a ``csr`` tag,
+  its shape, ``indptr``, ``indices`` and ``data``, so hashing it is O(nnz).
+
+Every stored array is O(nnz) or O(n + m); nothing n x n is built or
+written.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from .attention import UpdateVariant, attention_pattern, propagation_matrix
 from .errors import DphgnnError
 from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
-from .hypergraph import Hypergraph, build_hypergraph, incidence
+from .hypergraph import Hypergraph, as_features, build_hypergraph, incidence
 from .sparse import SparseMatrix
 from .spectral import LaplacianSet, build_laplacians
 
@@ -49,31 +56,37 @@ class StructureBundle:
 
 # Bump whenever the npz layout or the hash inputs change, so files from
 # older code are never read.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
-def content_hash(hg: Hypergraph, features: np.ndarray) -> str:
-    """sha256 over the format version, n, m, the feature shape, the edge
-    sizes, the flat edge members and the feature values."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
+def content_hash(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> str:
+    """sha256 over the format version, n, m, the edge sizes, the flat edge
+    members, then a dense or csr tag with the feature shape and the
+    feature arrays (the values, or indptr, indices and data)."""
+    features = as_features(features)
     digest = hashlib.sha256()
     digest.update(
-        f"dphgnn-structure-v{CACHE_FORMAT_VERSION}"
-        f":{hg.num_nodes}:{hg.num_edges}:{features.shape}".encode()
+        f"dphgnn-structure-v{CACHE_FORMAT_VERSION}:{hg.num_nodes}:{hg.num_edges}".encode()
     )
     digest.update(hg.edge_degrees.astype(np.int64).tobytes())
     digest.update(hg.members.tobytes())
-    digest.update(features.tobytes())
+    if isinstance(features, SparseMatrix):
+        digest.update(f":csr:{features.shape}".encode())
+        for part in (features.indptr, features.indices, features.data):
+            digest.update(part.tobytes())
+    else:
+        digest.update(f":dense:{features.shape}".encode())
+        digest.update(np.ascontiguousarray(features).tobytes())
     return digest.hexdigest()
 
 
-def build_structure(hg: Hypergraph, features: np.ndarray) -> StructureBundle:
-    features = np.asarray(features, dtype=np.float64)
+def build_structure(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> StructureBundle:
+    features = as_features(features)
     return _build(hg, features, content_hash(hg, features))
 
 
-def _build(hg: Hypergraph, features: np.ndarray, key: str) -> StructureBundle:
-    # The bundle for features already cast to float64, under a known key.
+def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix, key: str) -> StructureBundle:
+    # The bundle for features already through as_features, under a known key.
     clique = clique_expand(hg)
     star = star_expand(hg)
     hyper = hypergcn_expand(hg, features)
@@ -190,14 +203,14 @@ def load_structure(path: str | Path, key: str) -> StructureBundle:
 
 
 def load_or_build(
-    hg: Hypergraph, features: np.ndarray, cache_dir: str | Path | None = None
+    hg: Hypergraph, features: np.ndarray | SparseMatrix, cache_dir: str | Path | None = None
 ) -> StructureBundle:
     """Build the bundle, reusing a cached copy when one matches the hash."""
     if cache_dir is None:
         return build_structure(hg, features)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    features = np.asarray(features, dtype=np.float64)
+    features = as_features(features)
     # Hashed once: the key names the file and is the bundle's key on a miss.
     key = content_hash(hg, features)
     path = cache_dir / f"structure-{key}.npz"

@@ -12,7 +12,8 @@ Four families, all reproducible from (spec, seed):
   same node count; both sides are 2-regular and 2-uniform, so degree
   histograms agree while the structures differ.
 
-Classification datasets default to one-hot node-index features.
+Classification datasets default to one-hot node-index features, held as
+a CSR identity so that featureless data costs O(n).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import InfeasibleSpecError, ParseError
 from .gwl import BRUTE_FORCE_MAX_NODES, brute_force_isomorphic
 from .hypergraph import Hypergraph, LabeledHypergraph, build_hypergraph, relabel_nodes
+from .sparse import SparseMatrix
 
 __all__ = [
     "TwoCommunitySpec",
@@ -111,8 +113,9 @@ def parse_generator_spec(payload: dict) -> GeneratorSpec:
 # shared helpers
 
 
-def one_hot_features(num_nodes: int) -> np.ndarray:
-    return np.eye(num_nodes)
+def one_hot_features(num_nodes: int) -> SparseMatrix:
+    """X = I as a CSR identity: GCN's featureless mode in O(n) memory."""
+    return SparseMatrix.identity(num_nodes)
 
 
 def stratified_masks(
@@ -201,7 +204,7 @@ def mirrored_uniform_hypergraph(
     covered = {v for e in base for v in e}
     for v in range(half_nodes):
         if v not in covered:
-            others = [u for u in range(half_nodes) if u != v]
+            others = np.delete(np.arange(half_nodes), v)
             extra = [v] + rng.choice(others, size=edge_size - 1, replace=False).tolist()
             base.append(sorted(extra))
     edges = [tuple(e) for e in base] + [tuple(v + half_nodes for v in e) for e in base]
@@ -237,9 +240,7 @@ def _gen_two_community(spec: TwoCommunitySpec, rng: np.random.Generator) -> Labe
             a = int(rng.choice(communities[0]))
             b = int(rng.choice(communities[1]))
             rest = rng.choice(
-                [v for v in range(n) if v not in (a, b)],
-                size=spec.edge_size - 2,
-                replace=False,
+                np.delete(np.arange(n), [a, b]), size=spec.edge_size - 2, replace=False
             ).tolist()
             edges.append(sorted([a, b] + rest))
     hg = build_hypergraph(n, edges)

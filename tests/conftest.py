@@ -16,6 +16,7 @@ from dphgnn.hypergraph import (
     build_hypergraph,
     relabel_nodes,
 )
+from dphgnn.sparse import SparseMatrix
 
 
 @pytest.fixture
@@ -58,14 +59,21 @@ def dense_adjacency(graph) -> np.ndarray:
 
 
 def permute_data(data: LabeledHypergraph, perm) -> LabeledHypergraph:
-    """Apply a node permutation to structure, features, labels, and masks."""
+    """Apply a node permutation to structure, features, labels, and masks.
+
+    CSR features stay CSR: row v moves to row perm[v].
+    """
     hg_p = relabel_nodes(data.hypergraph, perm)
-    feats = np.empty_like(data.features)
+    if isinstance(data.features, SparseMatrix):
+        rows, cols, vals = data.features.to_coo()
+        feats = SparseMatrix.from_coo(*data.features.shape, np.asarray(perm)[rows], cols, vals)
+    else:
+        feats = np.empty_like(data.features)
+        feats[perm] = data.features
     labels = np.empty_like(data.labels)
     masks = {}
     for name in ("train_mask", "val_mask", "test_mask"):
         masks[name] = np.empty_like(getattr(data, name))
-    feats[perm] = data.features
     labels[perm] = data.labels
     for name in ("train_mask", "val_mask", "test_mask"):
         masks[name][perm] = getattr(data, name)

@@ -54,6 +54,10 @@ def test_generate_dataset(tmp_path, capsys):
     data = load_dataset(out)
     assert data.num_nodes == 24
     assert data.hypergraph.num_edges == 18
+    # One-hot features are written as a CSR identity: O(n) numbers, not n² floats.
+    csr = json.loads(out.read_text())["features_csr"]
+    assert len(csr["indptr"]) == 25 and len(csr["indices"]) == len(csr["data"]) == 24
+    assert data.features.to_dense().tolist() == np.eye(24).tolist()
 
 
 def test_generate_pair_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from dphgnn.expand import (
     star_expand,
 )
 from dphgnn.hypergraph import build_hypergraph
+from dphgnn.sparse import SparseMatrix
 from dphgnn.synthetic import random_hypergraph
 
 
@@ -254,6 +255,72 @@ def test_hypergcn_slices_bound_features_and_gram(monkeypatch):
     assert all(e * k * max(k, d) <= 3300 for e, k, d in shapes)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(whole.adjacency, name), getattr(sliced.adjacency, name))
+
+
+def assert_same_adjacency(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name))
+
+
+def test_hypergcn_csr_features_match_dense_path_and_oracle(monkeypatch):
+    rng = np.random.default_rng(12)
+    multi_entry_rows = empty_rows = 0
+    for trial in range(60):
+        n, d = int(rng.integers(4, 16)), int(rng.integers(1, 7))
+        # Small integers: distances are exact, and ties are common.
+        dense = rng.integers(-2, 3, size=(n, d)).astype(float)
+        dense[rng.random((n, d)) < 0.5] = 0.0
+        dense[rng.integers(n)] = 0.0
+        csr = SparseMatrix.from_dense(dense)
+        row_nnz = np.diff(csr.indptr)
+        multi_entry_rows += int(np.sum(row_nnz >= 2))
+        empty_rows += int(np.sum(row_nnz == 0))
+        edges = [rng.choice(n, int(rng.integers(1, min(n, 7) + 1)), replace=False).tolist()
+                 for _ in range(int(rng.integers(1, 12)))]
+        hg = build_hypergraph(n, edges)
+        via_csr = hypergcn_expand(hg, csr)
+        assert_same_adjacency(via_csr, hypergcn_expand(hg, dense))
+        assert graph_pairs(via_csr) == pytest.approx(hypergcn_oracle(hg, dense))
+        assert_symmetric_zero_diag(via_csr)
+        with monkeypatch.context() as patched:
+            patched.setattr(expand, "_SLICE_FLOATS", 40)  # one or a few edges per slice
+            assert_same_adjacency(hypergcn_expand(hg, csr), via_csr)
+    assert multi_entry_rows > 100 and empty_rows > 60
+
+
+def test_hypergcn_csr_identity_ties_like_dense_identity():
+    rng = np.random.default_rng(13)
+    hg = random_hypergraph(rng, 30, 40, min_edge_size=2, max_edge_size=8)
+    via_csr = hypergcn_expand(hg, SparseMatrix.identity(30))
+    assert_same_adjacency(via_csr, hypergcn_expand(hg, np.eye(30)))
+    # Every pair of distinct one-hot rows is at distance sqrt(2): the first pair wins.
+    assert graph_pairs(via_csr) == pytest.approx(hypergcn_oracle(hg, np.eye(30)))
+
+
+def test_hypergcn_csr_blocks_span_only_the_member_columns(monkeypatch):
+    # Rows of a 1000-wide CSR with at most two entries each.
+    n, d = 40, 1000
+    rng = np.random.default_rng(14)
+    rows = np.repeat(np.arange(n), 2)
+    csr = SparseMatrix.from_coo(n, d, rows, rng.integers(0, d, size=2 * n),
+                                rng.integers(1, 4, size=2 * n).astype(float))
+    hg = build_hypergraph(n, [rng.choice(n, 5, replace=False).tolist() for _ in range(30)])
+    shapes = []
+    real = expand._farthest_pairs
+
+    def recording(blocks, sq, iu, ju):
+        shapes.append(blocks.shape)
+        return real(blocks, sq, iu, ju)
+
+    monkeypatch.setattr(expand, "_farthest_pairs", recording)
+    via_csr = hypergcn_expand(hg, csr)
+    assert shapes and all(k == 5 and width <= 10 for _, k, width in shapes)
+    assert_same_adjacency(via_csr, hypergcn_expand(hg, csr.to_dense()))
+
+
+def test_hypergcn_csr_rejects_wrong_row_count():
+    with pytest.raises(ShapeMismatchError):
+        hypergcn_expand(build_hypergraph(3, [(0, 1, 2)]), SparseMatrix.identity(4))
 
 
 def test_singleton_edges_only():

@@ -24,6 +24,7 @@ from dphgnn.hypergraph import (
     relabel_nodes,
     save_dataset,
 )
+from dphgnn.sparse import SparseMatrix
 
 
 def test_degrees_on_running_example(spec_example):
@@ -165,4 +166,114 @@ def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
+        load_dataset(path)
+
+
+def _sparse_dataset() -> LabeledHypergraph:
+    # Row 0 holds one entry, row 1 two, row 2 none.
+    dense = np.array([[0.0, 0.25, 0.0], [1.0 / 3.0, 0.0, -2.5], [0.0, 0.0, 0.0]])
+    return LabeledHypergraph(
+        hypergraph=build_hypergraph(3, [(0, 1), (1, 2)]),
+        features=SparseMatrix.from_dense(dense),
+        labels=np.array([0, 1, 1]),
+        train_mask=np.array([True, False, False]),
+        val_mask=np.array([False, True, False]),
+        test_mask=np.array([False, False, True]),
+        num_classes=2,
+    )
+
+
+def test_sparse_dataset_round_trip_bit_identical(tmp_path):
+    path = tmp_path / "d.json"
+    data = _sparse_dataset()
+    save_dataset(data, path)
+    payload = json.loads(path.read_text())
+    assert "features" not in payload
+    assert payload["features_csr"] == {
+        "shape": [3, 3], "indptr": [0, 1, 3, 3], "indices": [1, 0, 2],
+        "data": [0.25, 1.0 / 3.0, -2.5],
+    }
+    loaded = load_dataset(path)
+    assert isinstance(loaded.features, SparseMatrix)
+    assert loaded.features.shape == (3, 3)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(loaded.features, name), getattr(data.features, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    save_dataset(loaded, tmp_path / "d2.json")
+    assert path.read_text() == (tmp_path / "d2.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"indptr": [0, 1, 3]},                     # not rows + 1 offsets
+        {"indptr": [0, 1, 3, 4]},                  # does not end at nnz
+        {"indptr": [0, 2, 1, 3]},                  # not monotone
+        {"data": [0.25, 1.0 / 3.0]},               # fewer values than indices
+        {"indices": [1, 0, 3]},                    # column out of range
+        {"indices": [1, -1, 2]},                   # negative column
+        {"indices": [1, 2, 0]},                    # columns not increasing in a row
+        {"data": [0.25, 0.0, -2.5]},               # explicit zero
+        {"indices": [1.0, 0.0, 2.0]},              # not integers
+        {"data": [[0.25], [1.0], [-2.5]]},         # not flat
+        {"data": ["0.25", "1", "-2.5"]},           # not numbers
+        {"indices": [[1], [0, 2]]},                # ragged
+        {"shape": [3]},                            # shape needs two integers
+        {"shape": [3, -1]},                        # negative width
+        {"shape": None},
+        {"extra": []},                             # unknown key
+    ],
+)
+def test_malformed_features_csr_raises_parse_error(tmp_path, patch):
+    path = tmp_path / "bad.json"
+    save_dataset(_sparse_dataset(), path)
+    payload = json.loads(path.read_text())
+    payload["features_csr"].update(patch)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        load_dataset(path)
+
+
+def test_features_csr_must_be_an_object_with_every_key(tmp_path):
+    path = tmp_path / "bad.json"
+    save_dataset(_sparse_dataset(), path)
+    payload = json.loads(path.read_text())
+    for form in ([1, 2], {k: v for k, v in payload["features_csr"].items() if k != "data"}):
+        path.write_text(json.dumps({**payload, "features_csr": form}))
+        with pytest.raises(ParseError):
+            load_dataset(path)
+
+
+def test_dataset_needs_exactly_one_feature_form(tmp_path):
+    path = tmp_path / "bad.json"
+    save_dataset(_sparse_dataset(), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "features": np.zeros((3, 3)).tolist()}))
+    with pytest.raises(ParseError, match="exactly one"):
+        load_dataset(path)
+    del payload["features_csr"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="exactly one"):
+        load_dataset(path)
+
+
+def test_csr_features_of_the_wrong_shape_rejected(tmp_path):
+    with pytest.raises(ShapeMismatchError):
+        LabeledHypergraph(
+            hypergraph=build_hypergraph(2, [(0, 1)]),
+            features=SparseMatrix.identity(3),
+            labels=np.array([0, 1]),
+            train_mask=np.array([True, False]),
+            val_mask=np.array([False, False]),
+            test_mask=np.array([False, True]),
+            num_classes=2,
+        )
+    # A well-formed CSR whose row count disagrees with num_nodes.
+    path = tmp_path / "rows.json"
+    save_dataset(_sparse_dataset(), path)
+    payload = json.loads(path.read_text())
+    payload["features_csr"] = {"shape": [2, 2], "indptr": [0, 1, 2], "indices": [0, 1],
+                               "data": [1.0, 1.0]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ShapeMismatchError):
         load_dataset(path)

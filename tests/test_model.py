@@ -10,11 +10,14 @@ from conftest import (
     permute_data,
     random_covering_hypergraph,
 )
-from dphgnn.autodiff import Tensor, cross_entropy
+import dphgnn.autodiff as autodiff
+from dphgnn.autodiff import Tensor, backward, cross_entropy
 from dphgnn.errors import ShapeMismatchError
-from dphgnn.hypergraph import LabeledHypergraph, build_hypergraph, relabel_nodes
+from dphgnn.hypergraph import LabeledHypergraph, build_hypergraph, ensure_min_degree, relabel_nodes
 from dphgnn.model import (
     AblationFlags,
+    DropoutRates,
+    Mode,
     dff_forward,
     dphgnn_forward,
     feature_mix,
@@ -24,6 +27,8 @@ from dphgnn.model import (
     predict_layer,
 )
 from dphgnn.precompute import build_structure
+from dphgnn.sparse import SparseMatrix
+from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
 def make_data(hg, features, labels=None, num_classes=2, seed=0):
@@ -428,3 +433,78 @@ def test_parameter_groups_partition():
     assert "proj.weight" in groups["gnn"] and "taa.theta_star" in groups["gnn"]
     assert "sib.theta" in groups["sib"] and "mix.gate.weight" in groups["sib"]
     assert "head.theta" in groups["dff"] and "fusion.1.theta" in groups["dff"]
+
+
+def _train_step(data, seed):
+    """Logits and proj/head gradients of one TRAIN forward plus backward."""
+    params = init_dphgnn(np.random.default_rng(seed), data.num_features, 8, 2, num_heads=2)
+    trace = dphgnn_forward(data, params, Mode.TRAIN, rates=DropoutRates(0.1, 0.1, 0.1, 0.1),
+                           rng=np.random.default_rng(seed))
+    backward(cross_entropy(trace.logits, data.labels, data.train_mask))
+    return trace.logits.value, params.proj.weight.grad, params.head_weight.grad
+
+
+def test_csr_identity_features_give_the_dense_identity_results_bit_for_bit():
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=60, num_edges=40, edge_size=4), 2)
+    assert isinstance(data.features, SparseMatrix)
+    hg = ensure_min_degree(data.hypergraph)
+    sparse = make_data(hg, data.features, labels=data.labels)
+    dense = make_data(hg, data.features.to_dense(), labels=data.labels)
+    (logits, *grads), (dense_logits, *dense_grads) = (
+        _train_step(sparse, 3), _train_step(dense, 3)
+    )
+    assert logits.tobytes() == dense_logits.tobytes()  # sign bits included
+    # A one-hot product copies each term; only a -0.0 gradient entry may
+    # differ, kept by the CSR product and summed to +0.0 by the dense one.
+    for a, b in zip(grads, dense_grads):
+        np.testing.assert_array_equal(a, b)
+    params = init_hgnn(np.random.default_rng(4), 60, 8, 2)
+    np.testing.assert_array_equal(
+        hgnn_baseline_forward(sparse, params).value, hgnn_baseline_forward(dense, params).value
+    )
+
+
+def test_csr_features_forward_is_permutation_equivariant():
+    rng = np.random.default_rng(24)
+    hg = random_covering_hypergraph(rng, 9, 6)
+    feats = rng.integers(0, 3, size=(9, 4)).astype(float)
+    data = make_data(hg, SparseMatrix.from_dense(feats), num_classes=2)
+    params = init_dphgnn(np.random.default_rng(25), 4, 8, 2, num_heads=2)
+    base = dphgnn_forward(data, params).logits.value
+    # The projection sums only stored entries, so it may round unlike BLAS.
+    np.testing.assert_allclose(
+        base, dphgnn_forward(make_data(hg, feats), params).logits.value, atol=1e-12
+    )
+    perm = rng.permutation(9)
+    permuted = permute_data(data, perm)
+    assert isinstance(permuted.features, SparseMatrix)
+    np.testing.assert_allclose(dphgnn_forward(permuted, params).logits.value[perm], base, atol=1e-8)
+
+
+def test_featureless_train_step_ops_are_o_n_in_nodes(monkeypatch):
+    # Node count doubles at a fixed mean degree (m = n / 2 edges of size 8).
+    largest = {}
+    for n in (400, 800):
+        data = generate_synthetic(TwoCommunitySpec(num_nodes=n, num_edges=n // 2, edge_size=8), 0)
+        hg = ensure_min_degree(data.hypergraph)
+        data = make_data(hg, data.features, labels=data.labels)
+        sizes = []
+        make = autodiff._make
+
+        def recording_make(value, parents, bwd):
+            # The op's output, every operand it reads and every gradient it gets.
+            sizes.append(np.size(value))
+            sizes.extend(np.size(p.value) for p in parents)
+
+            def recording_bwd(g):
+                sizes.append(np.size(g))
+                bwd(g)
+
+            return make(value, parents, recording_bwd)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(autodiff, "_make", recording_make)
+            _train_step(data, n)
+        assert max(sizes) < n * n
+        largest[n] = max(sizes)
+    assert largest[800] <= 2.2 * largest[400]

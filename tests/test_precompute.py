@@ -66,6 +66,30 @@ def test_content_hash_separates_edges_with_the_same_flat_members():
     assert content_hash(a, features) != content_hash(b, features)
 
 
+def test_content_hash_of_csr_features(spec_example):
+    eye = SparseMatrix.identity(4)
+    base = content_hash(spec_example, eye)
+    assert base == content_hash(spec_example, SparseMatrix.identity(4))
+    # The same values dense, and the same pattern with other values, hash apart.
+    assert base != content_hash(spec_example, np.eye(4))
+    assert base != content_hash(spec_example, eye.scale(2.0))
+    # Same indptr, indices and data under another width.
+    wider = SparseMatrix(4, 5, eye.indptr, eye.indices, eye.data)
+    assert base != content_hash(spec_example, wider)
+
+
+def test_csr_features_cache_round_trip_and_match_the_dense_bundle(tmp_path):
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=40, num_edges=20, edge_size=5), seed=1)
+    hg = ensure_min_degree(data.hypergraph)
+    assert isinstance(data.features, SparseMatrix)
+    missed = load_or_build(hg, data.features, cache_dir=tmp_path)
+    [path] = tmp_path.glob("structure-*.npz")
+    assert path.name == f"structure-{content_hash(hg, data.features)}.npz"
+    assert_bundles_equal(missed, load_or_build(hg, data.features, cache_dir=tmp_path))
+    # One-hot rows give every operator of the dense-identity build, bit for bit.
+    assert bundle_digest(missed) == bundle_digest(build_structure(hg, np.eye(40)))
+
+
 def bundle_digest(bundle: StructureBundle) -> str:
     """sha256 over the shape, indptr, indices and data of every operator, then the degrees."""
     laps = bundle.laplacians

@@ -8,6 +8,7 @@ import pytest
 from dphgnn.errors import InfeasibleSpecError, ParseError
 from dphgnn.gwl import Verdict, brute_force_isomorphic, gwl_test
 from dphgnn.hypergraph import relabel_nodes
+from dphgnn.sparse import SparseMatrix
 from dphgnn.synthetic import (
     IMBALANCED_POSITIVE_RATE,
     IsoPairSpec,
@@ -41,7 +42,8 @@ def test_two_community_structure():
     assert all(len(e) == 3 for e in data.hypergraph.edges)
     np.testing.assert_array_equal(data.labels[:20], 0)
     np.testing.assert_array_equal(data.labels[20:], 1)
-    np.testing.assert_array_equal(data.features, np.eye(40))
+    assert isinstance(data.features, SparseMatrix)
+    np.testing.assert_array_equal(data.features.to_dense(), np.eye(40))
     assert_masks_partition(data)
 
 
@@ -51,7 +53,7 @@ def test_two_community_deterministic():
     b = generate_synthetic(spec, seed=5)
     assert a.hypergraph.edges == b.hypergraph.edges
     np.testing.assert_array_equal(a.labels, b.labels)
-    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.features.to_dense(), b.features.to_dense())
     np.testing.assert_array_equal(a.train_mask, b.train_mask)
     np.testing.assert_array_equal(a.val_mask, b.val_mask)
     np.testing.assert_array_equal(a.test_mask, b.test_mask)
@@ -127,6 +129,49 @@ def test_mirrored_halves_have_no_isolates():
     assert hg.num_nodes == 20
     assert np.all(hg.node_degrees >= 1)
     assert Counter(relabel_nodes(hg, automorphism).edges) == Counter(hg.edges)
+
+
+def _two_community_edges_from_lists(spec, seed):
+    """Edges drawn as the generator did with O(n) Python-list populations."""
+    rng = np.random.default_rng(seed)
+    n, half = spec.num_nodes, spec.num_nodes // 2
+    communities = [np.arange(half), np.arange(half, n)]
+    edges = []
+    for _ in range(spec.num_edges):
+        if rng.random() < spec.p_in / (spec.p_in + spec.p_out):
+            pool = communities[int(rng.integers(2))]
+            edges.append(sorted(rng.choice(pool, size=spec.edge_size, replace=False).tolist()))
+        else:
+            a = int(rng.choice(communities[0]))
+            b = int(rng.choice(communities[1]))
+            rest = rng.choice([v for v in range(n) if v not in (a, b)],
+                              size=spec.edge_size - 2, replace=False).tolist()
+            edges.append(sorted([a, b] + rest))
+    return tuple(tuple(e) for e in edges)
+
+
+def _mirrored_base_from_lists(rng, half_nodes, half_edges, edge_size):
+    base = [sorted(rng.choice(half_nodes, size=edge_size, replace=False).tolist())
+            for _ in range(half_edges)]
+    covered = {v for e in base for v in e}
+    for v in range(half_nodes):
+        if v not in covered:
+            others = [u for u in range(half_nodes) if u != v]
+            base.append(sorted([v] + rng.choice(others, size=edge_size - 1, replace=False).tolist()))
+    return base
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generator_populations_draw_what_python_lists_drew(seed):
+    # Half the edges are mixed, so each seed draws dozens of populations.
+    spec = TwoCommunitySpec(num_nodes=60, num_edges=80, edge_size=5, p_in=0.3, p_out=0.3)
+    assert generate_synthetic(spec, seed).hypergraph.edges == _two_community_edges_from_lists(
+        spec, seed
+    )
+    # Three base edges leave most of the 30 nodes uncovered.
+    hg, _ = mirrored_uniform_hypergraph(np.random.default_rng(seed), 30, 3, 4)
+    base = _mirrored_base_from_lists(np.random.default_rng(seed), 30, 3, 4)
+    assert hg.edges[: len(base)] == tuple(tuple(e) for e in base)
 
 
 def test_iso_pair_is_isomorphic():
