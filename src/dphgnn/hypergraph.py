@@ -52,12 +52,15 @@ class Hypergraph:
         edges: per-edge sorted member tuples, in input order.
         node_degrees: number of incident edges per node.
         edge_degrees: cardinality of each edge.
+        members: every edge's sorted members, edge after edge, as one int64
+            array.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, ...], ...]
     node_degrees: np.ndarray = field(repr=False)
     edge_degrees: np.ndarray = field(repr=False)
+    members: np.ndarray = field(repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -66,13 +69,6 @@ class Hypergraph:
     def edge_multiset(self) -> tuple[tuple[int, ...], ...]:
         """Canonical edge multiset: sorted tuple of member tuples."""
         return tuple(sorted(self.edges))
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        """Every edge's sorted members, edge after edge, as one int64 array."""
-        return np.fromiter(
-            chain.from_iterable(self.edges), dtype=np.int64, count=int(self.edge_degrees.sum())
-        )
 
     @cached_property
     def _incidence(self) -> SparseMatrix:
@@ -85,35 +81,55 @@ class Hypergraph:
         return by_edge.transpose()
 
 
+def _flat(edges: list[tuple[int, ...]]) -> np.ndarray:
+    # A member beyond int64 is out of range for any node count; an object
+    # array keeps it exact, so the checks below still find and name it.
+    try:
+        return np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    except OverflowError:
+        return np.array(list(chain.from_iterable(edges)), dtype=object)
+
+
 def build_hypergraph(num_nodes: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Validate and construct a hypergraph.
 
+    Every member goes through ``int`` first, so a member that ``int``
+    rejects raises its TypeError or ValueError before any check below. The
+    checks then run on the flat member array. The error names the first
+    bad edge in input order. Inside that edge the checks run empty, then
+    duplicate, then range, and a range error names the edge's first bad
+    member in input order.
+
     Raises:
         EmptyEdgeError: an edge has no members.
-        NodeIdOutOfRangeError: a member id is outside [0, num_nodes).
         DuplicateMemberError: an edge repeats a member.
+        NodeIdOutOfRangeError: a member id is outside [0, num_nodes).
     """
     num_nodes = int(num_nodes)
     if num_nodes < 0:
         raise NodeIdOutOfRangeError("num_nodes must be non-negative")
-    clean: list[tuple[int, ...]] = []
-    for pos, edge in enumerate(edges):
-        members = [int(v) for v in edge]
-        if not members:
+    given = [tuple(map(int, e)) for e in edges]
+    clean = [tuple(sorted(e)) for e in given]
+    sizes = np.fromiter(map(len, clean), dtype=np.int64, count=len(clean))
+    members = _flat(clean)
+    # A sorted edge repeats a member iff two neighbours inside it are equal.
+    edge_of = np.arange(len(clean)).repeat(sizes)
+    twins = members[1:] == members[:-1]
+    twins &= edge_of[1:] == edge_of[:-1]
+    outside = (members < 0) | (members >= num_nodes)
+    # count_nonzero is the cheapest reduction on the many tiny hypergraphs callers build.
+    if np.count_nonzero(twins) or np.count_nonzero(outside) or np.count_nonzero(sizes) < len(sizes):
+        empty, repeats, strays = np.flatnonzero(sizes == 0), edge_of[1:][twins], edge_of[outside]
+        pos = int(min(found[0] for found in (empty, repeats, strays) if found.size))
+        if sizes[pos] == 0:
             raise EmptyEdgeError(f"edge {pos} is empty")
-        if len(set(members)) != len(members):
+        if repeats.size and repeats[0] == pos:
             raise DuplicateMemberError(f"edge {pos} repeats a member")
-        for v in members:
-            if not 0 <= v < num_nodes:
-                raise NodeIdOutOfRangeError(
-                    f"edge {pos} refers to node {v}, but num_nodes={num_nodes}"
-                )
-        clean.append(tuple(sorted(members)))
-    node_deg = np.zeros(num_nodes, dtype=np.int64)
-    for e in clean:
-        node_deg[list(e)] += 1
-    edge_deg = np.array([len(e) for e in clean], dtype=np.int64)
-    return Hypergraph(num_nodes, tuple(clean), node_deg, edge_deg)
+        bad = next(v for v in given[pos] if not 0 <= v < num_nodes)
+        raise NodeIdOutOfRangeError(f"edge {pos} refers to node {bad}, but num_nodes={num_nodes}")
+    return Hypergraph(
+        num_nodes, tuple(clean), np.bincount(members, minlength=num_nodes), sizes, members
+    )
 
 
 def incidence(hg: Hypergraph) -> SparseMatrix:

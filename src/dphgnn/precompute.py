@@ -13,7 +13,10 @@ content hash (:func:`content_hash`) of:
   its shape, ``indptr``, ``indices`` and ``data``, so hashing it is O(nnz).
 
 Every stored array is O(nnz) or O(n + m); nothing n x n is built or
-written.
+written. A cache hit is O(nnz) array work: the bundle's hypergraph is the
+caller's own object, and the file's node count, edge sizes and edge
+members are only compared with it. A file whose edge arrays differ counts
+as a miss, like one that cannot be read: it is rebuilt and overwritten.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .attention import UpdateVariant, attention_pattern, propagation_matrix
 from .errors import DphgnnError
 from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
-from .hypergraph import Hypergraph, as_features, build_hypergraph, incidence
+from .hypergraph import Hypergraph, as_features, incidence
 from .sparse import SparseMatrix
 from .spectral import LaplacianSet, build_laplacians
 
@@ -170,15 +173,22 @@ def save_structure(bundle: StructureBundle, path: str | Path) -> None:
         raise
 
 
-def load_structure(path: str | Path, key: str) -> StructureBundle:
+def load_structure(path: str | Path, hg: Hypergraph, key: str) -> StructureBundle:
+    """Read the bundle that :func:`save_structure` wrote for ``hg``.
+
+    The bundle's hypergraph is ``hg`` itself: the stored node count, edge
+    sizes and edge members are only compared with it, never rebuilt.
+
+    Raises:
+        ValueError: the file holds another hypergraph's edge arrays.
+    """
     # Read every member up front; the archive is closed before any parsing.
     with np.load(path) as npz:
         blob = {name: npz[name] for name in npz.files}
-    sizes = blob["edge_sizes"]
-    members = blob["edge_members"]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    edges = [tuple(members[offsets[i] : offsets[i + 1]]) for i in range(len(sizes))]
-    hg = build_hypergraph(int(blob["num_nodes"][0]), edges)
+    stored = (blob["num_nodes"], blob["edge_sizes"], blob["edge_members"])
+    expected = ([hg.num_nodes], hg.edge_degrees, hg.members)
+    if not all(map(np.array_equal, stored, expected)):
+        raise ValueError(f"{path} holds the structure of another hypergraph")
 
     def graph_of(name: str) -> Graph:
         return Graph.from_adjacency(_unpack_sparse(f"graph.{name}", blob))
@@ -216,9 +226,9 @@ def load_or_build(
     path = cache_dir / f"structure-{key}.npz"
     if path.exists():
         try:
-            return load_structure(path, key)
+            return load_structure(path, hg, key)
         except (BadZipFile, KeyError, ValueError, OSError, EOFError, DphgnnError):
-            pass  # unreadable or incomplete: rebuild and overwrite it
+            pass  # unreadable, incomplete or another hypergraph's: rebuild and overwrite it
     bundle = _build(hg, features, key)
     save_structure(bundle, path)
     return bundle

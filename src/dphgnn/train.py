@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +188,14 @@ def resolve_dataset(config: RunConfig) -> LabeledHypergraph:
     raise ParseError("dataset must be a path or {'generator': ..., 'seed': ...}")
 
 
+def _with_min_degree(data: LabeledHypergraph) -> LabeledHypergraph:
+    """``data`` with a singleton edge on every isolated node; ``data`` itself if it has none."""
+    hg = ensure_min_degree(data.hypergraph)
+    if hg is data.hypergraph:
+        return data
+    return replace(data, hypergraph=hg)
+
+
 def _init_params(config: RunConfig, in_dim: int, num_classes: int, rng: np.random.Generator):
     if config.model == "hgnn":
         return init_hgnn(rng, in_dim, config.gnn.hidden, num_classes)
@@ -271,18 +279,8 @@ def train(
     started = time.perf_counter()
     if data is None:
         data = resolve_dataset(config)
-    hg = ensure_min_degree(data.hypergraph)
-    if hg is not data.hypergraph:
-        data = LabeledHypergraph(
-            hypergraph=hg,
-            features=data.features,
-            labels=data.labels,
-            train_mask=data.train_mask,
-            val_mask=data.val_mask,
-            test_mask=data.test_mask,
-            num_classes=data.num_classes,
-        )
-    structure = load_or_build(hg, data.features, cache_dir)
+    data = _with_min_degree(data)
+    structure = load_or_build(data.hypergraph, data.features, cache_dir)
     rng = np.random.default_rng(config.seed)
     params = _init_params(config, data.num_features, data.num_classes, rng)
     named = params.named_parameters()
@@ -374,13 +372,7 @@ def evaluate(
         raise ParseError(f"mask must be one of {MASK_NAMES}")
     arrays, extra = load_checkpoint(checkpoint_path)
     model, params = _params_from_checkpoint(arrays, extra)
-    hg = ensure_min_degree(data.hypergraph)
-    if hg is not data.hypergraph:
-        data = LabeledHypergraph(
-            hypergraph=hg, features=data.features, labels=data.labels,
-            train_mask=data.train_mask, val_mask=data.val_mask,
-            test_mask=data.test_mask, num_classes=data.num_classes,
-        )
+    data = _with_min_degree(data)
     if data.num_features != extra.get("in_dim"):
         raise ShapeMismatchError(
             f"dataset has {data.num_features} features, checkpoint expects {extra.get('in_dim')}"
@@ -389,7 +381,7 @@ def evaluate(
         raise ShapeMismatchError(
             f"dataset has {data.num_classes} classes, checkpoint expects {extra.get('num_classes')}"
         )
-    structure = load_or_build(hg, data.features, cache_dir)
+    structure = load_or_build(data.hypergraph, data.features, cache_dir)
     if model == "hgnn":
         logits = hgnn_baseline_forward(data, params, structure=structure)
     else:

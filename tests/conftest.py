@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dphgnn.errors import DuplicateMemberError, EmptyEdgeError, NodeIdOutOfRangeError
 from dphgnn.hypergraph import (
     Hypergraph,
     LabeledHypergraph,
@@ -105,3 +106,34 @@ def random_covering_hypergraph(
         members = rng.choice(num_nodes, size=size, replace=False)
         edges.append(tuple(int(v) for v in members))
     return build_hypergraph(num_nodes, edges)
+
+
+def reference_build_hypergraph(num_nodes, edges):
+    """The per-edge loop that ``build_hypergraph`` replaced.
+
+    Returns (edges, node_degrees, edge_degrees, members) and raises the
+    same errors with the same messages: edge by edge in input order, and
+    inside an edge empty, then duplicate, then range in input order.
+    """
+    num_nodes = int(num_nodes)
+    if num_nodes < 0:
+        raise NodeIdOutOfRangeError("num_nodes must be non-negative")
+    clean = []
+    for pos, edge in enumerate(edges):
+        members = [int(v) for v in edge]
+        if not members:
+            raise EmptyEdgeError(f"edge {pos} is empty")
+        if len(set(members)) != len(members):
+            raise DuplicateMemberError(f"edge {pos} repeats a member")
+        for v in members:
+            if not 0 <= v < num_nodes:
+                raise NodeIdOutOfRangeError(
+                    f"edge {pos} refers to node {v}, but num_nodes={num_nodes}"
+                )
+        clean.append(tuple(sorted(members)))
+    node_deg = np.zeros(num_nodes, dtype=np.int64)
+    for e in clean:
+        node_deg[list(e)] += 1
+    edge_deg = np.array([len(e) for e in clean], dtype=np.int64)
+    members = np.array([v for e in clean for v in e], dtype=np.int64)
+    return tuple(clean), node_deg, edge_deg, members

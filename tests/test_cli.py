@@ -104,6 +104,30 @@ def test_train_eval_chain(tmp_path, capsys):
     assert scored["mean_accuracy"] == report["final_metrics"]["test"]["mean_accuracy"]
 
 
+def test_cached_eval_prints_what_uncached_eval_prints(tmp_path, capsys):
+    config = write_config(tmp_path, epochs=3)
+    run_dir = tmp_path / "run"
+    assert run_cli(capsys, "train", "--config", str(config), "--out", str(run_dir))[0] == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMALL["generator"]))
+    data_path = tmp_path / "data.json"
+    run_cli(capsys, "generate", "--spec", str(spec), "--seed", "3", "--out", str(data_path))
+    request = ("eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--data", str(data_path))
+    code, uncached, _ = run_cli(capsys, *request)
+    assert code == 0
+
+    cache = tmp_path / "cache"
+    inodes = []
+    for _ in ("cold", "warm"):
+        code, stdout, _ = run_cli(capsys, *request, "--cache", str(cache))
+        assert code == 0
+        assert json.loads(stdout) == json.loads(uncached)
+        [entry] = cache.iterdir()
+        assert entry.match("structure-*.npz")
+        inodes.append(entry.stat().st_ino)
+    assert inodes[0] == inodes[1]  # the warm request read the file and did not rewrite it
+
+
 def test_iso_test_two_files(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import reference_build_hypergraph
 from dphgnn.errors import (
+    DphgnnError,
     DuplicateMemberError,
     EmptyEdgeError,
     MaskOverlapError,
@@ -49,6 +51,98 @@ def test_build_validation():
         build_hypergraph(3, [()])
     with pytest.raises(DuplicateMemberError):
         build_hypergraph(3, [(1, 1)])
+
+
+HUGE = 2**70  # beyond int64
+
+
+@pytest.mark.parametrize(
+    "num_nodes, edges, error, message",
+    [
+        (3, [(5, -1)], NodeIdOutOfRangeError, "edge 0 refers to node 5, but num_nodes=3"),
+        (3, [(0, 1), (1, 9, 1)], DuplicateMemberError, "edge 1 repeats a member"),
+        (3, [(0,), (), (1, 1)], EmptyEdgeError, "edge 1 is empty"),
+        (3, [(0,), (4, 0), ()], NodeIdOutOfRangeError, "edge 1 refers to node 4, but num_nodes=3"),
+        (3, [(2, HUGE, 1)], NodeIdOutOfRangeError, f"edge 0 refers to node {HUGE}, but num_nodes=3"),
+        (3, [(1,), (HUGE, -1, HUGE)], DuplicateMemberError, "edge 1 repeats a member"),
+        (0, [(0,)], NodeIdOutOfRangeError, "edge 0 refers to node 0, but num_nodes=0"),
+        (-1, [], NodeIdOutOfRangeError, "num_nodes must be non-negative"),
+    ],
+    ids=["input_order", "duplicate_and_out_of_range", "empty_before_later_faults",
+         "range_before_later_empty", "beyond_int64", "duplicate_beyond_int64", "no_nodes",
+         "negative_count"],
+)
+def test_build_errors_name_the_first_bad_edge(num_nodes, edges, error, message):
+    for build in (build_hypergraph, reference_build_hypergraph):
+        with pytest.raises(error) as info:
+            build(num_nodes, edges)
+        assert str(info.value) == message
+
+
+def _random_edge_input(rng):
+    """(n, factory): fresh edges on n nodes in mixed forms on every call, some bad."""
+    n = int(rng.integers(0, 7))
+    edges = []
+    for _ in range(int(rng.integers(0, 6))):
+        size = int(rng.integers(1, 5))
+        edge = [int(v) for v in rng.permutation(max(n, size))[:size]]  # unsorted
+        fault = rng.random()
+        if fault < 0.05:
+            edge = []
+        elif fault < 0.10:
+            edge.insert(int(rng.integers(0, size + 1)), edge[0])
+        elif fault < 0.15:
+            edge[int(rng.integers(0, size))] = int(rng.choice([-1, -7, n, n + 3, HUGE]))
+        edges.append(edge)
+    kinds = [(list, int), (tuple, np.int64), (tuple, np.int32), (list, int), (np.array, int)]
+    forms = [kinds[int(rng.integers(0, len(kinds)))] for _ in edges]
+    outer = int(rng.integers(0, 3))
+
+    def factory():
+        rows = [box([cast(v) if abs(v) < 2**31 else v for v in e]) for e, (box, cast) in zip(edges, forms)]
+        return (list, tuple, iter)[outer](rows)
+
+    return n, factory
+
+
+def _outcome(build, num_nodes, edges):
+    try:
+        return build(num_nodes, edges)
+    except DphgnnError as exc:
+        return type(exc), str(exc)
+
+
+def test_build_hypergraph_matches_the_per_edge_loop():
+    rng = np.random.default_rng(0)
+    faults = 0
+    for _ in range(3000):
+        n, factory = _random_edge_input(rng)
+        want = _outcome(reference_build_hypergraph, n, factory())
+        got = _outcome(build_hypergraph, n, factory())
+        if isinstance(want[0], type):
+            faults += 1
+            assert got == want
+            continue
+        assert got.num_nodes == n
+        assert got.edges == want[0]
+        assert all(type(v) is int for e in got.edges for v in e)
+        for array, expected in zip((got.node_degrees, got.edge_degrees, got.members), want[1:]):
+            np.testing.assert_array_equal(array, expected)
+            assert array.dtype == expected.dtype == np.int64
+    assert 500 < faults < 2500  # both outcomes are exercised
+
+
+@pytest.mark.parametrize(
+    "hyperedges", [[5], [[0, "x"]], [[0, 1], "ab"], [[None]]],
+    ids=["edge_not_a_list", "non_numeric_member", "string_edge", "null_member"],
+)
+def test_load_dataset_rejects_unconvertible_edges(tmp_path, hyperedges):
+    path = tmp_path / "bad.json"
+    save_dataset(_sparse_dataset(), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "hyperedges": hyperedges}))
+    with pytest.raises(ParseError):
+        load_dataset(path)
 
 
 def test_members_stored_sorted():

@@ -203,6 +203,21 @@ def test_cached_bundle_gives_identical_logits(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+def test_cache_hit_reuses_the_callers_hypergraph(tmp_path, monkeypatch):
+    data, _ = build_iso_pool(IsoPoolSpec(num_pairs=10), 0)
+    hg = ensure_min_degree(data.hypergraph)
+    fresh = build_structure(hg, data.features)
+    load_or_build(hg, data.features, cache_dir=tmp_path)
+
+    def no_build(*args):
+        raise AssertionError("a cache hit must not build")
+
+    monkeypatch.setattr(precompute, "_build", no_build)
+    hit = load_or_build(hg, data.features, cache_dir=tmp_path)
+    assert hit.hypergraph is hg
+    assert bundle_digest(hit) == bundle_digest(fresh)  # every operator, byte for byte
+
+
 def test_no_cache_dir_builds_directly(spec_example):
     bundle = load_or_build(spec_example, np.ones((4, 2)), cache_dir=None)
     assert bundle.hypergraph is spec_example
@@ -256,6 +271,18 @@ def _bad_indices(path):
     _rewrite_members(path, lambda members: members.update({"lap.star.indices.npy": buf.getvalue()}))
 
 
+def _other_hypergraphs_bundle(path):
+    # The same node count and edge sizes as spec_example, other members.
+    other = build_hypergraph(4, [(0, 1, 3), (2, 3)])
+    save_structure(build_structure(other, np.ones((4, 2))), path)
+
+
+def _other_node_count(path):
+    buf = io.BytesIO()
+    np.save(buf, np.array([5], dtype=np.int64))
+    _rewrite_members(path, lambda members: members.update({"num_nodes.npy": buf.getvalue()}))
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -264,8 +291,11 @@ def _bad_indices(path):
         _truncate,
         _drop_member,
         _bad_indices,
+        _other_hypergraphs_bundle,
+        _other_node_count,
     ],
-    ids=["empty", "garbage", "truncated", "missing_member", "inconsistent_arrays"],
+    ids=["empty", "garbage", "truncated", "missing_member", "inconsistent_arrays",
+         "other_hypergraphs_edges", "other_node_count"],
 )
 def test_unreadable_cache_file_is_a_miss(tmp_path, spec_example, corrupt):
     features = np.ones((4, 2))
