@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     ShapeMismatchError,
 )
+from .fileio import atomic_write, encode_floats, float_array, number_array
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -270,43 +271,34 @@ def _dataset_payload(data: LabeledHypergraph) -> dict:
             "data": feats.data.tolist(),
         }
     else:
-        payload["features"] = feats.tolist()
+        payload["features"] = encode_floats(feats)
     return payload
 
 
 def save_dataset(data: LabeledHypergraph, path: str | Path) -> None:
     """Write the JSON dataset format.
 
-    Dense features go to ``features``; CSR features go to ``features_csr``,
-    O(nnz) numbers. Floats serialize via Python's shortest round-trip repr
-    (at most 17 significant digits), so save/load is bit-exact.
+    Dense features go to ``features`` as one base64 float64 object (see
+    :mod:`dphgnn.fileio`), bit-exact; CSR features go to ``features_csr``,
+    O(nnz) numbers whose floats serialize via Python's shortest round-trip
+    repr, exact for every finite value. The file is written beside
+    ``path`` and renamed over it, so a reader never sees half of it.
     """
     payload = _dataset_payload(data)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-
-
-def _csr_array(form: dict, key: str, kinds: str) -> np.ndarray:
-    # One flat list of the given numpy dtype kinds; empty lists pass.
-    try:
-        arr = np.asarray(form[key])
-    except ValueError as exc:
-        raise ParseError(f"features_csr.{key} is not a flat list: {exc}") from exc
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
-        raise ParseError(f"features_csr.{key} must be a flat list of numbers")
-    return arr
 
 
 def _parse_features_csr(form) -> SparseMatrix:
     if not isinstance(form, dict) or sorted(form) != sorted(_CSR_KEYS):
         raise ParseError(f"features_csr must be an object with exactly the keys {list(_CSR_KEYS)}")
-    shape = _csr_array(form, "shape", "iu")
+    shape = number_array(form["shape"], "features_csr.shape", "iu")
     if shape.shape != (2,):
         raise ParseError("features_csr.shape must hold two integers")
-    indptr = _csr_array(form, "indptr", "iu")
-    indices = _csr_array(form, "indices", "iu")
-    values = _csr_array(form, "data", "iuf")
+    indptr = number_array(form["indptr"], "features_csr.indptr", "iu")
+    indices = number_array(form["indices"], "features_csr.indices", "iu")
+    values = number_array(form["data"], "features_csr.data", "iuf")
     try:
         return SparseMatrix(int(shape[0]), int(shape[1]), indptr, indices, values)
     except ShapeMismatchError as exc:
@@ -316,11 +308,14 @@ def _parse_features_csr(form) -> SparseMatrix:
 def load_dataset(path: str | Path) -> LabeledHypergraph:
     """Read a dataset file written by :func:`save_dataset`.
 
-    The file holds exactly one of ``features`` (row-major floats) and
-    ``features_csr`` (``shape``, ``indptr``, ``indices``, ``data``).
+    The file holds exactly one of ``features`` (the base64 float64 object,
+    or row-major number lists, one per node) and ``features_csr``
+    (``shape``, ``indptr``, ``indices``, ``data``).
 
     Raises:
-        ParseError: malformed JSON, missing keys, labels out of range, or a
+        ParseError: malformed JSON, missing keys, labels or ``num_classes``
+            that are not integers, labels out of range, features that are
+            not numbers (null included), a malformed base64 object, or a
             malformed ``features_csr``: bad lengths, a non-monotone
             ``indptr``, a column out of range, unsorted columns in a row or
             an explicit zero.
@@ -349,14 +344,16 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
         raise ParseError("dataset file must hold exactly one of features and features_csr")
     try:
         hg = build_hypergraph(payload["num_nodes"], payload["hyperedges"])
-        labels = np.asarray(payload["labels"], dtype=np.int64)
+        labels = number_array(payload["labels"], "labels", "iu").astype(np.int64)
         num_classes = payload.get("num_classes")
         if num_classes is None:
             num_classes = int(labels.max()) + 1 if labels.size else 1
+        else:
+            num_classes = number_array(num_classes, "num_classes", "iu", ndim=0)
         if "features_csr" in payload:
             features = _parse_features_csr(payload["features_csr"])
         else:
-            features = np.asarray(payload["features"], dtype=np.float64)
+            features = float_array(payload["features"], "features")
         return LabeledHypergraph(
             hypergraph=hg,
             features=features,

@@ -11,6 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor, add, matmul
 from .errors import ParseError, ShapeMismatchError
+from .fileio import atomic_write, decode_floats, encode_floats, float_array
 
 __all__ = [
     "glorot",
@@ -110,23 +111,33 @@ _CHECKPOINT_FORMAT = "dphgnn-checkpoint-v1"
 
 
 def save_checkpoint(params: Mapping[str, Tensor], path: str | Path, extra: dict | None = None) -> None:
-    """Write parameters as JSON: name -> shape plus row-major values."""
+    """Write parameters as JSON: name -> the base64 float64 object of its
+    values (see :mod:`dphgnn.fileio`). The file is written beside ``path``
+    and renamed over it, so a reader never sees half of it."""
     payload = {
         "format": _CHECKPOINT_FORMAT,
-        "params": {
-            name: {"shape": list(t.value.shape), "values": t.value.ravel().tolist()}
-            for name, t in params.items()
-        },
+        "params": {name: encode_floats(t.value) for name, t in params.items()},
     }
     if extra:
         payload["extra"] = extra
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read arrays saved by :func:`save_checkpoint`."""
+    """Read arrays saved by :func:`save_checkpoint`.
+
+    An entry is the base64 float64 object or, as older files and
+    hand-written ones have it, ``{"shape": [...], "values": [...]}`` with
+    row-major number values.
+
+    Raises:
+        ParseError: unreadable JSON, another format, ``params`` that is not
+            an object, or a malformed entry:
+            values that are not numbers (null included), a shape they do
+            not fill, or a malformed base64 object.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -134,12 +145,19 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
         raise ParseError(f"{path} is not a {_CHECKPOINT_FORMAT} file")
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError(f"{path}: params must be an object")
     arrays = {}
-    for name, entry in payload.get("params", {}).items():
-        try:
-            arrays[name] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"checkpoint entry {name} malformed: {exc}") from exc
+    for name, entry in params.items():
+        what = f"checkpoint entry {name}"
+        if isinstance(entry, dict) and "values" in entry:
+            try:
+                arrays[name] = float_array(entry["values"], what).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{what} malformed: {exc}") from exc
+        else:
+            arrays[name] = decode_floats(entry, what)
     return arrays, payload.get("extra", {})
 
 

@@ -22,8 +22,6 @@ as a miss, like one that cannot be read: it is rebuilt and overwritten.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from zipfile import BadZipFile
@@ -33,6 +31,7 @@ import numpy as np
 from .attention import UpdateVariant, attention_pattern, propagation_matrix
 from .errors import DphgnnError
 from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
+from .fileio import atomic_write
 from .hypergraph import Hypergraph, as_features, incidence
 from .sparse import SparseMatrix
 from .spectral import LaplacianSet, build_laplacians
@@ -161,16 +160,8 @@ def save_structure(bundle: StructureBundle, path: str | Path) -> None:
         _pack_sparse(f"lap.{name}", getattr(bundle.laplacians, name), arrays)
     for name in _SPARSE_FIELDS:
         _pack_sparse(name, getattr(bundle, name), arrays)
-    # Write beside the target and rename, so readers never see a half-written file.
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_structure(path: str | Path, hg: Hypergraph, key: str) -> StructureBundle:

@@ -13,7 +13,7 @@ import pytest
 
 import dphgnn
 from dphgnn.cli import main
-from dphgnn.hypergraph import load_dataset
+from dphgnn.hypergraph import load_dataset, save_dataset
 from dphgnn.train import RunConfig
 
 SMALL = {"generator": {"kind": "two_community", "num_nodes": 20, "num_edges": 15}, "seed": 3}
@@ -112,20 +112,28 @@ def test_cached_eval_prints_what_uncached_eval_prints(tmp_path, capsys):
     spec.write_text(json.dumps(SMALL["generator"]))
     data_path = tmp_path / "data.json"
     run_cli(capsys, "generate", "--spec", str(spec), "--seed", "3", "--out", str(data_path))
-    request = ("eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--data", str(data_path))
-    code, uncached, _ = run_cli(capsys, *request)
-    assert code == 0
+    # `generate` writes CSR features only; the same data with dense features
+    # takes the base64 float64 path.
+    dense_path = tmp_path / "dense.json"
+    data = load_dataset(data_path)
+    save_dataset(dataclasses.replace(data, features=data.features.to_dense()), dense_path)
+    assert "float64_le" in json.loads(dense_path.read_text())["features"]
 
-    cache = tmp_path / "cache"
-    inodes = []
-    for _ in ("cold", "warm"):
-        code, stdout, _ = run_cli(capsys, *request, "--cache", str(cache))
+    for path in (data_path, dense_path):
+        request = ("eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--data", str(path))
+        code, uncached, _ = run_cli(capsys, *request)
         assert code == 0
-        assert json.loads(stdout) == json.loads(uncached)
-        [entry] = cache.iterdir()
-        assert entry.match("structure-*.npz")
-        inodes.append(entry.stat().st_ino)
-    assert inodes[0] == inodes[1]  # the warm request read the file and did not rewrite it
+
+        cache = tmp_path / f"cache-{path.stem}"
+        inodes = []
+        for _ in ("cold", "warm"):
+            code, stdout, _ = run_cli(capsys, *request, "--cache", str(cache))
+            assert code == 0
+            assert json.loads(stdout) == json.loads(uncached)
+            [entry] = cache.iterdir()
+            assert entry.match("structure-*.npz")
+            inodes.append(entry.stat().st_ino)
+        assert inodes[0] == inodes[1]  # the warm request read the file and did not rewrite it
 
 
 def test_iso_test_two_files(tmp_path, capsys):

@@ -243,6 +243,24 @@ def test_dataset_label_out_of_range(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"labels": [0, 1.9]},           # was truncated to [0, 1]
+        {"num_classes": 2.7},           # was truncated to 2
+        {"features": [[None], [1]]},    # null was read as NaN
+    ],
+    ids=["fractional_label", "fractional_num_classes", "null_feature"],
+)
+def test_dataset_numbers_are_not_coerced(tmp_path, patch):
+    path = tmp_path / "bad.json"
+    save_dataset(_tiny_dataset(), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, **patch}))
+    with pytest.raises(ParseError):
+        load_dataset(path)
+
+
 def test_dataset_feature_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         LabeledHypergraph(

@@ -1,5 +1,7 @@
 """Initialization, Adam behavior, checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -130,9 +132,23 @@ def test_checkpoint_errors(tmp_path):
     bad.write_text("{}")
     with pytest.raises(ParseError):
         load_checkpoint(bad)
+    bad.write_text(json.dumps({"format": "dphgnn-checkpoint-v1", "params": [1, 2]}))
+    with pytest.raises(ParseError):
+        load_checkpoint(bad)
 
     p = {"w": Tensor(np.ones((2, 2)), requires_grad=True)}
     with pytest.raises(ParseError):
         assign_parameters(p, {})
     with pytest.raises(ShapeMismatchError):
         assign_parameters(p, {"w": np.ones((3, 3))})
+
+
+def test_checkpoint_null_values_rejected(tmp_path):
+    # A null among list-form values was read as NaN.
+    path = tmp_path / "ckpt.json"
+    save_checkpoint({"w": Tensor(np.ones((1, 2)))}, path)
+    payload = json.loads(path.read_text())
+    payload["params"]["w"] = {"shape": [1, 2], "values": [None, 1.0]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        load_checkpoint(path)
