@@ -257,11 +257,9 @@ def taa_forward(
         rng=rng,
         train=train,
     )
-    spectral_star = row_mask(
-        matmul(structure.laplacians.star, star_feats), RowTarget.NODES, star
-    )
+    # The bundle's star Laplacian holds only its n node rows.
     spectral = cross_attention(
-        spectral_star,
+        matmul(structure.laplacians.star, star_feats),
         matmul(structure.laplacians.clique, clique_feats),
         matmul(structure.laplacians.hypergcn, hyper_feats),
         structure.attention_pattern,

@@ -4,8 +4,9 @@ Tensors hold at most two axes (plus 0-d scalars for losses). Every op
 records its parents and a backward closure; ``backward`` runs a reverse
 topological sweep and accumulates gradients into leaf tensors that
 require them; an op's own gradient is dropped once it has been passed
-on. Structure matrices enter as constants, either dense or as
-:class:`~dphgnn.sparse.SparseMatrix`, and never receive gradients.
+on. Structure matrices enter as constants, either dense or as a
+:class:`~dphgnn.sparse.SparseMatrix` or
+:class:`~dphgnn.sparse.FactoredOperator`, and never receive gradients.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyMaskError, NonScalarLossError, ShapeMismatchError
-from .sparse import SparseMatrix, _scatter_rows
+from .sparse import FactoredOperator, SparseMatrix, _scatter_rows
 
 # Pairs per slice of the segment_sums weights gradient, which holds two
 # (slice x values width) arrays at a time instead of two (pairs x width) ones.
@@ -164,8 +165,8 @@ def scale(a, factor: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; ``a`` may be a constant SparseMatrix."""
-    if isinstance(a, SparseMatrix):
+    """Matrix product; ``a`` may be a constant SparseMatrix or FactoredOperator."""
+    if isinstance(a, (SparseMatrix, FactoredOperator)):
         b = as_tensor(b)
         val = a.matmul_dense(b.value)
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .hypergraph import Hypergraph, as_features, incidence
+from .hypergraph import Hypergraph, as_features, cooccurrence, incidence
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -70,8 +70,7 @@ class RowTarget(Enum):
 
 def clique_expand(hg: Hypergraph) -> Graph:
     """Unweighted graph joining every pair of nodes that co-occur in an edge."""
-    h = incidence(hg)
-    co = h @ h.transpose()
+    co = cooccurrence(hg)
     rows, cols, _ = co.to_coo()
     off = rows != cols
     kept = np.concatenate(([0], np.cumsum(off)))

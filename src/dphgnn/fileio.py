@@ -61,9 +61,9 @@ def number_array(value, what: str, kinds: str, ndim: int | None = 1) -> np.ndarr
     """A JSON number list as an array whose numpy dtype kind is in ``kinds``.
 
     Empty lists pass. ``ndim=None`` leaves the dimension count to the
-    caller. A list holding null or a string, or a number of the wrong
-    kind (a fraction where ``kinds`` is ``"iu"``), raises instead of
-    being coerced.
+    caller. A list holding null or a string, or a value of the wrong
+    kind (a fraction where ``kinds`` is ``"iu"``, a number where it is
+    ``"b"``), raises instead of being coerced.
     """
     try:
         arr = np.asarray(value)
@@ -72,7 +72,8 @@ def number_array(value, what: str, kinds: str, ndim: int | None = 1) -> np.ndarr
     if ndim is not None and arr.ndim != ndim:
         raise ParseError(f"{what} must be {ndim}-d, got {arr.ndim}-d")
     if arr.size and arr.dtype.kind not in kinds:
-        raise ParseError(f"{what} must hold only {'integers' if kinds == 'iu' else 'numbers'}")
+        kind = {"iu": "integers", "b": "booleans"}.get(kinds, "numbers")
+        raise ParseError(f"{what} must hold only {kind}")
     return arr
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "LabeledHypergraph",
     "build_hypergraph",
     "incidence",
+    "cooccurrence",
     "density_stats",
     "relabel_nodes",
     "ensure_min_degree",
@@ -80,6 +81,11 @@ class Hypergraph:
             self.num_edges, self.num_nodes, indptr, self.members, np.ones(len(self.members))
         )
         return by_edge.transpose()
+
+    @cached_property
+    def _cooccurrence(self) -> SparseMatrix:
+        h = self._incidence
+        return h @ h.transpose()
 
 
 def _flat(edges: list[tuple[int, ...]]) -> np.ndarray:
@@ -140,6 +146,16 @@ def incidence(hg: Hypergraph) -> SparseMatrix:
     caller shares one H and its cached transpose H^T.
     """
     return hg._incidence
+
+
+def cooccurrence(hg: Hypergraph) -> SparseMatrix:
+    """n x n product H H^T: entry (u, v) counts the edges holding both u and v.
+
+    Its diagonal is the node degrees. Built on first use and kept on the
+    hypergraph, like :func:`incidence`, so the clique expansion and the
+    structure bundle share one product.
+    """
+    return hg._cooccurrence
 
 
 def density_stats(hg: Hypergraph) -> tuple[float, float]:
@@ -314,7 +330,8 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
 
     Raises:
         ParseError: malformed JSON, missing keys, labels or ``num_classes``
-            that are not integers, labels out of range, features that are
+            that are not integers, split masks that are not booleans,
+            labels out of range, features that are
             not numbers (null included), a malformed base64 object, or a
             malformed ``features_csr``: bad lengths, a non-monotone
             ``indptr``, a column out of range, unsorted columns in a row or
@@ -358,9 +375,9 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
             hypergraph=hg,
             features=features,
             labels=labels,
-            train_mask=payload["train_mask"],
-            val_mask=payload["val_mask"],
-            test_mask=payload["test_mask"],
+            train_mask=number_array(payload["train_mask"], "train_mask", "b"),
+            val_mask=number_array(payload["val_mask"], "val_mask", "b"),
+            test_mask=number_array(payload["test_mask"], "test_mask", "b"),
             num_classes=num_classes,
         )
     except (TypeError, ValueError) as exc:

@@ -43,6 +43,12 @@ instance, each built on first use. :meth:`SparseMatrix.with_data` puts new
 values on the same pattern and shares that row grouping with its source.
 Such a matrix may hold zeros (an attention weight that dropout removed,
 say), since only products read it.
+
+A :class:`FactoredOperator` is a sum of terms diag(d) M1 ... Mk of
+matrices, applied factor by factor and never multiplied out. A product
+through it gathers the stored entries of its factors instead of those of
+their product: for the clique-pattern operators of a hypergraph, nnz(H)
+per factor rather than the O(sum |e|^2) entries of H H^T.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
-__all__ = ["SparseMatrix"]
+__all__ = ["FactoredOperator", "SparseMatrix"]
 
 # Columns with more entries than this leave the level loop of the transposed
 # product for one flat bincount, which bounds that loop's Python iterations.
@@ -454,3 +460,86 @@ class SparseMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+class FactoredOperator:
+    """A sum of terms diag(scale) @ M1 @ ... @ Mk of CSR matrices.
+
+    ``terms`` holds (scale, chain) pairs. ``scale`` is a vector with one
+    value per row, or None for the identity; ``chain`` is a tuple of
+    :class:`SparseMatrix` factors whose shapes link up. An empty chain makes
+    the diagonal term diag(scale). Products apply each chain right to left
+    and add the terms in order, so the result equals the multiplied-out
+    matrix's up to rounding. Immutable once built; the transpose is cached.
+    """
+
+    __slots__ = ("shape", "terms", "_transpose")
+
+    def __init__(self, shape: tuple[int, int], terms):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.terms: tuple[tuple[np.ndarray | None, tuple[SparseMatrix, ...]], ...] = tuple(
+            (None if scale is None else np.ascontiguousarray(scale, dtype=np.float64),
+             tuple(chain))
+            for scale, chain in terms
+        )
+        self._transpose: FactoredOperator | None = None
+        rows, cols = self.shape
+        if not self.terms:
+            raise ShapeMismatchError("a factored operator needs at least one term")
+        for scale, chain in self.terms:
+            if scale is not None and scale.shape != (rows,):
+                raise ShapeMismatchError(f"term scale must have {rows} values")
+            if not chain:
+                if scale is None or rows != cols:
+                    raise ShapeMismatchError("a diagonal term needs a scale and a square shape")
+                continue
+            inner = [m.rows for m in chain] + [cols]
+            if chain[0].rows != rows or any(m.cols != k for m, k in zip(chain, inner[1:])):
+                raise ShapeMismatchError(
+                    f"factors {[m.shape for m in chain]} do not chain to {self.shape}"
+                )
+
+    @property
+    def stored_terms(self) -> int:
+        """Entries a product gathers: each factor's nnz, n per diagonal term."""
+        return sum(
+            sum(m.nnz for m in chain) if chain else self.shape[0] for _, chain in self.terms
+        )
+
+    def matmul_dense(self, other) -> np.ndarray:
+        other = np.asarray(other, dtype=np.float64)
+        if other.ndim != 2 or other.shape[0] != self.shape[1]:
+            raise ShapeMismatchError(f"cannot multiply {self.shape} by {other.shape}")
+        out = None
+        for scale, chain in self.terms:
+            if chain:
+                part = other
+                for mat in reversed(chain):
+                    part = mat.matmul_dense(part)
+                if scale is not None:
+                    part *= scale[:, None]
+            else:
+                part = other * scale[:, None]
+            if out is None:
+                out = part
+            else:
+                out += part
+        return out
+
+    def transpose(self) -> FactoredOperator:
+        """Each chain reversed and transposed; a scale folds into its first factor."""
+        if self._transpose is None:
+            terms = []
+            for scale, chain in self.terms:
+                if chain and scale is not None:
+                    chain = (chain[0].scale_rows(scale),) + chain[1:]
+                    scale = None
+                terms.append((scale, tuple(m.transpose() for m in reversed(chain))))
+            t = FactoredOperator((self.shape[1], self.shape[0]), terms)
+            t._transpose = self
+            self._transpose = t
+        return self._transpose
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"FactoredOperator({self.shape[0]}x{self.shape[1]}, "
+                f"{len(self.terms)} terms, {self.stored_terms} stored)")

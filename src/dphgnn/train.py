@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import backward, cross_entropy
 from .errors import DivergenceError, ParseError, ShapeMismatchError
+from .fileio import number_array
 from .hypergraph import LabeledHypergraph, ensure_min_degree, load_dataset
 from .metrics import MetricsResult, metrics, predictions_from_logits
 from .model import (
@@ -341,22 +342,27 @@ def train(
 
 def _params_from_checkpoint(arrays: dict, extra: dict):
     rng = np.random.default_rng(0)
+    if not isinstance(extra, dict):
+        raise ParseError("checkpoint extra must be an object")
     model = extra.get("model")
+    if model not in ("hgnn", "dphgnn"):
+        raise ParseError(f"checkpoint has unknown model kind {model!r}")
+    dims = []
+    for key in ("in_dim", "hidden", "num_classes"):
+        if key not in extra:
+            raise ParseError(f"checkpoint extra lacks the model dimension {key!r}")
+        dims.append(int(number_array(extra[key], f"checkpoint extra {key}", "iu", ndim=0)))
     if model == "hgnn":
-        params = init_hgnn(rng, extra["in_dim"], extra["hidden"], extra["num_classes"])
-    elif model == "dphgnn":
+        params = init_hgnn(rng, *dims)
+    else:
         params = init_dphgnn(
             rng,
-            extra["in_dim"],
-            extra["hidden"],
-            extra["num_classes"],
+            *dims,
             num_heads=extra.get("attention_heads", 1),
             num_layers=extra.get("num_layers", 2),
             flags=AblationFlags(**extra.get("ablation", {})),
             sib_lambda=extra.get("sib_lambda", 1.0),
         )
-    else:
-        raise ParseError(f"checkpoint has unknown model kind {model!r}")
     assign_parameters(params.named_parameters(), arrays)
     return model, params
 

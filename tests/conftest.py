@@ -55,6 +55,27 @@ def dense_rw(hg: Hypergraph) -> np.ndarray:
     return np.eye(hg.num_nodes) - walk
 
 
+def dense_clique_adjacency(hg: Hypergraph) -> np.ndarray:
+    """Unit adjacency of the node pairs that share an edge, from dense H."""
+    H = dense_incidence(hg)
+    a = (H @ H.T > 0).astype(float)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def dense_clique_laplacian(hg: Hypergraph) -> np.ndarray:
+    a = dense_clique_adjacency(hg)
+    return np.diag(a.sum(axis=1)) - a
+
+
+def dense_prop_clique(hg: Hypergraph) -> np.ndarray:
+    """I + D^{-1} A of the clique expansion; a node with no neighbour keeps its identity row."""
+    a = dense_clique_adjacency(hg)
+    deg = a.sum(axis=1)
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    return np.eye(hg.num_nodes) + inv[:, None] * a
+
+
 def dense_adjacency(graph) -> np.ndarray:
     return graph.adjacency.to_dense()
 

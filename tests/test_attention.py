@@ -18,10 +18,11 @@ from dphgnn.attention import (
 from dphgnn import autodiff
 from dphgnn.autodiff import Tensor, backward, grad_check, mul, sum_all
 from dphgnn.errors import ShapeMismatchError
-from dphgnn.expand import clique_expand, star_expand
+from dphgnn.expand import RowTarget, clique_expand, row_mask, star_expand
 from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.precompute import build_structure
 from dphgnn.sparse import SparseMatrix
+from dphgnn.spectral import graph_laplacian
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
@@ -383,3 +384,23 @@ def test_cross_attention_ops_are_o_nnz_and_scale_linearly_in_nodes(monkeypatch):
         assert max(sizes) == max(pairs, n * width)
         largest[n] = max(sizes)
     assert largest[800] <= 2.2 * largest[400]
+
+
+def test_star_laplacian_node_rows_give_the_masked_product_bit_for_bit():
+    # Edges of up to 7 members: each supernode column of the full Laplacian
+    # then sums at most 8 terms, where its extra +0.0 term changes no bit.
+    hg = build_hypergraph(7, [(0, 1, 2), (2, 3), (1, 3, 4, 5, 6), (4,)])
+    rng = np.random.default_rng(8)
+    structure = build_structure(hg, rng.standard_normal((7, 2)))
+    full = graph_laplacian(structure.star.graph)
+    feats = rng.standard_normal((7 + 4, 3))
+    weights = rng.standard_normal((7, 3))
+    a, b = Tensor(feats, requires_grad=True), Tensor(feats, requires_grad=True)
+    masked = row_mask(autodiff.matmul(full, a), RowTarget.NODES, structure.star)
+    sliced = autodiff.matmul(structure.laplacians.star, b)
+    assert structure.laplacians.star.shape == (7, 11)
+    assert masked.value.tobytes() == sliced.value.tobytes()
+    backward(sum_all(mul(masked, weights)))
+    backward(sum_all(mul(sliced, weights)))
+    assert a.grad.tobytes() == b.grad.tobytes()
+

@@ -220,6 +220,27 @@ def test_errors_exit_code_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_eval_of_a_checkpoint_without_model_dimensions_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, epochs=1)
+    run_dir = tmp_path / "run"
+    assert run_cli(capsys, "train", "--config", str(config), "--out", str(run_dir))[0] == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMALL["generator"]))
+    data_path = tmp_path / "data.json"
+    run_cli(capsys, "generate", "--spec", str(spec), "--seed", "3", "--out", str(data_path))
+    checkpoint = run_dir / "checkpoint.json"
+    payload = json.loads(checkpoint.read_text())
+    for extra, named in (({"model": "dphgnn"}, "in_dim"),
+                         ({**payload["extra"], "hidden": 8.5}, "hidden"),
+                         ([], "extra")):
+        checkpoint.write_text(json.dumps({**payload, "extra": extra}))
+        code, _, err = run_cli(
+            capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(data_path)
+        )
+        assert code == 2
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
 def load_toml(path):
     try:
         import tomllib

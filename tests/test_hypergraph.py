@@ -249,8 +249,11 @@ def test_dataset_label_out_of_range(tmp_path):
         {"labels": [0, 1.9]},           # was truncated to [0, 1]
         {"num_classes": 2.7},           # was truncated to 2
         {"features": [[None], [1]]},    # null was read as NaN
+        {"train_mask": [2, None]},      # was read as [True, False]
+        {"test_mask": [0, 0.5]},        # was read as [False, True]
     ],
-    ids=["fractional_label", "fractional_num_classes", "null_feature"],
+    ids=["fractional_label", "fractional_num_classes", "null_feature", "numeric_train_mask",
+         "fractional_test_mask"],
 )
 def test_dataset_numbers_are_not_coerced(tmp_path, patch):
     path = tmp_path / "bad.json"

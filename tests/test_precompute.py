@@ -8,10 +8,20 @@ import zipfile
 import numpy as np
 import pytest
 
+import dphgnn.experiments as experiments
 import dphgnn.precompute as precompute
-from conftest import dense_incidence
-from dphgnn.experiments import IsoPoolSpec, build_iso_pool
-from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
+from conftest import (
+    dense_clique_laplacian,
+    dense_incidence,
+    dense_prop_clique,
+    dense_rw,
+    dense_smoothing,
+    dense_sym,
+)
+from dphgnn.attention import UpdateVariant, propagation_matrix
+from dphgnn.errors import IsolatedNodeError
+from dphgnn.experiments import IsoPoolSpec, build_iso_pool, time_forward
+from dphgnn.hypergraph import build_hypergraph, cooccurrence, ensure_min_degree
 from dphgnn.model import dphgnn_forward, init_dphgnn
 from dphgnn.precompute import (
     StructureBundle,
@@ -20,8 +30,22 @@ from dphgnn.precompute import (
     load_or_build,
     save_structure,
 )
-from dphgnn.sparse import SparseMatrix
+from dphgnn.sparse import FactoredOperator, SparseMatrix
+from dphgnn.spectral import build_laplacians
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
+
+# The operators a bundle may hold in factored form, by their attribute path.
+FACTORABLE = ("laplacians.smoothing", "laplacians.rw_plus_sym", "laplacians.clique", "prop_clique")
+
+
+def getattr_path(obj, path: str):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def forms(bundle: StructureBundle) -> dict[str, str]:
+    return {path: type(getattr_path(bundle, path)).__name__ for path in FACTORABLE}
 
 
 def test_bundle_operators_match_dense(spec_example):
@@ -90,13 +114,43 @@ def test_csr_features_cache_round_trip_and_match_the_dense_bundle(tmp_path):
     assert bundle_digest(missed) == bundle_digest(build_structure(hg, np.eye(40)))
 
 
+def reference_operators(bundle: StructureBundle) -> dict[str, SparseMatrix]:
+    """The CSR forms that build_laplacians and propagation_matrix give.
+
+    The star Laplacian has all n + m rows, of which a bundle keeps the n
+    node rows.
+    """
+    laps = build_laplacians(
+        bundle.hypergraph, bundle.clique, bundle.star.graph, bundle.hypergcn
+    )
+    return {
+        "laplacians.smoothing": laps.smoothing,
+        "laplacians.rw_plus_sym": laps.rw_plus_sym,
+        "laplacians.clique": laps.clique,
+        "laplacians.star": laps.star,
+        "prop_clique": propagation_matrix(bundle.clique, UpdateVariant.RESIDUAL_RW),
+    }
+
+
 def bundle_digest(bundle: StructureBundle) -> str:
-    """sha256 over the shape, indptr, indices and data of every operator, then the degrees."""
-    laps = bundle.laplacians
+    """sha256 over the shape, indptr, indices and data of every operator, then the degrees.
+
+    A factored operator, and the star Laplacian's node rows, are digested
+    as their CSR reference (:func:`reference_operators`), which
+    test_bundle_operators_match_their_csr_reference compares with the
+    bundle's own form.
+    """
+    reference = reference_operators(bundle)
+
+    def csr(path):
+        op = getattr_path(bundle, path)
+        return op if isinstance(op, SparseMatrix) else reference[path]
+
     operators = (
         bundle.clique.adjacency, bundle.star.graph.adjacency, bundle.hypergcn.adjacency,
-        laps.smoothing, laps.clique, laps.star, laps.hypergcn, laps.rw_plus_sym,
-        bundle.prop_clique, bundle.prop_star, bundle.prop_hypergcn, bundle.attention_pattern,
+        csr("laplacians.smoothing"), csr("laplacians.clique"), reference["laplacians.star"],
+        bundle.laplacians.hypergcn, csr("laplacians.rw_plus_sym"),
+        csr("prop_clique"), bundle.prop_star, bundle.prop_hypergcn, bundle.attention_pattern,
         bundle.edge_from_node, bundle.super_gather, bundle.node_from_edge,
     )
     digest = hashlib.sha256()
@@ -133,30 +187,136 @@ def test_bundle_operators_frozen_digest(make_data, expected):
     assert bundle_digest(bundle) == expected
 
 
+def _wide_edges():
+    return generate_synthetic(TwoCommunitySpec(num_nodes=120, num_edges=60, edge_size=8), 0)
+
+
+def assert_close_relative(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "make_data",
+    [
+        lambda: build_iso_pool(IsoPoolSpec(num_pairs=10), 0)[0],
+        _wide_edges,
+        lambda: generate_synthetic(TwoCommunitySpec(num_nodes=40, num_edges=20, edge_size=5), 1),
+    ],
+    ids=["iso_pool", "two_community", "two_community_small"],
+)
+def test_bundle_operators_match_their_csr_reference(make_data):
+    data = make_data()
+    bundle = build_structure(ensure_min_degree(data.hypergraph), data.features)
+    reference = reference_operators(bundle)
+    x = np.random.default_rng(0).standard_normal((data.num_nodes, 5))
+    for path in FACTORABLE:
+        op, csr = getattr_path(bundle, path), reference[path]
+        if isinstance(op, SparseMatrix):
+            for got, want in zip(operator_arrays(op), operator_arrays(csr), strict=True):
+                np.testing.assert_array_equal(got, want, err_msg=path)
+        else:
+            assert_close_relative(op.matmul_dense(x), csr.matmul_dense(x))
+            assert_close_relative(op.transpose().matmul_dense(x), csr.transpose().matmul_dense(x))
+    node_rows = reference["laplacians.star"].take_row_range(0, data.num_nodes)
+    for got, want in zip(
+        operator_arrays(bundle.laplacians.star), operator_arrays(node_rows), strict=True
+    ):
+        np.testing.assert_array_equal(got, want)
+
+
+def hypergraph_with_shared_pairs(rng, n: int):
+    """Random edges over all but the last three nodes, which lie in singleton edges only.
+
+    The first edge is repeated, so its member pairs share at least two edges.
+    """
+    core = n - 3
+    edges = [tuple(rng.choice(core, size=int(rng.integers(2, 6)), replace=False))
+             for _ in range(core)]
+    edges += [edges[0]] + [(v,) for v in range(core, n)]
+    return ensure_min_degree(build_hypergraph(n, edges))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_operators_match_the_dense_oracles(seed, monkeypatch):
+    monkeypatch.setattr(precompute, "FACTORED_SHARE", np.inf)  # factor all four
+    rng = np.random.default_rng(seed)
+    hg = hypergraph_with_shared_pairs(rng, 30)
+    shared = cooccurrence(hg).to_dense() - np.diag(hg.node_degrees)
+    assert shared.max() >= 2 and np.count_nonzero(shared.sum(axis=1) == 0) >= 3
+    bundle = build_structure(hg, rng.standard_normal((30, 3)))
+    oracles = {
+        "laplacians.smoothing": dense_smoothing(hg),
+        "laplacians.rw_plus_sym": dense_rw(hg) + dense_sym(hg),
+        "laplacians.clique": dense_clique_laplacian(hg),
+        "prop_clique": dense_prop_clique(hg),
+    }
+    x = rng.standard_normal((30, 4))
+    for path, dense in oracles.items():
+        op = getattr_path(bundle, path)
+        assert isinstance(op, FactoredOperator), path
+        assert_close_relative(op.matmul_dense(x), dense @ x)
+        assert_close_relative(op.transpose().matmul_dense(x), dense.T @ x)
+
+
+def test_isolated_node_is_rejected_before_factoring():
+    hg = build_hypergraph(10, [tuple(range(9))])  # node 9 lies in no edge
+    with pytest.raises(IsolatedNodeError):
+        build_structure(hg, np.ones((10, 2)))
+
+
+def test_factored_form_is_chosen_by_stored_terms(monkeypatch):
+    every_csr = dict.fromkeys(FACTORABLE, "SparseMatrix")
+    iso, _ = build_iso_pool(IsoPoolSpec(num_pairs=10), 0)
+    assert forms(build_structure(ensure_min_degree(iso.hypergraph), iso.features)) == every_csr
+    # Size-8 edges: rw_plus_sym's factors hold 0.71 of its CSR terms on 120
+    # nodes, above the share; the other three hold at most 0.57.
+    data = _wide_edges()
+    assert forms(build_structure(ensure_min_degree(data.hypergraph), data.features)) == {
+        **dict.fromkeys(FACTORABLE, "FactoredOperator"),
+        "laplacians.rw_plus_sym": "SparseMatrix",
+    }
+    # The wide_edges_train benchmark instance factors all four.
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=2000, num_edges=1000, edge_size=8), 0)
+    assert set(forms(build_structure(ensure_min_degree(data.hypergraph), data.features))
+               .values()) == {"FactoredOperator"}
+    # The instances of acceptance check c10 keep every operator one CSR.
+    built = []
+
+    def recording_build(hg, features):
+        built.append(build_structure(hg, features))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_structure", recording_build)
+    time_forward(300, [100, 200, 400], repeats=1)
+    assert [forms(bundle) for bundle in built] == [every_csr] * 3
+
+
+def operator_arrays(op) -> list[np.ndarray]:
+    """Shape and stored arrays of a CSR matrix, or of every term of a factored operator."""
+    if isinstance(op, SparseMatrix):
+        return [np.array(op.shape), op.indptr, op.indices, op.data]
+    out = [np.array(op.shape)]
+    for scale, chain in op.terms:
+        out += [np.array([scale is None, len(chain)]), np.zeros(0) if scale is None else scale]
+        for mat in chain:
+            out += operator_arrays(mat)
+    return out
+
+
 def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
     assert a.key == b.key
     assert a.hypergraph.edges == b.hypergraph.edges
-    for field in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(
-            getattr(a.attention_pattern, field), getattr(b.attention_pattern, field)
-        )
     for name in (
-        "prop_clique", "prop_star", "prop_hypergcn",
+        "attention_pattern", "prop_clique", "prop_star", "prop_hypergcn",
         "edge_from_node", "super_gather", "node_from_edge",
+        "laplacians.smoothing", "laplacians.clique", "laplacians.star",
+        "laplacians.hypergcn", "laplacians.rw_plus_sym",
+        "clique.adjacency", "star.graph.adjacency",
     ):
-        np.testing.assert_array_equal(
-            getattr(a, name).to_dense(), getattr(b, name).to_dense()
-        )
-    for name in ("smoothing", "clique", "star", "hypergcn", "rw_plus_sym"):
-        np.testing.assert_array_equal(
-            getattr(a.laplacians, name).to_dense(), getattr(b.laplacians, name).to_dense()
-        )
-    np.testing.assert_array_equal(
-        a.clique.adjacency.to_dense(), b.clique.adjacency.to_dense()
-    )
-    np.testing.assert_array_equal(
-        a.star.graph.adjacency.to_dense(), b.star.graph.adjacency.to_dense()
-    )
+        op_a, op_b = (getattr_path(bundle, name) for bundle in (a, b))
+        assert type(op_a) is type(op_b), name
+        for x, y in zip(operator_arrays(op_a), operator_arrays(op_b), strict=True):
+            np.testing.assert_array_equal(x, y, err_msg=name)
     assert a.star.num_nodes == b.star.num_nodes
     assert a.star.num_supernodes == b.star.num_supernodes
 
@@ -170,6 +330,44 @@ def test_cache_round_trip(tmp_path, spec_example):
     assert first.key in cached[0].name
     second = load_or_build(spec_example, features, cache_dir=tmp_path)
     assert_bundles_equal(first, second)
+
+
+def test_factored_bundle_cache_round_trip(tmp_path, monkeypatch):
+    data = _wide_edges()
+    hg = ensure_min_degree(data.hypergraph)
+    missed = load_or_build(hg, data.features, cache_dir=tmp_path)
+    assert "FactoredOperator" in forms(missed).values()
+    [path] = tmp_path.glob("structure-*.npz")
+    with np.load(path) as blob:  # factors shared between operators are stored once
+        assert sum(name.endswith(".indptr") and name.startswith("factor.")
+                   for name in blob.files) == 5
+
+    def no_build(*args):
+        raise AssertionError("a cache hit must not build")
+
+    monkeypatch.setattr(precompute, "_build", no_build)
+    hit = load_or_build(hg, data.features, cache_dir=tmp_path)
+    assert_bundles_equal(missed, hit)
+    assert bundle_digest(hit) == bundle_digest(missed)
+    params = init_dphgnn(np.random.default_rng(2), data.num_features, 8, data.num_classes)
+    data = dataclasses.replace(data, hypergraph=hg)
+    np.testing.assert_array_equal(
+        dphgnn_forward(data, params, structure=hit).logits.value,
+        dphgnn_forward(data, params, structure=missed).logits.value,
+    )
+
+
+def test_cache_file_of_format_v4_is_a_miss(tmp_path, spec_example, monkeypatch):
+    features = np.ones((4, 2))
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 4)
+    load_or_build(spec_example, features, cache_dir=tmp_path)
+    [old] = tmp_path.glob("structure-*.npz")
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 5)
+    built, build = [], precompute._build
+    monkeypatch.setattr(precompute, "_build", lambda *args: built.append(1) or build(*args))
+    load_or_build(spec_example, features, cache_dir=tmp_path)
+    assert built == [1]
+    assert len(list(tmp_path.glob("structure-*.npz"))) == 2 and old.exists()
 
 
 def test_load_or_build_hashes_once_on_a_miss_and_on_a_hit(tmp_path, spec_example, monkeypatch):
@@ -309,6 +507,35 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, spec_example, corrupt):
     assert_bundles_equal(fresh, load_or_build(spec_example, features, cache_dir=tmp_path))
 
 
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(array))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda members: members.pop("factor.0.data.npy"),
+        lambda members: members.update({"prop_clique.chain_lengths.npy": _npy([0, 3, 1])}),
+        lambda members: members.update({"lap.smoothing.factors.npy": _npy([0, 99])}),
+        lambda members: members.update({"lap.smoothing.factors.npy": _npy([1, 0])}),
+        lambda members: members.update({"lap.clique.scales.npy": _npy(np.ones((1, 120)))}),
+    ],
+    ids=["missing_factor", "bad_chain_lengths", "unknown_factor", "factors_do_not_chain",
+         "scales_count"],
+)
+def test_unreadable_factored_operator_is_a_miss(tmp_path, edit):
+    data = _wide_edges()
+    hg = ensure_min_degree(data.hypergraph)
+    fresh = load_or_build(hg, data.features, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("structure-*.npz")
+    good = path.read_bytes()
+    _rewrite_members(path, edit)
+    assert_bundles_equal(fresh, load_or_build(hg, data.features, cache_dir=tmp_path))
+    assert path.read_bytes() == good
+
+
 def _arrays_in(obj, seen=None):
     """Every ndarray reachable from a bundle through fields, slots and containers."""
     seen = set() if seen is None else seen
@@ -326,6 +553,8 @@ def _arrays_in(obj, seen=None):
     elif isinstance(obj, SparseMatrix):
         for name in ("indptr", "indices", "data"):
             yield getattr(obj, name)
+    elif isinstance(obj, FactoredOperator):
+        yield from _arrays_in(obj.terms, seen)
 
 
 def test_bundle_and_cache_hold_no_quadratic_array(tmp_path):

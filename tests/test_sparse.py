@@ -5,7 +5,8 @@ import pytest
 from conftest import dense_sym
 
 from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
-from dphgnn.sparse import SparseMatrix
+from dphgnn.errors import ShapeMismatchError
+from dphgnn.sparse import FactoredOperator, SparseMatrix
 from dphgnn.spectral import laplacian_sym
 
 
@@ -485,3 +486,51 @@ def test_transpose_matmul_dense_rejects_bad_shapes():
                         (np.ones(3), np.ones((3, 1))), (np.ones(3), np.ones(2))):
         with pytest.raises(ShapeMismatchError):
             m.transpose_matmul_dense(data, other)
+
+
+def test_factored_operator_matches_its_dense_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n, mid, inner, width = (int(v) for v in rng.integers(1, 9, size=4))
+        m1, m2 = random_dense(rng, n, mid), random_dense(rng, mid, inner)
+        m3 = random_dense(rng, inner, n)
+        d1, d2 = rng.standard_normal(n), rng.standard_normal(n)
+        op = FactoredOperator((n, n), [
+            (d1, ()),
+            (d2, tuple(map(SparseMatrix.from_dense, (m1, m2, m3)))),
+            (None, (SparseMatrix.from_dense(m1 @ m2 @ m3),)),
+        ])
+        dense = np.diag(d1) + np.diag(d2) @ m1 @ m2 @ m3 + m1 @ m2 @ m3
+        x = rng.standard_normal((n, width))
+        np.testing.assert_allclose(op.matmul_dense(x), dense @ x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            op.transpose().matmul_dense(x), dense.T @ x, rtol=1e-12, atol=1e-12
+        )
+        assert op.transpose().transpose() is op
+        assert op.stored_terms == n + sum(
+            SparseMatrix.from_dense(m).nnz for m in (m1, m2, m3, m1 @ m2 @ m3)
+        )
+
+
+def test_factored_operator_leaves_its_input_alone():
+    x = np.arange(6.0).reshape(3, 2)
+    before = x.copy()
+    op = FactoredOperator((3, 3), [(np.full(3, 2.0), ()), (None, (SparseMatrix.identity(3),))])
+    np.testing.assert_array_equal(op.matmul_dense(x), 3 * before)
+    np.testing.assert_array_equal(x, before)
+
+
+def test_factored_operator_rejects_factors_that_do_not_chain():
+    a = SparseMatrix.identity(3)
+    b = SparseMatrix.from_coo(2, 3, [0], [1], [1.0])
+    with pytest.raises(ShapeMismatchError):
+        FactoredOperator((3, 3), [(None, (a, b))])
+    with pytest.raises(ShapeMismatchError):
+        FactoredOperator((3, 3), [(np.ones(2), (a,))])
+    with pytest.raises(ShapeMismatchError):
+        FactoredOperator((3, 3), [(None, ())])
+    with pytest.raises(ShapeMismatchError):
+        FactoredOperator((3, 3), [])
+    with pytest.raises(ShapeMismatchError):
+        FactoredOperator((3, 3), [(np.ones(3), (a,))]).matmul_dense(np.ones((2, 1)))
+
