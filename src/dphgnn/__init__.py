@@ -12,6 +12,7 @@ from .errors import (
     DuplicateMemberError,
     EmptyEdgeError,
     EmptyMaskError,
+    GraphConsumedError,
     InfeasibleSpecError,
     IsolatedNodeError,
     MaskOverlapError,
@@ -44,7 +45,7 @@ from .spectral import (
     laplacian_sym,
     sib_update,
 )
-from .autodiff import Tensor, backward, grad_check
+from .autodiff import Tensor, backward, grad_check, no_grad
 from .attention import TaaParams, UpdateVariant, cross_attention, single_layer_update, taa_forward
 from .model import (
     AblationFlags,
@@ -73,6 +74,7 @@ __all__ = [
     "DuplicateMemberError",
     "EmptyEdgeError",
     "EmptyMaskError",
+    "GraphConsumedError",
     "InfeasibleSpecError",
     "IsolatedNodeError",
     "MaskOverlapError",
@@ -111,6 +113,7 @@ __all__ = [
     "Tensor",
     "backward",
     "grad_check",
+    "no_grad",
     "TaaParams",
     "UpdateVariant",
     "single_layer_update",

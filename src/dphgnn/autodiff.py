@@ -1,21 +1,41 @@
 """Minimal reverse-mode automatic differentiation on dense float64 arrays.
 
-Tensors hold at most two axes (plus 0-d scalars for losses). Every op
-records its parents and a backward closure; ``backward`` runs a reverse
-topological sweep and accumulates gradients into leaf tensors that
-require them; an op's own gradient is dropped once it has been passed
-on. Structure matrices enter as constants, either dense or as a
+Tensors hold at most two axes (plus 0-d scalars for losses). A
+:class:`Tensor` holds its ``value`` and, when it requires grad, a grad
+node. An op's node holds the parents' nodes and a backward closure, never
+a tensor, so the tape pins only what the closures save:
+
+- ``mul``, dense ``matmul`` and ``segment_sums``: the operands their
+  gradients read (the other operand of each operand that requires grad);
+- ``sigmoid``, ``softmax_rows`` and ``segment_softmax``: their output;
+  ``cross_entropy``: the masked logits, their row maxima, labels and rows;
+- ``relu``, ``leaky_relu`` and ``dropout``: a bool mask; dropout rebuilds
+  its ``keep / (1 - p)`` factor in backward;
+- ``add``, ``sub``, ``scale``, the concats, the selects, ``transpose``,
+  ``sum_all`` and sparse ``matmul``: no values, only shapes, indices or
+  the constant operator.
+
+An op output whose value no closure saves is freed as soon as the caller
+drops it. ``backward`` runs a reverse topological sweep, accumulates
+gradients into the leaf tensors that require them, and consumes the graph
+as it goes: each op's gradient, closure and parent links are dropped once
+it has run, so saved arrays die during the sweep. A second ``backward``
+through a consumed op raises :class:`~dphgnn.errors.GraphConsumedError`.
+Inside :func:`no_grad` ops record nothing and their outputs never require
+grad. Structure matrices enter as constants, either dense or as a
 :class:`~dphgnn.sparse.SparseMatrix` or
 :class:`~dphgnn.sparse.FactoredOperator`, and never receive gradients.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptyMaskError, NonScalarLossError, ShapeMismatchError
+from .errors import EmptyMaskError, GraphConsumedError, NonScalarLossError, ShapeMismatchError
 from .sparse import FactoredOperator, SparseMatrix, _scatter_rows
 
 # Pairs per slice of the segment_sums weights gradient, which holds two
@@ -46,29 +66,78 @@ __all__ = [
     "cross_entropy",
     "backward",
     "grad_check",
+    "no_grad",
 ]
 
 
-class Tensor:
-    """Array node in the computation graph."""
+class _Node:
+    """Gradient slot of a tensor that requires grad.
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    A leaf's node has no closure and keeps its gradient. An op's node holds
+    its parents' nodes and its backward closure until ``backward`` runs it;
+    then ``backward`` is set to ``_CONSUMED``.
+    """
+
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents: tuple[_Node, ...] = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward: Callable[[np.ndarray], None] | None = backward
+
+
+# Marks an op node whose closure an earlier backward ran and dropped.
+_CONSUMED = object()
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: op outputs never require grad.
+
+    Nests, and restores the previous mode on exit, exceptions included.
+    Values are computed exactly as with recording on.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
+
+
+class Tensor:
+    """Array value plus, when it requires grad, its node in the graph."""
+
+    __slots__ = ("value", "_node")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
         if self.value.ndim > 2:
             raise ShapeMismatchError("tensors hold at most two axes")
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self) -> None:
         backward(self)
@@ -96,24 +165,31 @@ def as_tensor(x) -> Tensor:
 
 def _make(value: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     out = Tensor(value)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = bwd
+    if _GRAD_MODE.enabled:
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        if nodes:
+            out._node = _Node(nodes, bwd)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(node: _Node | None, g, view: bool = False) -> None:
+    """Add ``g`` into ``node``'s gradient; a no-op for a constant (None).
+
+    A first gradient is taken as it is: closures pass arrays they built and
+    hold no other reference to. One that is a view or an alias of another
+    array (``view=True``) is copied first, since a later ``+=`` into it
+    would write through to that array.
+    """
+    if node is None:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64, copy=True) if view else np.asarray(g, dtype=np.float64)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient g down to the given broadcast source shape."""
+    """Sum gradient g down to the given broadcast source shape; g itself if no axis is summed."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -124,15 +200,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # elementwise and structural ops
+#
+# Closures capture parent nodes, shapes, indices and the arrays they save,
+# never a Tensor: a captured Tensor would pin its value on the tape.
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     val = a.value + b.value
+    an, bn, a_shape, b_shape = a._node, b._node, a.value.shape, b.value.shape
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        # g is this op's own gradient and may go to one parent as it is;
+        # the other parent copies it when it gets g unsummed as well.
+        ga = _unbroadcast(g, a_shape)
+        _accum(an, ga)
+        gb = _unbroadcast(g, b_shape)
+        _accum(bn, gb, view=gb is g)
 
     return _make(val, (a, b), bwd)
 
@@ -145,10 +229,15 @@ def mul(a, b) -> Tensor:
     """Hadamard product with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
     val = a.value * b.value
+    an, bn, a_shape, b_shape = a._node, b._node, a.value.shape, b.value.shape
+    av = a.value if bn is not None else None
+    bv = b.value if an is not None else None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
+        if an is not None:
+            _accum(an, _unbroadcast(g * bv, a_shape))
+        if bn is not None:
+            _accum(bn, _unbroadcast(g * av, b_shape))
 
     return _make(val, (a, b), bwd)
 
@@ -157,9 +246,10 @@ def scale(a, factor: float) -> Tensor:
     a = as_tensor(a)
     factor = float(factor)
     val = a.value * factor
+    an = a._node
 
     def bwd(g):
-        _accum(a, g * factor)
+        _accum(an, g * factor)
 
     return _make(val, (a,), bwd)
 
@@ -169,9 +259,10 @@ def matmul(a, b) -> Tensor:
     if isinstance(a, (SparseMatrix, FactoredOperator)):
         b = as_tensor(b)
         val = a.matmul_dense(b.value)
+        bn = b._node
 
         def bwd_sparse(g):
-            _accum(b, a.transpose().matmul_dense(g))
+            _accum(bn, a.transpose().matmul_dense(g))
 
         return _make(val, (b,), bwd_sparse)
 
@@ -183,12 +274,15 @@ def matmul(a, b) -> Tensor:
             f"cannot multiply {a.value.shape} by {b.value.shape}"
         )
     val = a.value @ b.value
+    an, bn = a._node, b._node
+    av = a.value if bn is not None else None
+    bv = b.value if an is not None else None
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.value.T)
-        if b.requires_grad:
-            _accum(b, a.value.T @ g)
+        if an is not None:
+            _accum(an, g @ bv.T)
+        if bn is not None:
+            _accum(bn, av.T @ g)
 
     return _make(val, (a, b), bwd)
 
@@ -199,10 +293,11 @@ def concat_cols(a, b) -> Tensor:
         raise ShapeMismatchError("concat_cols needs equal row counts")
     val = np.concatenate([a.value, b.value], axis=1)
     split = a.value.shape[1]
+    an, bn = a._node, b._node
 
     def bwd(g):
-        _accum(a, g[:, :split])
-        _accum(b, g[:, split:])
+        _accum(an, g[:, :split], view=True)
+        _accum(bn, g[:, split:], view=True)
 
     return _make(val, (a, b), bwd)
 
@@ -213,10 +308,11 @@ def concat_rows(a, b) -> Tensor:
         raise ShapeMismatchError("concat_rows needs equal column counts")
     val = np.concatenate([a.value, b.value], axis=0)
     split = a.value.shape[0]
+    an, bn = a._node, b._node
 
     def bwd(g):
-        _accum(a, g[:split])
-        _accum(b, g[split:])
+        _accum(an, g[:split], view=True)
+        _accum(bn, g[split:], view=True)
 
     return _make(val, (a, b), bwd)
 
@@ -225,9 +321,10 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     keep = a.value > 0
     val = np.where(keep, a.value, 0.0)
+    an = a._node
 
     def bwd(g):
-        _accum(a, g * keep)
+        _accum(an, g * keep)
 
     return _make(val, (a,), bwd)
 
@@ -236,9 +333,10 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     pos = a.value > 0
     val = np.where(pos, a.value, negative_slope * a.value)
+    an = a._node
 
     def bwd(g):
-        _accum(a, g * np.where(pos, 1.0, negative_slope))
+        _accum(an, g * np.where(pos, 1.0, negative_slope))
 
     return _make(val, (a,), bwd)
 
@@ -248,9 +346,10 @@ def sigmoid(a) -> Tensor:
     # Split by sign to stay overflow-free.
     x = a.value
     val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    an = a._node
 
     def bwd(g):
-        _accum(a, g * val * (1.0 - val))
+        _accum(an, g * val * (1.0 - val))
 
     return _make(val, (a,), bwd)
 
@@ -277,10 +376,11 @@ def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
         shifted = x - np.where(mask, x, -np.inf).max(axis=1, keepdims=True)
         e = np.where(mask, np.exp(shifted), 0.0)
     val = e / e.sum(axis=1, keepdims=True)
+    an = a._node
 
     def bwd(g):
         inner = (g * val).sum(axis=1, keepdims=True)
-        _accum(a, val * (g - inner))
+        _accum(an, val * (g - inner))
 
     return _make(val, (a,), bwd)
 
@@ -319,6 +419,7 @@ def segment_softmax(a, indptr: np.ndarray) -> Tensor:
     else:
         val_flat = flat.copy()
     val = val_flat[:, None]
+    an = a._node
 
     def bwd(g):
         gf = g[:, 0]
@@ -326,7 +427,7 @@ def segment_softmax(a, indptr: np.ndarray) -> Tensor:
             inner = np.add.reduceat(val_flat * gf, starts)[seg_id]
         else:
             inner = gf
-        _accum(a, (val_flat * (gf - inner))[:, None])
+        _accum(an, (val_flat * (gf - inner))[:, None])
 
     return _make(val, (a,), bwd)
 
@@ -351,13 +452,17 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
         )
     # matmul_dense rejects values whose row count is not pattern.cols.
     val = pattern.with_data(w[:, 0]).matmul_dense(v)
+    wn, vn = weights._node, values._node
+    # Each gradient reads the other operand; keep only the ones it needs.
+    w = w if vn is not None else None
+    v = v if wn is not None else None
 
     def bwd(g):
-        if values.requires_grad:
+        if vn is not None:
             # Column sums in stored-entry order from 0.0, as np.add.at adds;
             # the plan is cached on ``pattern``, not on the with_data copy.
-            _accum(values, pattern.transpose_matmul_dense(w[:, 0], g))
-        if weights.requires_grad:
+            _accum(vn, pattern.transpose_matmul_dense(w[:, 0], g))
+        if wn is not None:
             # g[row] . v[col] per pair, _WEIGHT_GRAD_PAIRS pairs at a time.
             # Summed over the width by a product with ones, so the result
             # matches the broadcast-and-multiply formulation bit for bit.
@@ -369,7 +474,7 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
                 terms = v[pattern.indices[at]]
                 terms *= g[row_of[at]]
                 grad[at] = terms @ ones
-            _accum(weights, grad)
+            _accum(wn, grad)
 
     return _make(val, (weights, values), bwd)
 
@@ -378,7 +483,7 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
     """Inverted dropout: kept entries are scaled by 1 / (1 - p).
 
     With ``train=False`` or ``p == 0`` the input tensor is returned
-    unchanged.
+    unchanged. Backward keeps the bool mask and rebuilds the factor.
     """
     a = as_tensor(a)
     if not 0.0 <= p < 1.0:
@@ -388,11 +493,11 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     keep = rng.random(a.value.shape) >= p
-    factor = keep / (1.0 - p)
-    val = a.value * factor
+    val = a.value * (keep / (1.0 - p))
+    an = a._node
 
     def bwd(g):
-        _accum(a, g * factor)
+        _accum(an, g * (keep / (1.0 - p)))
 
     return _make(val, (a,), bwd)
 
@@ -401,9 +506,10 @@ def select_rows(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     val = a.value[index]
+    an, rows = a._node, a.value.shape[0]
 
     def bwd(g):
-        _accum(a, _scatter_rows(index, g, a.value.shape[0]))
+        _accum(an, _scatter_rows(index, g, rows))
 
     return _make(val, (a,), bwd)
 
@@ -412,14 +518,14 @@ def select_cols(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     val = a.value[:, index]
+    an, (rows, cols) = a._node, a.value.shape
 
     def bwd(g):
         # Entry (r, k) of g adds into (r, index[k]): one bincount over g in
         # row-major order, so repeated columns add in index order from 0.0,
         # as np.add.at does, with no transposed copy of g or of the result.
-        rows, cols = a.value.shape
         key = np.arange(rows)[:, None] * cols + index
-        _accum(a, np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * cols).reshape(rows, cols))
+        _accum(an, np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * cols).reshape(rows, cols))
 
     return _make(val, (a,), bwd)
 
@@ -427,9 +533,10 @@ def select_cols(a, index: np.ndarray) -> Tensor:
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     val = a.value.T.copy()
+    an = a._node
 
     def bwd(g):
-        _accum(a, g.T)
+        _accum(an, g.T, view=True)
 
     return _make(val, (a,), bwd)
 
@@ -437,9 +544,10 @@ def transpose(a) -> Tensor:
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
     val = np.asarray(a.value.sum())
+    an, shape = a._node, a.value.shape
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g, a.value.shape))
+        _accum(an, np.broadcast_to(g, shape), view=True)
 
     return _make(val, (a,), bwd)
 
@@ -466,14 +574,15 @@ def cross_entropy(logits, labels: np.ndarray, mask: np.ndarray) -> Tensor:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     val = np.asarray(np.mean(lse - z[np.arange(rows.size), y]))
+    node = logits._node
 
     def bwd(g):
         soft = np.exp(z - zmax)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(rows.size), y] -= 1.0
-        full = np.zeros_like(logits.value)
+        full = np.zeros((n, c))
         full[rows] = soft * (float(g) / rows.size)
-        _accum(logits, full)
+        _accum(node, full)
 
     return _make(val, (logits,), bwd)
 
@@ -483,16 +592,27 @@ def cross_entropy(logits, labels: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients from a scalar loss."""
+    """Reverse-accumulate gradients from a scalar loss, consuming its graph.
+
+    Each op's closure runs once and is then dropped with its gradient and
+    its parent links, so the arrays it saved are freed during the sweep.
+    Leaves keep their gradients.
+
+    Raises:
+        NonScalarLossError: ``loss`` holds more than one value.
+        GraphConsumedError: the graph reaches an op that an earlier
+            backward already ran; no gradient is touched then.
+    """
     if loss.value.size != 1:
         raise NonScalarLossError(
             f"backward needs a scalar, got shape {loss.value.shape}"
         )
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
         return
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -500,18 +620,23 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.backward is _CONSUMED:
+            raise GraphConsumedError(
+                "backward reached an op whose graph an earlier backward already "
+                "consumed; run the forward again"
+            )
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.value)
+    root.grad = np.ones_like(loss.value)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            # An op's gradient is spent once passed to its parents; only
-            # leaves keep theirs.
-            node.grad = None
+        if node.backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
+            node.backward(node.grad)
+        node.grad, node.parents, node.backward = None, (), _CONSUMED
 
 
 def grad_check(

@@ -45,6 +45,10 @@ class NonScalarLossError(DphgnnError):
     """backward() was called on a non-scalar value."""
 
 
+class GraphConsumedError(DphgnnError):
+    """backward() reached an op whose graph an earlier backward already freed."""
+
+
 class InfeasibleSpecError(DphgnnError):
     """A generator spec cannot be satisfied (e.g. edge size > num_nodes)."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward, cross_entropy
+from .autodiff import backward, cross_entropy, no_grad
 from .errors import DivergenceError, ParseError, ShapeMismatchError
 from .fileio import number_array
 from .hypergraph import LabeledHypergraph, ensure_min_degree, load_dataset
@@ -314,7 +314,8 @@ def train(
             }
             adam_step(group_params, grads, states[group_name])
 
-    final_logits = _forward_logits(config, data, params, structure, Mode.EVAL, None)
+    with no_grad():
+        final_logits = _forward_logits(config, data, params, structure, Mode.EVAL, None)
     report = TrainReport(
         model=config.model,
         seed=config.seed,
@@ -388,10 +389,11 @@ def evaluate(
             f"dataset has {data.num_classes} classes, checkpoint expects {extra.get('num_classes')}"
         )
     structure = load_or_build(data.hypergraph, data.features, cache_dir)
-    if model == "hgnn":
-        logits = hgnn_baseline_forward(data, params, structure=structure)
-    else:
-        logits = dphgnn_forward(data, params, mode=Mode.EVAL, structure=structure).logits
+    with no_grad():
+        if model == "hgnn":
+            logits = hgnn_baseline_forward(data, params, structure=structure)
+        else:
+            logits = dphgnn_forward(data, params, mode=Mode.EVAL, structure=structure).logits
     preds = predictions_from_logits(np.asarray(logits.value))
     return metrics(
         preds, data.labels, getattr(data, f"{mask_name}_mask"), num_classes=data.num_classes

@@ -1,8 +1,11 @@
 """Autodiff engine: per-op gradients vs finite differences, op semantics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from dphgnn import autodiff, errors
 from dphgnn.autodiff import (
     Tensor,
     add,
@@ -25,7 +28,7 @@ from dphgnn.autodiff import (
     sum_all,
     transpose,
 )
-from dphgnn.errors import EmptyMaskError, NonScalarLossError
+from dphgnn.errors import EmptyMaskError, NonScalarLossError, ShapeMismatchError
 from dphgnn.sparse import SparseMatrix
 
 
@@ -296,6 +299,84 @@ def test_backward_frees_intermediate_gradients_and_keeps_leaves():
     np.testing.assert_allclose(first, x.value.T @ (2.0 * act.value), atol=1e-12)
     backward(sum_all(mul(relu(matmul(x, w)), relu(matmul(x, w)))))
     np.testing.assert_array_equal(w.grad, first + first)
+
+
+def test_op_output_that_backward_never_reads_is_freed_when_dropped():
+    rng = np.random.default_rng(31)
+    w = param(rng, 6, 3)
+    op = SparseMatrix.from_dense(np.triu(rng.standard_normal((5, 6))))
+    doubled = add(w, w)
+    picked = select_cols(doubled, np.array([2, 0, 2]))
+    refs = [weakref.ref(doubled.value), weakref.ref(picked.value)]
+    out = matmul(op, picked)
+    del doubled, picked
+    # add, select_cols and the sparse product keep no values on the tape.
+    assert all(r() is None for r in refs)
+    backward(sum_all(out))
+    col = op.to_dense().sum(axis=0)
+    np.testing.assert_allclose(w.grad, 2.0 * np.stack([col, np.zeros(6), 2.0 * col], axis=1))
+
+
+def test_backward_frees_every_array_the_graph_saved(monkeypatch):
+    saved = []
+    make = autodiff._make
+
+    def recording_make(value, parents, bwd):
+        # The op's output and every array its closure captured.
+        saved.append(weakref.ref(value))
+        for cell in bwd.__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                saved.append(weakref.ref(cell.cell_contents))
+        return make(value, parents, bwd)
+
+    monkeypatch.setattr(autodiff, "_make", recording_make)
+    rng = np.random.default_rng(32)
+    w, b = param(rng, 5, 4), param(rng, 1, 4)
+    x = Tensor(rng.standard_normal((6, 5)))
+    h = dropout(leaky_relu(relu(add(matmul(x, w), b))), 0.5, rng=3)
+    loss = cross_entropy(softmax_rows(mul(h, sigmoid(h))), rng.integers(0, 4, 6), np.ones(6, bool))
+    del x, h
+    backward(loss)
+    alive = [r() for r in saved if r() is not None]
+    assert len(alive) == 1 and alive[0] is loss.value
+    assert w.grad.shape == (5, 4) and b.grad.shape == (1, 4)
+
+
+def test_no_grad_records_nothing_and_restores_the_mode():
+    rng = np.random.default_rng(33)
+    w, b = param(rng, 3, 3), param(rng, 1, 3)
+    x = Tensor(rng.standard_normal((4, 3)))
+    recorded = mul(add(matmul(x, w), b), matmul(x, w))
+    with autodiff.no_grad():
+        hidden = add(matmul(x, w), b)
+        ref = weakref.ref(hidden.value)
+        out = mul(hidden, matmul(x, w))
+        assert not out.requires_grad and out._node is None
+        del hidden
+        assert ref() is None  # mul saved no operand
+        with autodiff.no_grad():
+            pass
+        assert not matmul(x, w).requires_grad  # the inner block restored no-grad
+    assert out.value.tobytes() == recorded.value.tobytes()
+    assert matmul(x, w).requires_grad
+    with pytest.raises(ShapeMismatchError):
+        with autodiff.no_grad():
+            matmul(w, Tensor(np.ones((2, 2))))
+    assert matmul(x, w).requires_grad
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    rng = np.random.default_rng(34)
+    w = param(rng, 3, 2)
+    hidden = matmul(Tensor(rng.standard_normal((4, 3))), w)
+    loss = sum_all(mul(hidden, hidden))
+    backward(loss)
+    first = w.grad.copy()
+    with pytest.raises(errors.GraphConsumedError, match="consumed"):
+        backward(loss)
+    with pytest.raises(errors.GraphConsumedError):
+        backward(sum_all(relu(hidden)))  # a new loss over a consumed op
+    np.testing.assert_array_equal(w.grad, first)
 
 
 @pytest.mark.parametrize("shape", [(7, 4), (7,)])

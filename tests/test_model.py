@@ -1,5 +1,7 @@
 """Model assembly: mixing, fusion, prediction, ablations, equivalences."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -436,12 +438,45 @@ def test_parameter_groups_partition():
 
 
 def _train_step(data, seed):
-    """Logits and proj/head gradients of one TRAIN forward plus backward."""
+    """Logits and every parameter's gradient, in named order, of one TRAIN forward plus backward."""
     params = init_dphgnn(np.random.default_rng(seed), data.num_features, 8, 2, num_heads=2)
     trace = dphgnn_forward(data, params, Mode.TRAIN, rates=DropoutRates(0.1, 0.1, 0.1, 0.1),
                            rng=np.random.default_rng(seed))
     backward(cross_entropy(trace.logits, data.labels, data.train_mask))
-    return trace.logits.value, params.proj.weight.grad, params.head_weight.grad
+    return (trace.logits.value, *(t.grad for t in params.named_parameters().values()))
+
+
+# First 16 hex digits of the sha256 of the logits' and each gradient's bytes
+# from _train_step(<two_community n=60, m=40, size 4, seed 2>, 3). Any change
+# to an op's arithmetic, its summation order or the sweep order shows here.
+TRAIN_STEP_DIGESTS = {
+    "logits": "95070ef29c7327e4",
+    "proj.weight": "ae0bc546723814fb",
+    "proj.bias": "3887f2e15ecf541b",
+    "taa.delta": "3683b12f3bb9218d",
+    "taa.weight": "1ed212877780f215",
+    "taa.theta_clique": "00ddd359cb83ed85",
+    "taa.theta_star": "8ad5353e5ce7dbf6",
+    "taa.theta_hypergcn": "2acebce6f191e636",
+    "sib.theta": "399d889d27e315bf",
+    "mix.attended.weight": "76163dd4d4bf6e29",
+    "mix.attended.bias": "cbdddc66ae19d3aa",
+    "mix.gate.weight": "7c980dec38164f5e",
+    "mix.gate.bias": "6cc52379a57272e0",
+    "mix.skip.weight": "41a7d041c8ed6c36",
+    "mix.skip.bias": "b0be9242430cd871",
+    "fusion.0.theta": "2bf10e9a5b047b7d",
+    "head.theta": "7972d45dbe5932fb",
+}
+
+
+def test_train_step_logits_and_every_gradient_are_frozen():
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=60, num_edges=40, edge_size=4), 2)
+    data = make_data(ensure_min_degree(data.hypergraph), data.features, labels=data.labels)
+    arrays = _train_step(data, 3)
+    digests = dict(zip(TRAIN_STEP_DIGESTS, (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)))
+    assert len(arrays) == len(TRAIN_STEP_DIGESTS)
+    assert digests == TRAIN_STEP_DIGESTS
 
 
 def test_csr_identity_features_give_the_dense_identity_results_bit_for_bit():

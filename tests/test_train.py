@@ -1,11 +1,14 @@
 """Training loop, config plumbing, and checkpoint evaluation."""
 
 import dataclasses
+import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import dphgnn.autodiff as autodiff
 from dphgnn.errors import DivergenceError, ParseError, ShapeMismatchError
 from dphgnn.hypergraph import save_dataset
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
@@ -17,6 +20,8 @@ from dphgnn.train import (
     resolve_dataset,
     train,
 )
+
+train_mod = importlib.import_module("dphgnn.train")
 
 SMALL = {"generator": {"kind": "two_community", "num_nodes": 20, "num_edges": 15}, "seed": 3}
 
@@ -188,3 +193,56 @@ def test_train_accepts_explicit_data():
     data = generate_synthetic(TwoCommunitySpec(num_nodes=20, num_edges=15), seed=3)
     report = train(small_config(epochs=3, dataset=None), data=data)
     assert len(report.losses) == 3
+
+
+def test_each_epochs_graph_is_freed_before_the_next_forward(monkeypatch):
+    epochs = 3
+    values: list[list] = []  # weakrefs to each forward's op outputs
+    last: dict = {}  # ids of the logits and loss values train() still holds
+    checked, records = [], []
+    make, forward, loss_fn = autodiff._make, train_mod._forward_logits, train_mod.cross_entropy
+
+    def recording_make(value, parents, bwd):
+        values[-1].append(weakref.ref(value))
+        return make(value, parents, bwd)
+
+    def checked_forward(config, data, params, structure, mode, rng):
+        if values:
+            alive = {id(v) for r in values[-1] if (v := r()) is not None}
+            checked.append(alive <= {last["logits"], last["loss"]})
+        values.append([])
+        logits = forward(config, data, params, structure, mode, rng)
+        last["logits"] = id(logits.value)
+        records.append(logits.requires_grad)
+        return logits
+
+    def recording_loss(logits, labels, mask):
+        loss = loss_fn(logits, labels, mask)
+        last["loss"] = id(loss.value)
+        return loss
+
+    monkeypatch.setattr(autodiff, "_make", recording_make)
+    monkeypatch.setattr(train_mod, "_forward_logits", checked_forward)
+    monkeypatch.setattr(train_mod, "cross_entropy", recording_loss)
+    cfg = small_config(epochs=epochs)
+    report = train(dataclasses.replace(cfg, gnn=dataclasses.replace(cfg.gnn, dropout=0.3)))
+    assert len(report.losses) == epochs
+    # Checked before epochs 1 and 2 and before the final EVAL forward.
+    assert checked == [True] * epochs
+    assert records == [True] * epochs + [False]  # the EVAL forward records no graph
+
+
+@pytest.mark.parametrize("model", ["dphgnn", "hgnn"])
+def test_evaluate_records_no_graph(tmp_path, monkeypatch, model):
+    cfg = small_config(model=model, epochs=1)
+    report = train(cfg, out_dir=tmp_path)
+    outputs = []
+    make = autodiff._make
+
+    def recording_make(value, parents, bwd):
+        outputs.append(make(value, parents, bwd))
+        return outputs[-1]
+
+    monkeypatch.setattr(autodiff, "_make", recording_make)
+    evaluate(report.checkpoint, resolve_dataset(cfg))
+    assert outputs and not any(t.requires_grad for t in outputs)
