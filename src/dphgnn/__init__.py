@@ -35,7 +35,7 @@ from .hypergraph import (
     save_dataset,
 )
 from .sparse import SparseMatrix
-from .expand import Graph, RowTarget, StarGraph, clique_expand, hypergcn_expand, star_expand
+from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
 from .spectral import (
     LaplacianSet,
     build_laplacians,
@@ -90,7 +90,6 @@ __all__ = [
     "SparseMatrix",
     "Graph",
     "StarGraph",
-    "RowTarget",
     "build_hypergraph",
     "incidence",
     "density_stats",

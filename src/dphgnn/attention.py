@@ -16,6 +16,10 @@ O(nnz), never O(n^2). Each head's weighted sum is one CSR product: the
 pattern carries the attention weights as its values and multiplies the
 head's projected values (:func:`~dphgnn.autodiff.segment_sums`), so no
 (pairs x head width) array is formed.
+
+Every operator a forward pass reads comes from the dataset's structure
+bundle (:mod:`dphgnn.precompute`), which is built once;
+:func:`propagation_matrix` builds the propagation operators for it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from .autodiff import (
     select_rows,
 )
 from .errors import ShapeMismatchError
-from .expand import Graph, RowTarget, StarGraph, row_mask
-from .hypergraph import Hypergraph
+from .expand import Graph
 from .sparse import SparseMatrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,6 +56,7 @@ __all__ = [
     "UpdateVariant",
     "propagation_matrix",
     "single_layer_update",
+    "star_update",
     "attention_pattern",
     "cross_attention",
     "taa_forward",
@@ -114,16 +118,21 @@ def propagation_matrix(g: Graph, variant: UpdateVariant) -> SparseMatrix:
 
 
 def single_layer_update(
-    g: Graph,
-    x: Tensor | np.ndarray,
-    theta: Tensor | np.ndarray,
-    variant: UpdateVariant,
-    prop: SparseMatrix | None = None,
+    prop: SparseMatrix, x: Tensor | np.ndarray, theta: Tensor | np.ndarray
 ) -> Tensor:
-    """One normalized message-passing step with ReLU."""
-    if prop is None:
-        prop = propagation_matrix(g, variant)
+    """One message-passing step with ReLU through a propagation operator,
+    as built by :func:`propagation_matrix`."""
     return relu(matmul(matmul(prop, x), theta))
+
+
+def star_update(x: Tensor, theta: Tensor, structure: "StructureBundle") -> Tensor:
+    """The star view's one-step features on all n + m star vertices.
+
+    Supernode rows of the star input start at zero, so after the residual
+    step a supernode carries the mean of its member features.
+    """
+    pad = Tensor(np.zeros((structure.star.num_supernodes, x.value.shape[1])))
+    return single_layer_update(structure.prop_star, concat_rows(x, pad), theta)
 
 
 def _head_slices(width: int, num_heads: int) -> list[slice]:
@@ -208,47 +217,26 @@ def cross_attention(
 
 
 def taa_forward(
-    hg: Hypergraph,
     x: Tensor | np.ndarray,
-    star: StarGraph,
     params: TaaParams,
-    structure: "StructureBundle | None" = None,
+    structure: "StructureBundle",
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Run both attention paths.
+    """Run both attention paths over the bundle's views.
 
     Returns (spatial attention, spectral attention, star view features);
-    the star features live on all n + m star vertices and also feed the
-    fusion layer downstream. Supernode rows of the star input start at
-    zero, so after one residual step a supernode carries the mean of its
-    member features.
+    the star features live on all n + m star vertices
+    (:func:`star_update`) and also feed the fusion layer downstream.
     """
-    from .precompute import build_structure
-
-    if structure is None:
-        structure = build_structure(hg, _plain_value(x))
     x = x if isinstance(x, Tensor) else Tensor(x)
-    n, m = star.num_nodes, star.num_supernodes
-
-    pad = Tensor(np.zeros((m, x.value.shape[1])))
-    star_input = concat_rows(x, pad)
-    star_feats = single_layer_update(
-        structure.star.graph, star_input, params.theta_star,
-        UpdateVariant.RESIDUAL_RW, prop=structure.prop_star,
-    )
-    clique_feats = single_layer_update(
-        structure.clique, x, params.theta_clique,
-        UpdateVariant.RESIDUAL_RW, prop=structure.prop_clique,
-    )
-    hyper_feats = single_layer_update(
-        structure.hypergcn, x, params.theta_hypergcn,
-        UpdateVariant.SYM_NORM, prop=structure.prop_hypergcn,
-    )
+    star_feats = star_update(x, params.theta_star, structure)
+    clique_feats = single_layer_update(structure.prop_clique, x, params.theta_clique)
+    hyper_feats = single_layer_update(structure.prop_hypergcn, x, params.theta_hypergcn)
 
     spatial = cross_attention(
-        row_mask(star_feats, RowTarget.NODES, star),
+        select_rows(star_feats, np.arange(structure.star.num_nodes)),
         clique_feats,
         hyper_feats,
         structure.attention_pattern,
@@ -269,7 +257,3 @@ def taa_forward(
         train=train,
     )
     return spatial, spectral, star_feats
-
-
-def _plain_value(x) -> np.ndarray:
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)

@@ -6,8 +6,8 @@ incidence matrix H by sparse algebra, with no per-pair Python loop:
 
 - clique: the unit-valued pattern of H H^T without its diagonal;
 - star: [[0, H], [H^T, 0]] on n + m vertices, where vertex n + e is the
-  supernode of hyperedge e; ``row_mask`` selects the node block or the
-  supernode block of any matrix living on those stacked rows;
+  supernode of hyperedge e, so any matrix living on those stacked rows
+  holds the node block in its first n rows and the supernode block after;
 - distance-pair (HyperGCN): one pair per edge, picked for a whole bucket
   of same-size edges at once.
 """
@@ -15,7 +15,6 @@ incidence matrix H by sparse algebra, with no per-pair Python loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -26,11 +25,9 @@ from .sparse import SparseMatrix
 __all__ = [
     "Graph",
     "StarGraph",
-    "RowTarget",
     "clique_expand",
     "star_expand",
     "hypergcn_expand",
-    "row_mask",
 ]
 
 # Values one slice of a HyperGCN size bucket may hold (gathered feature blocks
@@ -59,13 +56,6 @@ class StarGraph:
     graph: Graph
     num_nodes: int
     num_supernodes: int
-
-
-class RowTarget(Enum):
-    """Which block of star-stacked rows to keep."""
-
-    NODES = "nodes"
-    SUPERNODES = "supernodes"
 
 
 def clique_expand(hg: Hypergraph) -> Graph:
@@ -219,30 +209,3 @@ def hypergcn_expand(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> Grap
     return Graph.from_adjacency(SparseMatrix.from_coo(
         n, n, np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((totals, totals))
     ))
-
-
-def row_mask(matrix, target: RowTarget, star: StarGraph):
-    """Select the node block or supernode block of a star-stacked matrix.
-
-    Accepts a dense array or an autodiff tensor; the tensor path stays
-    differentiable. Raises ShapeMismatchError unless the input has exactly
-    n + m rows.
-    """
-    total = star.num_nodes + star.num_supernodes
-    n = star.num_nodes
-    from .autodiff import Tensor, select_rows
-
-    rows = matrix.value.shape[0] if isinstance(matrix, Tensor) else np.asarray(matrix).shape[0]
-    if rows != total:
-        raise ShapeMismatchError(
-            f"expected {total} stacked rows, got {rows}"
-        )
-    if target is RowTarget.NODES:
-        idx = np.arange(0, n)
-    elif target is RowTarget.SUPERNODES:
-        idx = np.arange(n, total)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown row target {target!r}")
-    if isinstance(matrix, Tensor):
-        return select_rows(matrix, idx)
-    return np.asarray(matrix)[idx]

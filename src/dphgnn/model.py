@@ -12,6 +12,10 @@ The full pipeline per forward pass:
 Disabled blocks are replaced by width-preserving pass-throughs so every
 ablation sees identical downstream shapes. The two-layer spectral
 baseline lives here as well.
+
+Every block reads the dataset's structure bundle. Only the two entry
+points, :func:`dphgnn_forward` and :func:`hgnn_baseline_forward`, build
+it when the caller passes none.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import TaaParams, taa_forward
+from .attention import TaaParams, star_update, taa_forward
 from .autodiff import (
     Tensor,
     add,
@@ -33,7 +37,7 @@ from .autodiff import (
     sigmoid,
 )
 from .errors import ShapeMismatchError
-from .hypergraph import Hypergraph, LabeledHypergraph
+from .hypergraph import LabeledHypergraph
 from .nn import Linear, glorot
 from .precompute import StructureBundle, build_structure
 from .spectral import sib_update
@@ -224,12 +228,10 @@ def feature_mix(
 
 
 def dff_forward(
-    hg: Hypergraph,
-    star,
     static: Tensor,
     star_feats: Tensor,
     theta: Tensor,
-    structure: StructureBundle | None = None,
+    structure: StructureBundle,
     include_star_term: bool = True,
     trace_sink: dict | None = None,
 ) -> Tensor:
@@ -244,8 +246,6 @@ def dff_forward(
     star-view features; with ``include_star_term=False`` (fusion ablated)
     only the incidence aggregation remains.
     """
-    if structure is None:
-        structure = build_structure(hg, np.zeros((hg.num_nodes, 1)))
     fused = matmul(structure.edge_from_node, static)
     if include_star_term:
         fused = add(fused, matmul(structure.super_gather, star_feats))
@@ -254,16 +254,33 @@ def dff_forward(
     return relu(add(static, matmul(structure.node_from_edge, matmul(fused, theta))))
 
 
-def predict_layer(
-    hg: Hypergraph,
-    x: Tensor,
-    theta: Tensor,
-    structure: StructureBundle | None = None,
-) -> Tensor:
+def predict_layer(x: Tensor, theta: Tensor, structure: StructureBundle) -> Tensor:
     """Final smoothing-operator convolution; raw logits, no activation."""
-    if structure is None:
-        structure = build_structure(hg, np.zeros((hg.num_nodes, 1)))
     return matmul(structure.laplacians.smoothing, matmul(x, theta))
+
+
+def _structure_for(
+    data: LabeledHypergraph, structure: StructureBundle | None
+) -> StructureBundle:
+    """``structure``, checked to be ``data``'s, or a bundle built for ``data``.
+
+    Callers pass the bundle built on ``data.hypergraph`` itself, so the
+    identity test settles it and no edge array is compared per forward.
+    """
+    hg = data.hypergraph
+    if structure is None:
+        return build_structure(hg, data.features)
+    own = structure.hypergraph
+    if own is not hg and not all(map(
+        np.array_equal,
+        (own.num_nodes, own.edge_degrees, own.members),
+        (hg.num_nodes, hg.edge_degrees, hg.members),
+    )):
+        raise ShapeMismatchError(
+            f"structure was built for another hypergraph ({own.num_nodes} nodes, "
+            f"{own.num_edges} edges); the data has {hg.num_nodes} nodes, {hg.num_edges} edges"
+        )
+    return structure
 
 
 def dphgnn_forward(
@@ -274,10 +291,14 @@ def dphgnn_forward(
     rates: DropoutRates | None = None,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    """Full model forward pass on a labeled dataset."""
-    hg = data.hypergraph
-    if structure is None:
-        structure = build_structure(hg, data.features)
+    """Full model forward pass on a labeled dataset.
+
+    Without ``structure`` the bundle is built here.
+
+    Raises:
+        ShapeMismatchError: ``structure`` was built for another hypergraph.
+    """
+    structure = _structure_for(data, structure)
     rates = rates or DropoutRates()
     train = mode is Mode.TRAIN
     flags = params.flags
@@ -287,10 +308,7 @@ def dphgnn_forward(
         projected = dropout(projected, rates.gnn, rng=rng, train=True)
 
     if flags.use_sib:
-        spectral = sib_update(
-            hg, projected, params.sib_lambda, params.sib_theta,
-            laplacians=structure.laplacians,
-        )
+        spectral = sib_update(projected, params.sib_lambda, params.sib_theta, structure.laplacians)
         if train and rates.sib:
             spectral = dropout(spectral, rates.sib, rng=rng, train=True)
     else:
@@ -298,8 +316,7 @@ def dphgnn_forward(
 
     if flags.use_taa:
         attn_spatial, attn_spectral, star_feats = taa_forward(
-            hg, projected, structure.star, params.taa,
-            structure=structure,
+            projected, params.taa, structure,
             attn_dropout=rates.taa if train else 0.0,
             rng=rng,
             train=train,
@@ -312,31 +329,20 @@ def dphgnn_forward(
 
     if star_feats is None and flags.use_dff:
         # Fusion needs the star view even when attention is ablated.
-        from .attention import UpdateVariant, single_layer_update
-        from .autodiff import concat_rows
-
-        pad = Tensor(np.zeros((hg.num_edges, projected.value.shape[1])))
-        star_feats = single_layer_update(
-            structure.star.graph,
-            concat_rows(projected, pad),
-            params.taa.theta_star,
-            UpdateVariant.RESIDUAL_RW,
-            prop=structure.prop_star,
-        )
+        star_feats = star_update(projected, params.taa.theta_star, structure)
 
     current = static
     sink: dict = {}
     for theta in params.fusion_weights:
         current = dff_forward(
-            hg, structure.star, current, star_feats, theta,
-            structure=structure,
+            current, star_feats, theta, structure,
             include_star_term=flags.use_dff,
             trace_sink=sink,
         )
         if train and rates.dff:
             current = dropout(current, rates.dff, rng=rng, train=True)
 
-    logits = predict_layer(hg, current, params.head_weight, structure=structure)
+    logits = predict_layer(current, params.head_weight, structure)
     return ForwardTrace(
         projected=projected,
         spectral=spectral,
@@ -357,11 +363,14 @@ def hgnn_baseline_forward(
     mode: Mode = Mode.EVAL,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Two-layer spectral convolution baseline; returns logits."""
-    hg = data.hypergraph
-    if structure is None:
-        structure = build_structure(hg, data.features)
-    smoothing = structure.laplacians.smoothing
+    """Two-layer spectral convolution baseline; returns logits.
+
+    Without ``structure`` the bundle is built here.
+
+    Raises:
+        ShapeMismatchError: ``structure`` was built for another hypergraph.
+    """
+    smoothing = _structure_for(data, structure).laplacians.smoothing
     train = mode is Mode.TRAIN
     hidden = relu(matmul(smoothing, matmul(data.features, params.theta1)))
     if train and dropout_rate:

@@ -131,11 +131,10 @@ def build_laplacians(
 
 
 def sib_update(
-    hg: Hypergraph,
     x: Tensor | np.ndarray,
     lam: float,
     theta: Tensor | np.ndarray,
-    laplacians: LaplacianSet | None = None,
+    laplacians: LaplacianSet,
 ) -> Tensor:
     """Spectral identifier block.
 
@@ -146,15 +145,10 @@ def sib_update(
         S = [(rw + sym) x  ||  smoothing x]          (n, 2d)
         out = ReLU(([x || x] + lam * S) theta)
 
-    ``theta`` maps 2d columns to the output width.
+    ``theta`` maps 2d columns to the output width. ``laplacians`` is a
+    structure bundle's set or the CSR reference of :func:`build_laplacians`.
     """
-    if laplacians is None:
-        rw_plus_sym = laplacian_rw(hg).add(laplacian_sym(hg))
-        smoothing = laplacian_hgnn(hg)
-    else:
-        rw_plus_sym = laplacians.rw_plus_sym
-        smoothing = laplacians.smoothing
-    identifiers = concat_cols(matmul(rw_plus_sym, x), matmul(smoothing, x))
+    identifiers = concat_cols(matmul(laplacians.rw_plus_sym, x), matmul(laplacians.smoothing, x))
     x = x if isinstance(x, Tensor) else Tensor(x)
     mixed = concat_cols(x, x) + scale(identifiers, lam)
     return relu(matmul(mixed, theta))

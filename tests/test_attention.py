@@ -18,7 +18,7 @@ from dphgnn.attention import (
 from dphgnn import autodiff
 from dphgnn.autodiff import Tensor, backward, grad_check, mul, sum_all
 from dphgnn.errors import ShapeMismatchError
-from dphgnn.expand import RowTarget, clique_expand, row_mask, star_expand
+from dphgnn.expand import clique_expand
 from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.precompute import build_structure
 from dphgnn.sparse import SparseMatrix
@@ -73,7 +73,8 @@ def attention_oracle(q, k, v, mask, delta, W, heads):
 
 def test_residual_rw_running_example(spec_example):
     g = clique_expand(spec_example)
-    out = single_layer_update(g, Tensor(np.eye(4)), Tensor(np.eye(4)), UpdateVariant.RESIDUAL_RW)
+    prop = propagation_matrix(g, UpdateVariant.RESIDUAL_RW)
+    out = single_layer_update(prop, Tensor(np.eye(4)), Tensor(np.eye(4)))
     # node 3 has the single clique neighbor 2
     np.testing.assert_allclose(out.value[3], [0, 0, 1, 1], atol=1e-12)
 
@@ -109,15 +110,14 @@ def test_sym_norm_single_vertex():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 3))
     theta = rng.standard_normal((3, 3))
-    out = single_layer_update(g, Tensor(x), Tensor(theta), UpdateVariant.SYM_NORM)
+    prop = propagation_matrix(g, UpdateVariant.SYM_NORM)
+    out = single_layer_update(prop, Tensor(x), Tensor(theta))
     np.testing.assert_allclose(out.value, np.maximum(x @ theta, 0.0), atol=1e-12)
 
 
 def test_zero_theta_zero_output(spec_example):
-    g = clique_expand(spec_example)
-    out = single_layer_update(
-        g, Tensor(np.ones((4, 3))), Tensor(np.zeros((3, 2))), UpdateVariant.RESIDUAL_RW
-    )
+    prop = propagation_matrix(clique_expand(spec_example), UpdateVariant.RESIDUAL_RW)
+    out = single_layer_update(prop, Tensor(np.ones((4, 3))), Tensor(np.zeros((3, 2))))
     np.testing.assert_array_equal(out.value, np.zeros((4, 2)))
 
 
@@ -160,9 +160,7 @@ def test_taa_forward_shapes_and_star_content(spec_example):
     x = rng.standard_normal((4, width))
     structure = build_structure(spec_example, x)
     params = make_params(rng, width)
-    spatial, spectral, star_feats = taa_forward(
-        spec_example, Tensor(x), structure.star, params, structure=structure
-    )
+    spatial, spectral, star_feats = taa_forward(Tensor(x), params, structure)
     assert spatial.value.shape == (4, width)
     assert spectral.value.shape == (4, width)
     assert star_feats.value.shape == (6, width)
@@ -189,9 +187,7 @@ def test_taa_forward_spectral_premultiplies(spec_example):
     params = make_params(rng, width)
     params.delta.value[:] = 0.0  # uniform attention isolates the value path
 
-    _, spectral, _ = taa_forward(
-        spec_example, Tensor(x), structure.star, params, structure=structure
-    )
+    _, spectral, _ = taa_forward(Tensor(x), params, structure)
 
     hyper_prop = structure.prop_hypergcn.to_dense()
     hyper_feats = np.maximum(hyper_prop @ x @ params.theta_hypergcn.value, 0.0)
@@ -209,7 +205,7 @@ def test_constant_features_orbit_rows_match():
     structure = build_structure(hg, x)
     rng = np.random.default_rng(7)
     params = make_params(rng, 2)
-    spatial, spectral, _ = taa_forward(hg, Tensor(x), structure.star, params, structure=structure)
+    spatial, spectral, _ = taa_forward(Tensor(x), params, structure)
     for out in (spatial.value, spectral.value):
         for row in out[1:]:
             np.testing.assert_allclose(row, out[0], atol=1e-10)
@@ -220,9 +216,7 @@ def test_zero_features_zero_outputs(spec_example):
     structure = build_structure(spec_example, np.ones((4, 3)))
     rng = np.random.default_rng(8)
     params = make_params(rng, 3)
-    spatial, spectral, star_feats = taa_forward(
-        spec_example, Tensor(x), structure.star, params, structure=structure
-    )
+    spatial, spectral, star_feats = taa_forward(Tensor(x), params, structure)
     np.testing.assert_array_equal(spatial.value, np.zeros((4, 3)))
     np.testing.assert_array_equal(spectral.value, np.zeros((4, 3)))
     np.testing.assert_array_equal(star_feats.value, np.zeros((6, 3)))
@@ -396,7 +390,7 @@ def test_star_laplacian_node_rows_give_the_masked_product_bit_for_bit():
     feats = rng.standard_normal((7 + 4, 3))
     weights = rng.standard_normal((7, 3))
     a, b = Tensor(feats, requires_grad=True), Tensor(feats, requires_grad=True)
-    masked = row_mask(autodiff.matmul(full, a), RowTarget.NODES, structure.star)
+    masked = autodiff.select_rows(autodiff.matmul(full, a), np.arange(7))
     sliced = autodiff.matmul(structure.laplacians.star, b)
     assert structure.laplacians.star.shape == (7, 11)
     assert masked.value.tobytes() == sliced.value.tobytes()

@@ -7,10 +7,8 @@ from itertools import combinations
 import dphgnn.expand as expand
 from dphgnn.errors import ShapeMismatchError
 from dphgnn.expand import (
-    RowTarget,
     clique_expand,
     hypergcn_expand,
-    row_mask,
     star_expand,
 )
 from dphgnn.hypergraph import build_hypergraph
@@ -333,24 +331,3 @@ def test_singleton_edges_only():
     np.testing.assert_array_equal(star.graph.degrees, [2.0, 0.0, 1.0, 1.0, 1.0, 1.0])
     assert_symmetric_zero_diag(star.graph)
     assert hypergcn_expand(hg, np.ones((3, 2))).adjacency.nnz == 0
-
-
-def test_row_mask_blocks(spec_example):
-    star = star_expand(spec_example)
-    stacked = np.ones((6, 3))
-    np.testing.assert_array_equal(row_mask(stacked, RowTarget.NODES, star), np.ones((4, 3)))
-    np.testing.assert_array_equal(
-        row_mask(stacked, RowTarget.SUPERNODES, star), np.ones((2, 3))
-    )
-
-
-def test_row_mask_selects_rows(spec_example):
-    star = star_expand(spec_example)
-    rng = np.random.default_rng(1)
-    stacked = rng.standard_normal((6, 2))
-    np.testing.assert_array_equal(row_mask(stacked, RowTarget.NODES, star), stacked[:4])
-    np.testing.assert_array_equal(
-        row_mask(stacked, RowTarget.SUPERNODES, star), stacked[4:]
-    )
-    with pytest.raises(ShapeMismatchError):
-        row_mask(np.ones((5, 2)), RowTarget.NODES, star)

@@ -13,6 +13,7 @@ from conftest import (
     random_covering_hypergraph,
 )
 import dphgnn.autodiff as autodiff
+from dphgnn.attention import taa_forward
 from dphgnn.autodiff import Tensor, backward, cross_entropy
 from dphgnn.errors import ShapeMismatchError
 from dphgnn.hypergraph import LabeledHypergraph, build_hypergraph, ensure_min_degree, relabel_nodes
@@ -117,6 +118,60 @@ def test_dff_off_drops_star_term(small_instance):
     np.testing.assert_allclose(trace.fused.value, expected_fused, atol=1e-12)
 
 
+def test_taa_off_fusion_reads_the_star_features_taa_forward_returns(small_instance):
+    params = init_dphgnn(
+        np.random.default_rng(5), 4, 8, 3, flags=AblationFlags(use_taa=False)
+    )
+    structure = build_structure(small_instance.hypergraph, small_instance.features)
+    trace = dphgnn_forward(small_instance, params, structure=structure)
+    _, _, star_feats = taa_forward(trace.projected, params.taa, structure)
+    expected = autodiff.add(
+        autodiff.matmul(structure.edge_from_node, trace.static),
+        autodiff.matmul(structure.super_gather, star_feats),
+    )
+    assert trace.fused.value.tobytes() == expected.value.tobytes()
+
+
+def other_edges(data, num_nodes, edges):
+    """``data`` with its features and labels, on another hypergraph."""
+    return make_data(build_hypergraph(num_nodes, edges), data.features[:num_nodes],
+                     labels=data.labels[:num_nodes], num_classes=data.num_classes)
+
+
+def test_bundle_of_another_hypergraph_with_the_same_node_count_is_rejected(small_instance):
+    dphgnn_params = init_dphgnn(np.random.default_rng(0), 4, 8, 3)
+    hgnn_params = init_hgnn(np.random.default_rng(0), 4, 8, 3)
+    other = other_edges(small_instance, 6, [(0, 1), (1, 2, 3), (3, 4, 5)])
+    foreign = build_structure(other.hypergraph, other.features)
+    with pytest.raises(ShapeMismatchError, match="another hypergraph"):
+        dphgnn_forward(small_instance, dphgnn_params, structure=foreign)
+    with pytest.raises(ShapeMismatchError, match="another hypergraph"):
+        hgnn_baseline_forward(small_instance, hgnn_params, structure=foreign)
+
+    # An equal hypergraph built apart is the same hypergraph.
+    twin = other_edges(small_instance, 6, small_instance.hypergraph.edges)
+    own = build_structure(twin.hypergraph, twin.features)
+    np.testing.assert_array_equal(
+        dphgnn_forward(small_instance, dphgnn_params, structure=own).logits.value,
+        dphgnn_forward(small_instance, dphgnn_params).logits.value,
+    )
+    np.testing.assert_array_equal(
+        hgnn_baseline_forward(small_instance, hgnn_params, structure=own).value,
+        hgnn_baseline_forward(small_instance, hgnn_params).value,
+    )
+
+
+def test_bundle_of_another_hypergraph_with_another_node_count_is_rejected(small_instance):
+    dphgnn_params = init_dphgnn(np.random.default_rng(0), 4, 8, 3)
+    hgnn_params = init_hgnn(np.random.default_rng(0), 4, 8, 3)
+    other = other_edges(small_instance, 5, [(0, 1, 2), (2, 3, 4)])
+    foreign = build_structure(other.hypergraph, other.features)
+    with pytest.raises(ShapeMismatchError, match="another hypergraph"):
+        dphgnn_forward(small_instance, dphgnn_params, structure=foreign)
+    with pytest.raises(ShapeMismatchError, match="another hypergraph"):
+        hgnn_baseline_forward(small_instance, hgnn_params, structure=foreign)
+
+
 def test_feature_mix_width_and_gate():
     rng = np.random.default_rng(6)
     h = 8
@@ -163,13 +218,7 @@ def test_dff_forward_dense_oracle(spec_example):
 
     sink = {}
     out = dff_forward(
-        spec_example,
-        structure.star,
-        Tensor(static),
-        Tensor(star_feats),
-        Tensor(theta),
-        structure=structure,
-        trace_sink=sink,
+        Tensor(static), Tensor(star_feats), Tensor(theta), structure, trace_sink=sink
     )
     assert sink["fused"].value.shape == (2, h)
     np.testing.assert_allclose(out.value, expected, atol=1e-10)
@@ -180,12 +229,7 @@ def test_dff_theta_zero_is_rectified_skip(spec_example):
     structure = build_structure(spec_example, rng.standard_normal((4, 3)))
     static = rng.standard_normal((4, 3))
     out = dff_forward(
-        spec_example,
-        structure.star,
-        Tensor(static),
-        Tensor(rng.standard_normal((6, 3))),
-        Tensor(np.zeros((3, 3))),
-        structure=structure,
+        Tensor(static), Tensor(rng.standard_normal((6, 3))), Tensor(np.zeros((3, 3))), structure
     )
     np.testing.assert_array_equal(out.value, np.maximum(static, 0.0))
 
@@ -196,10 +240,7 @@ def test_dff_single_edge_symmetric_rows():
     rng = np.random.default_rng(10)
     static = Tensor(np.ones((3, 2)))
     star_feats = Tensor(np.vstack([np.ones((3, 2)), rng.standard_normal((1, 2))]))
-    out = dff_forward(
-        hg, structure.star, static, star_feats, Tensor(rng.standard_normal((2, 2))),
-        structure=structure,
-    ).value
+    out = dff_forward(static, star_feats, Tensor(rng.standard_normal((2, 2))), structure).value
     np.testing.assert_allclose(out[1], out[0], atol=1e-12)
     np.testing.assert_allclose(out[2], out[0], atol=1e-12)
 
@@ -211,10 +252,7 @@ def test_dff_automorphic_pair_identical_rows():
     rng = np.random.default_rng(11)
     static = Tensor(np.ones((6, 2)))
     star_feats = Tensor(np.ones((8, 2)))
-    out = dff_forward(
-        hg, structure.star, static, star_feats, Tensor(rng.standard_normal((2, 2))),
-        structure=structure,
-    ).value
+    out = dff_forward(static, star_feats, Tensor(rng.standard_normal((2, 2))), structure).value
     np.testing.assert_allclose(out[3:], out[:3], atol=1e-12)
 
 
@@ -223,14 +261,12 @@ def test_predict_layer_oracle_and_cases(spec_example):
     structure = build_structure(spec_example, rng.standard_normal((4, 3)))
     x = rng.standard_normal((4, 3))
     theta = rng.standard_normal((3, 2))
-    out = predict_layer(spec_example, Tensor(x), Tensor(theta), structure=structure)
+    out = predict_layer(Tensor(x), Tensor(theta), structure)
     np.testing.assert_allclose(
         out.value, dense_smoothing(spec_example) @ x @ theta, atol=1e-10
     )
 
-    zeros = predict_layer(
-        spec_example, Tensor(x), Tensor(np.zeros((3, 2))), structure=structure
-    )
+    zeros = predict_layer(Tensor(x), Tensor(np.zeros((3, 2))), structure)
     np.testing.assert_array_equal(zeros.value, np.zeros((4, 2)))
     labels = np.array([0, 1, 0, 1])
     loss = cross_entropy(zeros, labels, np.ones(4, dtype=bool))
@@ -241,8 +277,7 @@ def test_predict_layer_rank_one_smoothing():
     hg = build_hypergraph(3, [(0, 1, 2)])
     structure = build_structure(hg, np.ones((3, 2)))
     out = predict_layer(
-        hg, Tensor(np.ones((3, 2))), Tensor(np.arange(4.0).reshape(2, 2)),
-        structure=structure,
+        Tensor(np.ones((3, 2))), Tensor(np.arange(4.0).reshape(2, 2)), structure
     ).value
     np.testing.assert_allclose(out[1], out[0], atol=1e-12)
     np.testing.assert_allclose(out[2], out[0], atol=1e-12)

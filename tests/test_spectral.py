@@ -99,6 +99,13 @@ def test_graph_laplacian_edgeless_and_rowsum():
     np.testing.assert_allclose(L @ np.ones(7), np.zeros(7), atol=1e-12)
 
 
+def reference_laplacians(hg, x):
+    """The CSR reference operators of every view of ``hg``."""
+    return build_laplacians(
+        hg, clique_expand(hg), star_expand(hg).graph, hypergcn_expand(hg, x)
+    )
+
+
 def _sib_dense(hg, x, lam):
     """Straight-line dense oracle for the spectral block input stack."""
     combined = (dense_rw(hg) + dense_sym(hg)) @ x
@@ -110,7 +117,7 @@ def test_sib_lambda_zero_drops_laplacians(spec_example):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 3))
     theta = Tensor(rng.standard_normal((6, 2)))
-    out = sib_update(spec_example, Tensor(x), 0.0, theta)
+    out = sib_update(Tensor(x), 0.0, theta, reference_laplacians(spec_example, x))
     np.testing.assert_allclose(
         out.value, np.maximum(np.hstack([x, x]) @ theta.value, 0.0), atol=1e-12
     )
@@ -120,7 +127,7 @@ def test_sib_identity_block_row_check(spec_example):
     # theta stacked [I; 0] keeps the left block: relu(X + (rw+sym) X)
     x = np.eye(4)
     theta = Tensor(np.vstack([np.eye(4), np.zeros((4, 4))]))
-    out = sib_update(spec_example, Tensor(x), 1.0, theta)
+    out = sib_update(Tensor(x), 1.0, theta, reference_laplacians(spec_example, x))
     expected = np.maximum(x + (dense_rw(spec_example) + dense_sym(spec_example)) @ x, 0.0)
     np.testing.assert_allclose(out.value[0], expected[0], atol=1e-12)
     np.testing.assert_allclose(out.value, expected, atol=1e-12)
@@ -134,7 +141,7 @@ def test_sib_matches_dense_oracle():
         x = rng.standard_normal((n, 3))
         lam = float(rng.uniform(0.1, 2.0))
         theta = Tensor(rng.standard_normal((6, 4)))
-        out = sib_update(hg, Tensor(x), lam, theta)
+        out = sib_update(Tensor(x), lam, theta, reference_laplacians(hg, x))
         expected = np.maximum(_sib_dense(hg, x, lam) @ theta.value, 0.0)
         np.testing.assert_allclose(out.value, expected, atol=1e-10)
 
@@ -144,12 +151,12 @@ def test_sib_permutation_equivariance():
     hg = random_covering_hypergraph(rng, 6, 4)
     x = rng.standard_normal((6, 3))
     theta = Tensor(rng.standard_normal((6, 2)))
-    base = sib_update(hg, Tensor(x), 0.7, theta).value
+    base = sib_update(Tensor(x), 0.7, theta, reference_laplacians(hg, x)).value
     perm = rng.permutation(6)
     hg_p = relabel_nodes(hg, perm)
     x_p = np.empty_like(x)
     x_p[perm] = x
-    permuted = sib_update(hg_p, Tensor(x_p), 0.7, theta).value
+    permuted = sib_update(Tensor(x_p), 0.7, theta, reference_laplacians(hg_p, x_p)).value
     np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
 
