@@ -35,7 +35,7 @@ from .hypergraph import (
     save_dataset,
 )
 from .sparse import SparseMatrix
-from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
+from .expand import Graph, clique_expand, hypergcn_expand, star_expand
 from .spectral import (
     LaplacianSet,
     build_laplacians,
@@ -89,7 +89,6 @@ __all__ = [
     "LabeledHypergraph",
     "SparseMatrix",
     "Graph",
-    "StarGraph",
     "build_hypergraph",
     "incidence",
     "density_stats",

@@ -103,7 +103,7 @@ def propagation_matrix(g: Graph, variant: UpdateVariant) -> SparseMatrix:
     Residual random-walk rows of isolated vertices fall back to the bare
     identity (their D^{-1} row is taken as zero).
     """
-    n = g.num_vertices
+    n = g.adjacency.rows
     eye = SparseMatrix.identity(n)
     if variant is UpdateVariant.RESIDUAL_RW:
         inv = np.zeros(n)
@@ -131,7 +131,7 @@ def star_update(x: Tensor, theta: Tensor, structure: "StructureBundle") -> Tenso
     Supernode rows of the star input start at zero, so after the residual
     step a supernode carries the mean of its member features.
     """
-    pad = Tensor(np.zeros((structure.star.num_supernodes, x.value.shape[1])))
+    pad = Tensor(np.zeros((structure.hypergraph.num_edges, x.value.shape[1])))
     return single_layer_update(structure.prop_star, concat_rows(x, pad), theta)
 
 
@@ -236,7 +236,7 @@ def taa_forward(
     hyper_feats = single_layer_update(structure.prop_hypergcn, x, params.theta_hypergcn)
 
     spatial = cross_attention(
-        select_rows(star_feats, np.arange(structure.star.num_nodes)),
+        select_rows(star_feats, np.arange(structure.hypergraph.num_nodes)),
         clique_feats,
         hyper_feats,
         structure.attention_pattern,

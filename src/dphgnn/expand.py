@@ -10,6 +10,12 @@ incidence matrix H by sparse algebra, with no per-pair Python loop:
   holds the node block in its first n rows and the supernode block after;
 - distance-pair (HyperGCN): one pair per edge, picked for a whole bucket
   of same-size edges at once.
+
+The structure bundle (:mod:`dphgnn.precompute`) builds its propagation
+operators, Laplacians and attention pattern from these graphs and keeps
+none of them. The star graph is a plain :class:`Graph`: its first n
+vertices are the hypergraph's nodes and the other ``adjacency.rows - n``
+its supernodes.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .sparse import SparseMatrix
 
 __all__ = [
     "Graph",
-    "StarGraph",
     "clique_expand",
     "star_expand",
     "hypergcn_expand",
@@ -39,23 +44,13 @@ _SLICE_FLOATS = 1 << 22
 class Graph:
     """Undirected weighted graph with cached weighted degrees."""
 
-    num_vertices: int
     adjacency: SparseMatrix
     degrees: np.ndarray = field(repr=False)
 
     @classmethod
     def from_adjacency(cls, adjacency: SparseMatrix) -> Graph:
         """The graph on ``adjacency``'s rows; degrees are its row sums."""
-        return cls(adjacency.rows, adjacency, adjacency.row_sums())
-
-
-@dataclass(eq=False)
-class StarGraph:
-    """Bipartite star expansion over n hypernodes plus m supernodes."""
-
-    graph: Graph
-    num_nodes: int
-    num_supernodes: int
+        return cls(adjacency, adjacency.row_sums())
 
 
 def clique_expand(hg: Hypergraph) -> Graph:
@@ -69,8 +64,9 @@ def clique_expand(hg: Hypergraph) -> Graph:
     ))
 
 
-def star_expand(hg: Hypergraph) -> StarGraph:
-    """Bipartite graph linking each node to the supernodes of its edges."""
+def star_expand(hg: Hypergraph) -> Graph:
+    """Bipartite graph on n + m vertices linking each node to the
+    supernodes n + e of its edges."""
     n, m = hg.num_nodes, hg.num_edges
     h = incidence(hg)
     ht = h.transpose()
@@ -82,7 +78,7 @@ def star_expand(hg: Hypergraph) -> StarGraph:
         np.ones(2 * h.nnz),
         validate=False,
     )
-    return StarGraph(Graph.from_adjacency(adjacency), n, m)
+    return Graph.from_adjacency(adjacency)
 
 
 def _farthest_pairs(

@@ -1,11 +1,13 @@
-"""Per-dataset structure constants: expansions, Laplacians, propagation.
+"""Per-dataset structure constants: Laplacians, propagation, attention pattern.
 
 Everything a forward pass multiplies by but never differentiates through
 is built here once, from one incidence matrix H shared by every
-expansion and Laplacian. The bundle can be cached on disk under a sha256
+expansion and Laplacian. The clique, star and distance-pair expansions
+are built only to derive these operators; the bundle and its npz keep
+the operators alone. The bundle can be cached on disk under a sha256
 content hash (:func:`content_hash`) of:
 
-- the cache format version, now 5, and the node and edge counts;
+- the cache format version, now 6, and the node and edge counts;
 - the edge sizes and the flat edge members;
 - the input features, which the distance-pair expansion reads. A dense
   array contributes a ``dense`` tag, its shape and its float64 values; a
@@ -22,8 +24,10 @@ are at most ``FACTORED_SHARE`` of nnz(H H^T), a property of the input
 alone; a factored operator's CSR is never built. Wide edges factor;
 size-2 edges store more terms factored and stay CSR. Only the n node rows
 of the star Laplacian are kept, the rows the spectral attention path
-reads. The npz stores a factored operator as its term layout (chain
-lengths, factor ids, scales) and each distinct factor once.
+reads. The npz stores each CSR operator, the attention pattern among
+them, as its shape, ``indptr``, ``indices`` and ``data``, and a factored
+operator as its term layout (chain lengths, factor ids, scales) with each
+distinct factor once.
 
 Every stored array is O(nnz) or O(n + m); nothing n x n is built or
 written. A cache hit is O(nnz) array work: the bundle's hypergraph is the
@@ -42,8 +46,8 @@ from zipfile import BadZipFile
 import numpy as np
 
 from .attention import UpdateVariant, attention_pattern, propagation_matrix
-from .errors import DphgnnError
-from .expand import Graph, StarGraph, clique_expand, hypergcn_expand, star_expand
+from .errors import DphgnnError, ParseError
+from .expand import Graph, clique_expand, hypergcn_expand, star_expand
 from .fileio import atomic_write
 from .hypergraph import Hypergraph, as_features, cooccurrence, incidence
 from .sparse import FactoredOperator, SparseMatrix
@@ -55,9 +59,6 @@ __all__ = ["StructureBundle", "build_structure", "content_hash", "load_or_build"
 @dataclass(eq=False)
 class StructureBundle:
     hypergraph: Hypergraph
-    clique: Graph
-    star: StarGraph
-    hypergcn: Graph
     laplacians: LaplacianSet
     prop_clique: SparseMatrix | FactoredOperator
     prop_star: SparseMatrix
@@ -71,7 +72,7 @@ class StructureBundle:
 
 # Bump whenever the npz layout or the hash inputs change, so files from
 # older code are never read.
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 # A clique-pattern operator is applied factored when its factors store at most
 # this share of the terms of its CSR form. Well below 1, because every factor
@@ -125,20 +126,17 @@ def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix, key: str) -> Str
     budget = FACTORED_SHARE * cooccurrence(hg).nnz
     chosen = {name: op for name, op in factored.items() if op.stored_terms <= budget}
 
-    laps = build_laplacians(hg, clique, star.graph, hyper, chosen)
+    laps = build_laplacians(hg, clique, star, hyper, chosen)
     # Only the star Laplacian's node rows are read, by the spectral attention path.
     laps = replace(laps, star=laps.star.take_row_range(0, n))
-    super_rows = star.graph.adjacency.take_row_range(n, n + hg.num_edges)
+    super_rows = star.adjacency.take_row_range(n, n + hg.num_edges)
 
     return StructureBundle(
         hypergraph=hg,
-        clique=clique,
-        star=star,
-        hypergcn=hyper,
         laplacians=laps,
         prop_clique=(chosen.get("prop_clique")
                      or propagation_matrix(clique, UpdateVariant.RESIDUAL_RW)),
-        prop_star=propagation_matrix(star.graph, UpdateVariant.RESIDUAL_RW),
+        prop_star=propagation_matrix(star, UpdateVariant.RESIDUAL_RW),
         prop_hypergcn=propagation_matrix(hyper, UpdateVariant.SYM_NORM),
         attention_pattern=attention_pattern(clique.adjacency),
         edge_from_node=edge_from_node,
@@ -200,12 +198,12 @@ _SPARSE_FIELDS = (
     "prop_clique",
     "prop_star",
     "prop_hypergcn",
+    "attention_pattern",
     "edge_from_node",
     "super_gather",
     "node_from_edge",
 )
 _LAPLACIAN_FIELDS = ("smoothing", "clique", "star", "hypergcn", "rw_plus_sym")
-_GRAPH_FIELDS = ("clique", "star", "hypergcn")
 
 
 def _pack_sparse(prefix: str, mat: SparseMatrix, out: dict) -> None:
@@ -270,10 +268,6 @@ def save_structure(bundle: StructureBundle, path: str | Path) -> None:
         "edge_sizes": bundle.hypergraph.edge_degrees,
         "edge_members": bundle.hypergraph.members,
     }
-    for name in _GRAPH_FIELDS:
-        g = getattr(bundle, name)
-        g = g.graph if isinstance(g, StarGraph) else g
-        _pack_sparse(f"graph.{name}", g.adjacency, arrays)
     factors: list[SparseMatrix] = []
     for name in _LAPLACIAN_FIELDS:
         _pack_operator(f"lap.{name}", getattr(bundle.laplacians, name), arrays, factors)
@@ -299,38 +293,29 @@ def load_structure(path: str | Path, hg: Hypergraph, key: str) -> StructureBundl
     expected = ([hg.num_nodes], hg.edge_degrees, hg.members)
     if not all(map(np.array_equal, stored, expected)):
         raise ValueError(f"{path} holds the structure of another hypergraph")
-
-    def graph_of(name: str) -> Graph:
-        return Graph.from_adjacency(_unpack_sparse(f"graph.{name}", blob))
-
-    clique = graph_of("clique")
-    star = StarGraph(graph_of("star"), hg.num_nodes, hg.num_edges)
-    hyper = graph_of("hypergcn")
     factors: dict[int, SparseMatrix] = {}
     laps = LaplacianSet(
         **{name: _unpack_operator(f"lap.{name}", blob, factors) for name in _LAPLACIAN_FIELDS}
     )
     fields = {name: _unpack_operator(name, blob, factors) for name in _SPARSE_FIELDS}
-    return StructureBundle(
-        hypergraph=hg,
-        clique=clique,
-        star=star,
-        hypergcn=hyper,
-        laplacians=laps,
-        attention_pattern=attention_pattern(clique.adjacency),
-        key=key,
-        **fields,
-    )
+    return StructureBundle(hypergraph=hg, laplacians=laps, key=key, **fields)
 
 
 def load_or_build(
     hg: Hypergraph, features: np.ndarray | SparseMatrix, cache_dir: str | Path | None = None
 ) -> StructureBundle:
-    """Build the bundle, reusing a cached copy when one matches the hash."""
+    """Build the bundle, reusing a cached copy when one matches the hash.
+
+    Raises:
+        ParseError: ``cache_dir`` is not a directory and cannot be created.
+    """
     if cache_dir is None:
         return build_structure(hg, features)
     cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot use {cache_dir} as a cache directory: {exc}") from exc
     features = as_features(features)
     # Hashed once: the key names the file and is the bundle's key on a miss.
     key = content_hash(hg, features)

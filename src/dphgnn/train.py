@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +137,7 @@ class RunConfig:
                 base.update(block)
                 kwargs[name] = ModuleConfig(**base)
         if "ablation" in known:
-            kwargs["ablation"] = AblationFlags(**known.pop("ablation"))
+            kwargs["ablation"] = _ablation_flags(known.pop("ablation"), "config ablation")
         for name in ("model", "epochs", "seed", "sib_lambda", "dataset"):
             if name in known:
                 kwargs[name] = known.pop(name)
@@ -341,6 +341,14 @@ def train(
     return report
 
 
+def _ablation_flags(value, what: str) -> AblationFlags:
+    names = {f.name for f in fields(AblationFlags)}
+    if (not isinstance(value, dict) or not value.keys() <= names
+            or not all(isinstance(flag, bool) for flag in value.values())):
+        raise ParseError(f"{what} must be an object mapping some of {sorted(names)} to booleans")
+    return AblationFlags(**value)
+
+
 def _params_from_checkpoint(arrays: dict, extra: dict):
     rng = np.random.default_rng(0)
     if not isinstance(extra, dict):
@@ -356,13 +364,18 @@ def _params_from_checkpoint(arrays: dict, extra: dict):
     if model == "hgnn":
         params = init_hgnn(rng, *dims)
     else:
+        def number(key: str, kinds: str, default):
+            if key not in extra:
+                return default
+            return number_array(extra[key], f"checkpoint extra {key}", kinds, ndim=0).item()
+
         params = init_dphgnn(
             rng,
             *dims,
-            num_heads=extra.get("attention_heads", 1),
-            num_layers=extra.get("num_layers", 2),
-            flags=AblationFlags(**extra.get("ablation", {})),
-            sib_lambda=extra.get("sib_lambda", 1.0),
+            num_heads=number("attention_heads", "iu", 1),
+            num_layers=number("num_layers", "iu", 2),
+            flags=_ablation_flags(extra.get("ablation", {}), "checkpoint extra ablation"),
+            sib_lambda=number("sib_lambda", "iuf", 1.0),
         )
     assign_parameters(params.named_parameters(), arrays)
     return model, params

@@ -18,7 +18,7 @@ from dphgnn.attention import (
 from dphgnn import autodiff
 from dphgnn.autodiff import Tensor, backward, grad_check, mul, sum_all
 from dphgnn.errors import ShapeMismatchError
-from dphgnn.expand import clique_expand
+from dphgnn.expand import clique_expand, star_expand
 from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.precompute import build_structure
 from dphgnn.sparse import SparseMatrix
@@ -167,7 +167,7 @@ def test_taa_forward_shapes_and_star_content(spec_example):
 
     # supernode input rows are zero, so a supernode's one-step features are
     # the mean of its member features (projected, rectified)
-    prop = propagation_matrix(structure.star.graph, UpdateVariant.RESIDUAL_RW)
+    prop = propagation_matrix(star_expand(spec_example), UpdateVariant.RESIDUAL_RW)
     stacked = np.vstack([x, np.zeros((2, width))])
     expected = np.maximum(prop.to_dense() @ stacked @ params.theta_star.value, 0.0)
     np.testing.assert_allclose(star_feats.value, expected, atol=1e-10)
@@ -193,7 +193,7 @@ def test_taa_forward_spectral_premultiplies(spec_example):
     hyper_feats = np.maximum(hyper_prop @ x @ params.theta_hypergcn.value, 0.0)
     smoothed_values = structure.laplacians.hypergcn.to_dense() @ hyper_feats
     vp = smoothed_values @ params.weight.value
-    full = (structure.clique.adjacency.to_dense() != 0) | np.eye(4, dtype=bool)
+    full = (clique_expand(spec_example).adjacency.to_dense() != 0) | np.eye(4, dtype=bool)
     expected = np.vstack([vp[np.flatnonzero(full[i])].mean(axis=0) for i in range(4)])
     np.testing.assert_allclose(spectral.value, expected, atol=1e-10)
 
@@ -386,7 +386,7 @@ def test_star_laplacian_node_rows_give_the_masked_product_bit_for_bit():
     hg = build_hypergraph(7, [(0, 1, 2), (2, 3), (1, 3, 4, 5, 6), (4,)])
     rng = np.random.default_rng(8)
     structure = build_structure(hg, rng.standard_normal((7, 2)))
-    full = graph_laplacian(structure.star.graph)
+    full = graph_laplacian(star_expand(hg))
     feats = rng.standard_normal((7 + 4, 3))
     weights = rng.standard_normal((7, 3))
     a, b = Tensor(feats, requires_grad=True), Tensor(feats, requires_grad=True)

@@ -241,6 +241,59 @@ def test_eval_of_a_checkpoint_without_model_dimensions_exits_two(tmp_path, capsy
         assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A one-epoch dphgnn checkpoint's JSON payload and the dataset it was trained on."""
+    root = tmp_path_factory.mktemp("trained")
+    config = write_config(root, epochs=1)
+    assert main(["train", "--config", str(config), "--out", str(root / "run")]) == 0
+    spec = root / "spec.json"
+    spec.write_text(json.dumps(SMALL["generator"]))
+    data_path = root / "data.json"
+    assert main(["generate", "--spec", str(spec), "--seed", "3", "--out", str(data_path)]) == 0
+    return json.loads((root / "run" / "checkpoint.json").read_text()), data_path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("ablation", {"use_bogus": True}),
+        ("ablation", [1]),
+        ("ablation", {"use_taa": 1}),
+        ("attention_heads", "2"),
+        ("num_layers", "2"),
+        ("sib_lambda", "x"),
+        ("sib_lambda", None),
+    ],
+    ids=["ablation_unknown_flag", "ablation_list", "ablation_int_flag", "heads_string",
+         "layers_string", "lambda_string", "lambda_null"],
+)
+def test_eval_of_a_checkpoint_with_a_bad_extra_field_exits_two(
+    tmp_path, capsys, trained_run, key, value
+):
+    payload, data_path = trained_run
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps({**payload, "extra": {**payload["extra"], key: value}}))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(data_path))
+    assert code == 2
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+def test_eval_with_a_cache_path_naming_a_file_exits_two(tmp_path, capsys, trained_run):
+    payload, data_path = trained_run
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, stdout, err = run_cli(
+        capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(data_path),
+        "--cache", str(taken),
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and str(taken) in err and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 def load_toml(path):
     try:
         import tomllib

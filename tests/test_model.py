@@ -16,6 +16,7 @@ import dphgnn.autodiff as autodiff
 from dphgnn.attention import taa_forward
 from dphgnn.autodiff import Tensor, backward, cross_entropy
 from dphgnn.errors import ShapeMismatchError
+from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
 from dphgnn.hypergraph import LabeledHypergraph, build_hypergraph, ensure_min_degree, relabel_nodes
 from dphgnn.model import (
     AblationFlags,
@@ -211,7 +212,7 @@ def test_dff_forward_dense_oracle(spec_example):
     H = np.array([[1, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     dv = H.sum(axis=1)
     de = H.sum(axis=0)
-    a_star = structure.star.graph.adjacency.to_dense()
+    a_star = star_expand(spec_example).adjacency.to_dense()
     fused = H.T @ np.diag(1 / np.sqrt(dv)) @ static
     fused = fused + np.diag(1 / de) @ a_star[4:] @ star_feats
     expected = np.maximum(static + H @ np.diag(1 / de) @ fused @ theta, 0.0)
@@ -302,9 +303,9 @@ def full_forward_oracle(data, params, structure):
         inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
         return np.eye(len(adj)) + adj * inv[:, None]
 
-    a_star = structure.star.graph.adjacency.to_dense()
-    a_clique = structure.clique.adjacency.to_dense()
-    a_hyper = structure.hypergcn.adjacency.to_dense()
+    a_star = star_expand(hg).adjacency.to_dense()
+    a_clique = clique_expand(hg).adjacency.to_dense()
+    a_hyper = hypergcn_expand(hg, x).adjacency.to_dense()
 
     star_in = np.vstack([proj, np.zeros((hg.num_edges, h))])
     star_feats = np.maximum(

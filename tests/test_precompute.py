@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import re
 import zipfile
 
 import numpy as np
@@ -19,7 +20,8 @@ from conftest import (
     dense_sym,
 )
 from dphgnn.attention import UpdateVariant, propagation_matrix
-from dphgnn.errors import IsolatedNodeError
+from dphgnn.errors import IsolatedNodeError, ParseError
+from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
 from dphgnn.experiments import IsoPoolSpec, build_iso_pool, time_forward
 from dphgnn.hypergraph import build_hypergraph, cooccurrence, ensure_min_degree
 from dphgnn.model import dphgnn_forward, init_dphgnn
@@ -31,7 +33,7 @@ from dphgnn.precompute import (
     save_structure,
 )
 from dphgnn.sparse import FactoredOperator, SparseMatrix
-from dphgnn.spectral import build_laplacians
+from dphgnn.spectral import LaplacianSet, build_laplacians
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 # The operators a bundle may hold in factored form, by their attribute path.
@@ -62,7 +64,7 @@ def test_bundle_operators_match_dense(spec_example):
     np.testing.assert_allclose(
         bundle.node_from_edge.to_dense(), H @ np.diag(1 / de), atol=1e-12
     )
-    a_star = bundle.star.graph.adjacency.to_dense()
+    a_star = star_expand(spec_example).adjacency.to_dense()
     np.testing.assert_allclose(
         bundle.super_gather.to_dense(), np.diag(1 / de) @ a_star[4:], atol=1e-12
     )
@@ -111,43 +113,53 @@ def test_csr_features_cache_round_trip_and_match_the_dense_bundle(tmp_path):
     assert path.name == f"structure-{content_hash(hg, data.features)}.npz"
     assert_bundles_equal(missed, load_or_build(hg, data.features, cache_dir=tmp_path))
     # One-hot rows give every operator of the dense-identity build, bit for bit.
-    assert bundle_digest(missed) == bundle_digest(build_structure(hg, np.eye(40)))
+    assert bundle_digest(missed, data.features) == bundle_digest(
+        build_structure(hg, np.eye(40)), np.eye(40)
+    )
 
 
-def reference_operators(bundle: StructureBundle) -> dict[str, SparseMatrix]:
+def expansions(bundle: StructureBundle, features):
+    """The clique, star and distance-pair graphs the bundle was built from."""
+    hg = bundle.hypergraph
+    return clique_expand(hg), star_expand(hg), hypergcn_expand(hg, features)
+
+
+def reference_operators(bundle: StructureBundle, features) -> dict[str, SparseMatrix]:
     """The CSR forms that build_laplacians and propagation_matrix give.
 
     The star Laplacian has all n + m rows, of which a bundle keeps the n
     node rows.
     """
-    laps = build_laplacians(
-        bundle.hypergraph, bundle.clique, bundle.star.graph, bundle.hypergcn
-    )
+    clique, star, hyper = expansions(bundle, features)
+    laps = build_laplacians(bundle.hypergraph, clique, star, hyper)
     return {
         "laplacians.smoothing": laps.smoothing,
         "laplacians.rw_plus_sym": laps.rw_plus_sym,
         "laplacians.clique": laps.clique,
         "laplacians.star": laps.star,
-        "prop_clique": propagation_matrix(bundle.clique, UpdateVariant.RESIDUAL_RW),
+        "prop_clique": propagation_matrix(clique, UpdateVariant.RESIDUAL_RW),
     }
 
 
-def bundle_digest(bundle: StructureBundle) -> str:
+def bundle_digest(bundle: StructureBundle, features) -> str:
     """sha256 over the shape, indptr, indices and data of every operator, then the degrees.
 
-    A factored operator, and the star Laplacian's node rows, are digested
-    as their CSR reference (:func:`reference_operators`), which
+    The expansion graphs, which the bundle does not keep, are rebuilt from
+    its hypergraph and ``features`` and digested first. A factored
+    operator, and the star Laplacian's node rows, are digested as their
+    CSR reference (:func:`reference_operators`), which
     test_bundle_operators_match_their_csr_reference compares with the
     bundle's own form.
     """
-    reference = reference_operators(bundle)
+    graphs = expansions(bundle, features)
+    reference = reference_operators(bundle, features)
 
     def csr(path):
         op = getattr_path(bundle, path)
         return op if isinstance(op, SparseMatrix) else reference[path]
 
     operators = (
-        bundle.clique.adjacency, bundle.star.graph.adjacency, bundle.hypergcn.adjacency,
+        *(graph.adjacency for graph in graphs),
         csr("laplacians.smoothing"), csr("laplacians.clique"), reference["laplacians.star"],
         bundle.laplacians.hypergcn, csr("laplacians.rw_plus_sym"),
         csr("prop_clique"), bundle.prop_star, bundle.prop_hypergcn, bundle.attention_pattern,
@@ -157,7 +169,7 @@ def bundle_digest(bundle: StructureBundle) -> str:
     for mat in operators:
         for array in (np.array(mat.shape, dtype=np.int64), mat.indptr, mat.indices, mat.data):
             digest.update(np.ascontiguousarray(array).tobytes())
-    for graph in (bundle.clique, bundle.star.graph, bundle.hypergcn):
+    for graph in graphs:
         digest.update(np.ascontiguousarray(graph.degrees).tobytes())
     return digest.hexdigest()
 
@@ -184,7 +196,7 @@ def bundle_digest(bundle: StructureBundle) -> str:
 def test_bundle_operators_frozen_digest(make_data, expected):
     data = make_data()
     bundle = build_structure(ensure_min_degree(data.hypergraph), data.features)
-    assert bundle_digest(bundle) == expected
+    assert bundle_digest(bundle, data.features) == expected
 
 
 def _wide_edges():
@@ -207,7 +219,7 @@ def assert_close_relative(got, want, rel=1e-12):
 def test_bundle_operators_match_their_csr_reference(make_data):
     data = make_data()
     bundle = build_structure(ensure_min_degree(data.hypergraph), data.features)
-    reference = reference_operators(bundle)
+    reference = reference_operators(bundle, data.features)
     x = np.random.default_rng(0).standard_normal((data.num_nodes, 5))
     for path in FACTORABLE:
         op, csr = getattr_path(bundle, path), reference[path]
@@ -311,14 +323,11 @@ def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
         "edge_from_node", "super_gather", "node_from_edge",
         "laplacians.smoothing", "laplacians.clique", "laplacians.star",
         "laplacians.hypergcn", "laplacians.rw_plus_sym",
-        "clique.adjacency", "star.graph.adjacency",
     ):
         op_a, op_b = (getattr_path(bundle, name) for bundle in (a, b))
         assert type(op_a) is type(op_b), name
         for x, y in zip(operator_arrays(op_a), operator_arrays(op_b), strict=True):
             np.testing.assert_array_equal(x, y, err_msg=name)
-    assert a.star.num_nodes == b.star.num_nodes
-    assert a.star.num_supernodes == b.star.num_supernodes
 
 
 def test_cache_round_trip(tmp_path, spec_example):
@@ -348,7 +357,7 @@ def test_factored_bundle_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setattr(precompute, "_build", no_build)
     hit = load_or_build(hg, data.features, cache_dir=tmp_path)
     assert_bundles_equal(missed, hit)
-    assert bundle_digest(hit) == bundle_digest(missed)
+    assert bundle_digest(hit, data.features) == bundle_digest(missed, data.features)
     params = init_dphgnn(np.random.default_rng(2), data.num_features, 8, data.num_classes)
     data = dataclasses.replace(data, hypergraph=hg)
     np.testing.assert_array_equal(
@@ -357,12 +366,49 @@ def test_factored_bundle_cache_round_trip(tmp_path, monkeypatch):
     )
 
 
-def test_cache_file_of_format_v4_is_a_miss(tmp_path, spec_example, monkeypatch):
+@pytest.mark.parametrize(
+    "make_data",
+    [lambda: build_iso_pool(IsoPoolSpec(num_pairs=10), 0)[0], _wide_edges],
+    ids=["iso_pool", "two_community"],
+)
+def test_cache_file_holds_only_the_bundles_operators(tmp_path, make_data):
+    data = make_data()
+    load_or_build(ensure_min_degree(data.hypergraph), data.features, cache_dir=tmp_path)
+    [path] = tmp_path.glob("structure-*.npz")
+    with np.load(path) as blob:
+        names = blob.files
+    assert not [name for name in names if name.startswith("graph.")]
+    prefixes = {name.rsplit(".", 1)[0] for name in names}
+    factors = {p for p in prefixes if re.fullmatch(r"factor\.\d+", p)}
+    operators = {f.name for f in dataclasses.fields(StructureBundle)} - {
+        "hypergraph", "laplacians", "key"
+    }
+    assert prefixes - factors == {
+        "num_nodes", "edge_sizes", "edge_members",
+        *(f"lap.{f.name}" for f in dataclasses.fields(LaplacianSet)),
+        *operators,
+    }
+
+
+def test_unusable_cache_dir_raises_before_building(tmp_path, spec_example, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("nothing may be built for an unusable cache directory")
+
+    monkeypatch.setattr(precompute, "_build", no_build)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for cache_dir in (taken, taken / "below"):
+        with pytest.raises(ParseError, match=str(cache_dir)):
+            load_or_build(spec_example, np.ones((4, 2)), cache_dir=cache_dir)
+
+
+def test_cache_file_of_format_v5_is_a_miss(tmp_path, spec_example, monkeypatch):
     features = np.ones((4, 2))
-    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 4)
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 5)
     load_or_build(spec_example, features, cache_dir=tmp_path)
     [old] = tmp_path.glob("structure-*.npz")
-    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 5)
+    monkeypatch.undo()
+    assert precompute.CACHE_FORMAT_VERSION == 6
     built, build = [], precompute._build
     monkeypatch.setattr(precompute, "_build", lambda *args: built.append(1) or build(*args))
     load_or_build(spec_example, features, cache_dir=tmp_path)
@@ -413,7 +459,8 @@ def test_cache_hit_reuses_the_callers_hypergraph(tmp_path, monkeypatch):
     monkeypatch.setattr(precompute, "_build", no_build)
     hit = load_or_build(hg, data.features, cache_dir=tmp_path)
     assert hit.hypergraph is hg
-    assert bundle_digest(hit) == bundle_digest(fresh)  # every operator, byte for byte
+    # every operator, byte for byte
+    assert bundle_digest(hit, data.features) == bundle_digest(fresh, data.features)
 
 
 def test_no_cache_dir_builds_directly(spec_example):
@@ -469,6 +516,10 @@ def _bad_indices(path):
     _rewrite_members(path, lambda members: members.update({"lap.star.indices.npy": buf.getvalue()}))
 
 
+def _drop_pattern_member(path):
+    _rewrite_members(path, lambda members: members.pop("attention_pattern.indices.npy"))
+
+
 def _other_hypergraphs_bundle(path):
     # The same node count and edge sizes as spec_example, other members.
     other = build_hypergraph(4, [(0, 1, 3), (2, 3)])
@@ -488,11 +539,13 @@ def _other_node_count(path):
         lambda p: p.write_bytes(b"not an npz archive at all"),
         _truncate,
         _drop_member,
+        _drop_pattern_member,
         _bad_indices,
         _other_hypergraphs_bundle,
         _other_node_count,
     ],
-    ids=["empty", "garbage", "truncated", "missing_member", "inconsistent_arrays",
+    ids=["empty", "garbage", "truncated", "missing_member", "missing_pattern_member",
+         "inconsistent_arrays",
          "other_hypergraphs_edges", "other_node_count"],
 )
 def test_unreadable_cache_file_is_a_miss(tmp_path, spec_example, corrupt):

@@ -102,7 +102,7 @@ def test_graph_laplacian_edgeless_and_rowsum():
 def reference_laplacians(hg, x):
     """The CSR reference operators of every view of ``hg``."""
     return build_laplacians(
-        hg, clique_expand(hg), star_expand(hg).graph, hypergcn_expand(hg, x)
+        hg, clique_expand(hg), star_expand(hg), hypergcn_expand(hg, x)
     )
 
 
@@ -165,7 +165,7 @@ def test_laplacian_set_builds_all_views(spec_example):
     laps = build_laplacians(
         spec_example,
         clique_expand(spec_example),
-        star_expand(spec_example).graph,
+        star_expand(spec_example),
         hypergcn_expand(spec_example, feats),
     )
     assert laps.smoothing.shape == (4, 4)

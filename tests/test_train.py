@@ -61,6 +61,9 @@ def test_config_rejects_unknown_keys():
     bad_block["gnn"]["momentum"] = 0.9
     with pytest.raises(ParseError):
         RunConfig.from_dict(bad_block)
+    for ablation in ({"use_bogus": True}, [1], {"use_taa": 1}):
+        with pytest.raises(ParseError, match="ablation"):
+            RunConfig.from_dict({**small_config().to_dict(), "ablation": ablation})
 
 
 def test_config_validation():
