@@ -128,11 +128,11 @@ def single_layer_update(
 def star_update(x: Tensor, theta: Tensor, structure: "StructureBundle") -> Tensor:
     """The star view's one-step features on all n + m star vertices.
 
-    Supernode rows of the star input start at zero, so after the residual
-    step a supernode carries the mean of its member features.
+    Supernode rows of the star input start at zero, so the residual step
+    leaves each node row as it is and gives a supernode the mean of its
+    member features, D_e^{-1} H^T x: ReLU([x ; D_e^{-1} H^T x] theta).
     """
-    pad = Tensor(np.zeros((structure.hypergraph.num_edges, x.value.shape[1])))
-    return single_layer_update(structure.prop_star, concat_rows(x, pad), theta)
+    return relu(matmul(concat_rows(x, matmul(structure.node_from_edge.T, x)), theta))
 
 
 def _head_slices(width: int, num_heads: int) -> list[slice]:
@@ -226,17 +226,19 @@ def taa_forward(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Run both attention paths over the bundle's views.
 
-    Returns (spatial attention, spectral attention, star view features);
-    the star features live on all n + m star vertices
-    (:func:`star_update`) and also feed the fusion layer downstream.
+    Returns (spatial attention, spectral attention, star node features):
+    the n node rows of the star view (:func:`star_update`), which are the
+    spatial query and also feed the fusion layer downstream. The spectral
+    path reads all n + m star rows.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     star_feats = star_update(x, params.theta_star, structure)
+    star_nodes = select_rows(star_feats, np.arange(structure.hypergraph.num_nodes))
     clique_feats = single_layer_update(structure.prop_clique, x, params.theta_clique)
     hyper_feats = single_layer_update(structure.prop_hypergcn, x, params.theta_hypergcn)
 
     spatial = cross_attention(
-        select_rows(star_feats, np.arange(structure.hypergraph.num_nodes)),
+        star_nodes,
         clique_feats,
         hyper_feats,
         structure.attention_pattern,
@@ -256,4 +258,4 @@ def taa_forward(
         rng=rng,
         train=train,
     )
-    return spatial, spectral, star_feats
+    return spatial, spectral, star_nodes

@@ -7,7 +7,7 @@ a tensor, so the tape pins only what the closures save:
 
 - ``mul``, dense ``matmul`` and ``segment_sums``: the operands their
   gradients read (the other operand of each operand that requires grad);
-- ``sigmoid``, ``softmax_rows`` and ``segment_softmax``: their output;
+- ``sigmoid`` and ``segment_softmax``: their output;
   ``cross_entropy``: the masked logits, their row maxima, labels and rows;
 - ``relu``, ``leaky_relu`` and ``dropout``: a bool mask; dropout rebuilds
   its ``keep / (1 - p)`` factor in backward;
@@ -55,7 +55,6 @@ __all__ = [
     "relu",
     "leaky_relu",
     "sigmoid",
-    "softmax_rows",
     "segment_softmax",
     "segment_sums",
     "dropout",
@@ -350,37 +349,6 @@ def sigmoid(a) -> Tensor:
 
     def bwd(g):
         _accum(an, g * val * (1.0 - val))
-
-    return _make(val, (a,), bwd)
-
-
-def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax, optionally restricted to a boolean mask.
-
-    Masked-out positions get probability zero and zero gradient. Every row
-    must keep at least one admissible position.
-    """
-    a = as_tensor(a)
-    x = a.value
-    if x.ndim != 2:
-        raise ShapeMismatchError("softmax_rows expects a two-axis tensor")
-    if mask is None:
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeMismatchError("softmax mask shape mismatch")
-        if not mask.any(axis=1).all():
-            raise EmptyMaskError("softmax row with no admissible positions")
-        shifted = x - np.where(mask, x, -np.inf).max(axis=1, keepdims=True)
-        e = np.where(mask, np.exp(shifted), 0.0)
-    val = e / e.sum(axis=1, keepdims=True)
-    an = a._node
-
-    def bwd(g):
-        inner = (g * val).sum(axis=1, keepdims=True)
-        _accum(an, val * (g - inner))
 
     return _make(val, (a,), bwd)
 

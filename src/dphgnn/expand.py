@@ -15,7 +15,8 @@ The structure bundle (:mod:`dphgnn.precompute`) builds its propagation
 operators, Laplacians and attention pattern from these graphs and keeps
 none of them. The star graph is a plain :class:`Graph`: its first n
 vertices are the hypergraph's nodes and the other ``adjacency.rows - n``
-its supernodes.
+its supernodes. Only the star Laplacian is built from it; the star view's
+one-step update reads H directly (:func:`~dphgnn.attention.star_update`).
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .autodiff import (
     matmul,
     mul,
     relu,
+    select_rows,
     sigmoid,
 )
 from .errors import ShapeMismatchError
@@ -229,7 +230,7 @@ def feature_mix(
 
 def dff_forward(
     static: Tensor,
-    star_feats: Tensor,
+    star_nodes: Tensor,
     theta: Tensor,
     structure: StructureBundle,
     include_star_term: bool = True,
@@ -239,16 +240,17 @@ def dff_forward(
 
     Aggregates node features onto edges two ways, then scatters back:
 
-        fused = H^T D_v^{-1/2} static + D_e^{-1} (A_star static_rows) star_feats
+        fused = H^T D_v^{-1/2} static + D_e^{-1} H^T star_nodes
         out   = ReLU(static + H D_e^{-1} fused theta)
 
-    The second fused term gathers each supernode's member rows of the
-    star-view features; with ``include_star_term=False`` (fusion ablated)
-    only the incidence aggregation remains.
+    The second fused term averages each edge's member rows of the star
+    view's node features (``star_nodes``, n rows); with
+    ``include_star_term=False`` (fusion ablated) only the incidence
+    aggregation remains.
     """
     fused = matmul(structure.edge_from_node, static)
     if include_star_term:
-        fused = add(fused, matmul(structure.super_gather, star_feats))
+        fused = add(fused, matmul(structure.node_from_edge.T, star_nodes))
     if trace_sink is not None:
         trace_sink["fused"] = fused
     return relu(add(static, matmul(structure.node_from_edge, matmul(fused, theta))))
@@ -315,7 +317,7 @@ def dphgnn_forward(
         spectral = concat_cols(projected, projected)
 
     if flags.use_taa:
-        attn_spatial, attn_spectral, star_feats = taa_forward(
+        attn_spatial, attn_spectral, star_nodes = taa_forward(
             projected, params.taa, structure,
             attn_dropout=rates.taa if train else 0.0,
             rng=rng,
@@ -323,19 +325,22 @@ def dphgnn_forward(
         )
     else:
         attn_spatial = attn_spectral = projected
-        star_feats = None
+        star_nodes = None
 
     static = feature_mix(attn_spatial, attn_spectral, spectral, projected, params)
 
-    if star_feats is None and flags.use_dff:
-        # Fusion needs the star view even when attention is ablated.
-        star_feats = star_update(projected, params.taa.theta_star, structure)
+    if star_nodes is None and flags.use_dff:
+        # Fusion needs the star view's node rows even when attention is ablated.
+        star_nodes = select_rows(
+            star_update(projected, params.taa.theta_star, structure),
+            np.arange(data.hypergraph.num_nodes),
+        )
 
     current = static
     sink: dict = {}
     for theta in params.fusion_weights:
         current = dff_forward(
-            current, star_feats, theta, structure,
+            current, star_nodes, theta, structure,
             include_star_term=flags.use_dff,
             trace_sink=sink,
         )

@@ -7,7 +7,7 @@ are built only to derive these operators; the bundle and its npz keep
 the operators alone. The bundle can be cached on disk under a sha256
 content hash (:func:`content_hash`) of:
 
-- the cache format version, now 6, and the node and edge counts;
+- the cache format version, now 7, and the node and edge counts;
 - the edge sizes and the flat edge members;
 - the input features, which the distance-pair expansion reads. A dense
   array contributes a ``dense`` tag, its shape and its float64 values; a
@@ -24,7 +24,9 @@ are at most ``FACTORED_SHARE`` of nnz(H H^T), a property of the input
 alone; a factored operator's CSR is never built. Wide edges factor;
 size-2 edges store more terms factored and stay CSR. Only the n node rows
 of the star Laplacian are kept, the rows the spectral attention path
-reads. The npz stores each CSR operator, the attention pattern among
+reads. No star propagation operator is kept: the star step reads H D_e^{-1}
+(``node_from_edge``) transposed (:func:`~dphgnn.attention.star_update`).
+The npz stores each CSR operator, the attention pattern among
 them, as its shape, ``indptr``, ``indices`` and ``data``, and a factored
 operator as its term layout (chain lengths, factor ids, scales) with each
 distinct factor once.
@@ -61,18 +63,16 @@ class StructureBundle:
     hypergraph: Hypergraph
     laplacians: LaplacianSet
     prop_clique: SparseMatrix | FactoredOperator
-    prop_star: SparseMatrix
     prop_hypergcn: SparseMatrix
     attention_pattern: SparseMatrix     # clique adjacency + I, unit values
     edge_from_node: SparseMatrix        # H^T D_v^{-1/2}
-    super_gather: SparseMatrix          # D_e^{-1} (A_star restricted to supernode rows)
     node_from_edge: SparseMatrix        # H D_e^{-1}
     key: str
 
 
 # Bump whenever the npz layout or the hash inputs change, so files from
 # older code are never read.
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 # A clique-pattern operator is applied factored when its factors store at most
 # this share of the terms of its CSR form. Well below 1, because every factor
@@ -129,18 +129,15 @@ def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix, key: str) -> Str
     laps = build_laplacians(hg, clique, star, hyper, chosen)
     # Only the star Laplacian's node rows are read, by the spectral attention path.
     laps = replace(laps, star=laps.star.take_row_range(0, n))
-    super_rows = star.adjacency.take_row_range(n, n + hg.num_edges)
 
     return StructureBundle(
         hypergraph=hg,
         laplacians=laps,
         prop_clique=(chosen.get("prop_clique")
                      or propagation_matrix(clique, UpdateVariant.RESIDUAL_RW)),
-        prop_star=propagation_matrix(star, UpdateVariant.RESIDUAL_RW),
         prop_hypergcn=propagation_matrix(hyper, UpdateVariant.SYM_NORM),
         attention_pattern=attention_pattern(clique.adjacency),
         edge_from_node=edge_from_node,
-        super_gather=super_rows.scale_rows(inv_edge),
         node_from_edge=node_from_edge,
         key=key,
     )
@@ -196,11 +193,9 @@ def _factored_operators(
 
 _SPARSE_FIELDS = (
     "prop_clique",
-    "prop_star",
     "prop_hypergcn",
     "attention_pattern",
     "edge_from_node",
-    "super_gather",
     "node_from_edge",
 )
 _LAPLACIAN_FIELDS = ("smoothing", "clique", "star", "hypergcn", "rw_plus_sym")

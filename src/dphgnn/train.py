@@ -11,6 +11,7 @@ parameter group with its own learning rate and weight decay.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
@@ -369,11 +370,19 @@ def _params_from_checkpoint(arrays: dict, extra: dict):
                 return default
             return number_array(extra[key], f"checkpoint extra {key}", kinds, ndim=0).item()
 
+        # Checked against the stored fusion weights before any is allocated.
+        num_layers = number("num_layers", "iu", 2)
+        fusion = sum(bool(re.fullmatch(r"fusion\.\d+\.theta", name)) for name in arrays)
+        if num_layers - 1 != fusion:
+            raise ParseError(
+                f"checkpoint extra num_layers {num_layers} needs {num_layers - 1} "
+                f"fusion.<k>.theta arrays, the checkpoint holds {fusion}"
+            )
         params = init_dphgnn(
             rng,
             *dims,
             num_heads=number("attention_heads", "iu", 1),
-            num_layers=number("num_layers", "iu", 2),
+            num_layers=num_layers,
             flags=_ablation_flags(extra.get("ablation", {}), "checkpoint extra ablation"),
             sib_lambda=number("sib_lambda", "iuf", 1.0),
         )

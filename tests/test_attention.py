@@ -13,6 +13,7 @@ from dphgnn.attention import (
     cross_attention,
     propagation_matrix,
     single_layer_update,
+    star_update,
     taa_forward,
 )
 from dphgnn import autodiff
@@ -160,16 +161,18 @@ def test_taa_forward_shapes_and_star_content(spec_example):
     x = rng.standard_normal((4, width))
     structure = build_structure(spec_example, x)
     params = make_params(rng, width)
-    spatial, spectral, star_feats = taa_forward(Tensor(x), params, structure)
+    spatial, spectral, star_nodes = taa_forward(Tensor(x), params, structure)
     assert spatial.value.shape == (4, width)
     assert spectral.value.shape == (4, width)
-    assert star_feats.value.shape == (6, width)
+    assert star_nodes.value.shape == (4, width)
 
     # supernode input rows are zero, so a supernode's one-step features are
     # the mean of its member features (projected, rectified)
     prop = propagation_matrix(star_expand(spec_example), UpdateVariant.RESIDUAL_RW)
     stacked = np.vstack([x, np.zeros((2, width))])
     expected = np.maximum(prop.to_dense() @ stacked @ params.theta_star.value, 0.0)
+    np.testing.assert_allclose(star_nodes.value, expected[:4], atol=1e-10)
+    star_feats = star_update(Tensor(x), params.theta_star, structure)
     np.testing.assert_allclose(star_feats.value, expected, atol=1e-10)
     members = x[[0, 1, 2]].mean(axis=0)
     np.testing.assert_allclose(
@@ -177,6 +180,51 @@ def test_taa_forward_shapes_and_star_content(spec_example):
         np.maximum(members @ params.theta_star.value, 0.0),
         atol=1e-10,
     )
+
+
+def star_step_inputs(rng, edge_size, width=5):
+    """A covering hypergraph whose edges have ``edge_size`` members, features and theta."""
+    n = 3 * edge_size
+    edges = [tuple(rng.choice(n, size=edge_size, replace=False)) for _ in range(n)]
+    edges += [tuple(range(k, min(k + edge_size, n))) for k in range(0, n, edge_size)]
+    hg = ensure_min_degree(build_hypergraph(n, edges))
+    x = rng.standard_normal((n, width))
+    return hg, x, rng.standard_normal((width, width))
+
+
+@pytest.mark.parametrize("edge_size", [2, 3, 7, 8, 20])
+def test_star_update_matches_the_dense_and_star_propagation_oracles(edge_size):
+    rng = np.random.default_rng(edge_size)
+    hg, x, theta = star_step_inputs(rng, edge_size)
+    structure = build_structure(hg, x)
+    got = star_update(Tensor(x), Tensor(theta), structure).value
+
+    H = np.zeros((hg.num_nodes, hg.num_edges))
+    for j, e in enumerate(hg.edges):
+        H[list(e), j] = 1.0
+    dense = np.maximum(np.vstack([x, (H / H.sum(axis=0)).T @ x]) @ theta, 0.0)
+    # The residual step of the star graph on the zero-padded input.
+    prop = propagation_matrix(star_expand(hg), UpdateVariant.RESIDUAL_RW)
+    stacked = np.vstack([x, np.zeros((hg.num_edges, x.shape[1]))])
+    old = single_layer_update(prop, stacked, theta).value
+    if edge_size <= 7:
+        np.testing.assert_array_equal(got, old)
+    else:
+        np.testing.assert_allclose(got, old, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-14)
+
+
+def test_star_update_gradient():
+    rng = np.random.default_rng(30)
+    hg, x, theta = star_step_inputs(rng, 4, width=3)
+    structure = build_structure(hg, x)
+    xt = Tensor(x, requires_grad=True)
+    tt = Tensor(theta, requires_grad=True)
+    weight = Tensor(rng.standard_normal((hg.num_nodes + hg.num_edges, 3)))
+    err = grad_check(
+        lambda: sum_all(mul(star_update(xt, tt, structure), weight)), {"x": xt, "theta": tt}
+    )
+    assert err < 1e-6
 
 
 def test_taa_forward_spectral_premultiplies(spec_example):
@@ -216,10 +264,10 @@ def test_zero_features_zero_outputs(spec_example):
     structure = build_structure(spec_example, np.ones((4, 3)))
     rng = np.random.default_rng(8)
     params = make_params(rng, 3)
-    spatial, spectral, star_feats = taa_forward(Tensor(x), params, structure)
+    spatial, spectral, star_nodes = taa_forward(Tensor(x), params, structure)
     np.testing.assert_array_equal(spatial.value, np.zeros((4, 3)))
     np.testing.assert_array_equal(spectral.value, np.zeros((4, 3)))
-    np.testing.assert_array_equal(star_feats.value, np.zeros((6, 3)))
+    np.testing.assert_array_equal(star_nodes.value, np.zeros((4, 3)))
 
 
 def test_cross_attention_permutation_equivariance():

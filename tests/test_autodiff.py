@@ -20,10 +20,10 @@ from dphgnn.autodiff import (
     mul,
     relu,
     scale,
+    segment_softmax,
     select_cols,
     select_rows,
     sigmoid,
-    softmax_rows,
     sub,
     sum_all,
     transpose,
@@ -97,7 +97,6 @@ def test_binary_op_gradients(name, f):
         ("sigmoid", sigmoid),
         ("scale", lambda t: scale(t, -1.7)),
         ("transpose", transpose),
-        ("softmax", softmax_rows),
     ],
 )
 def test_unary_op_gradients(name, f):
@@ -155,36 +154,6 @@ def test_sparse_const_matmul_matches_dense():
     out_dense = sum_all(mul(matmul(Tensor(dense), y), matmul(Tensor(dense), y)))
     backward(out_dense)
     np.testing.assert_allclose(grad_sparse, y.grad, atol=1e-12)
-
-
-def test_softmax_rows_semantics():
-    rng = np.random.default_rng(9)
-    x = Tensor(rng.standard_normal((4, 6)))
-    out = softmax_rows(x)
-    np.testing.assert_allclose(out.value.sum(axis=1), np.ones(4), atol=1e-12)
-    const = softmax_rows(Tensor(np.full((2, 5), 3.7)))
-    np.testing.assert_allclose(const.value, np.full((2, 5), 0.2), atol=1e-12)
-
-
-def test_softmax_rows_masked():
-    x = Tensor(np.zeros((2, 4)))
-    mask = np.array([[True, True, False, False], [False, True, True, True]])
-    out = softmax_rows(x, mask=mask)
-    np.testing.assert_allclose(
-        out.value, [[0.5, 0.5, 0.0, 0.0], [0.0, 1 / 3, 1 / 3, 1 / 3]], atol=1e-12
-    )
-    with pytest.raises(EmptyMaskError):
-        softmax_rows(x, mask=np.zeros((2, 4), dtype=bool))
-
-
-def test_masked_softmax_gradient():
-    rng = np.random.default_rng(10)
-    x = param(rng, 3, 5)
-    mask = rng.random((3, 5)) < 0.6
-    mask[:, 0] = True  # keep every row non-empty
-    weight = Tensor(rng.standard_normal((3, 5)))
-    err = grad_check(lambda: sum_all(mul(softmax_rows(x, mask=mask), weight)), {"x": x})
-    assert err < 1e-6
 
 
 def test_dropout_semantics():
@@ -334,8 +303,9 @@ def test_backward_frees_every_array_the_graph_saved(monkeypatch):
     w, b = param(rng, 5, 4), param(rng, 1, 4)
     x = Tensor(rng.standard_normal((6, 5)))
     h = dropout(leaky_relu(relu(add(matmul(x, w), b))), 0.5, rng=3)
-    loss = cross_entropy(softmax_rows(mul(h, sigmoid(h))), rng.integers(0, 4, 6), np.ones(6, bool))
-    del x, h
+    weights = segment_softmax(select_cols(mul(h, sigmoid(h)), np.array([0])), np.array([0, 2, 6]))
+    loss = cross_entropy(concat_cols(h, weights), rng.integers(0, 5, 6), np.ones(6, bool))
+    del x, h, weights
     backward(loss)
     alive = [r() for r in saved if r() is not None]
     assert len(alive) == 1 and alive[0] is loss.value

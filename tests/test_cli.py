@@ -279,6 +279,20 @@ def test_eval_of_a_checkpoint_with_a_bad_extra_field_exits_two(
     assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
+def test_eval_of_a_checkpoint_with_more_layers_than_fusion_weights_exits_two(
+    tmp_path, capsys, trained_run
+):
+    # The count is checked before num_layers - 1 fusion weights are allocated,
+    # so the error names the mismatch in one line instead of 19,999 missing names.
+    payload, data_path = trained_run
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps({**payload, "extra": {**payload["extra"], "num_layers": 20000}}))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(data_path))
+    assert code == 2
+    assert err.startswith("error:") and "num_layers" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_eval_with_a_cache_path_naming_a_file_exits_two(tmp_path, capsys, trained_run):
     payload, data_path = trained_run
     checkpoint = tmp_path / "checkpoint.json"

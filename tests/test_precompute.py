@@ -64,9 +64,11 @@ def test_bundle_operators_match_dense(spec_example):
     np.testing.assert_allclose(
         bundle.node_from_edge.to_dense(), H @ np.diag(1 / de), atol=1e-12
     )
+    # The star step's supernode rows: each supernode averages its members.
     a_star = star_expand(spec_example).adjacency.to_dense()
+    np.testing.assert_array_equal(a_star[4:, 4:], 0.0)
     np.testing.assert_allclose(
-        bundle.super_gather.to_dense(), np.diag(1 / de) @ a_star[4:], atol=1e-12
+        bundle.node_from_edge.T.to_dense(), np.diag(1 / de) @ a_star[4:, :4], atol=1e-12
     )
 
     expected = (H @ H.T != 0).astype(float)  # shares an edge with, or is, the node
@@ -128,16 +130,22 @@ def reference_operators(bundle: StructureBundle, features) -> dict[str, SparseMa
     """The CSR forms that build_laplacians and propagation_matrix give.
 
     The star Laplacian has all n + m rows, of which a bundle keeps the n
-    node rows.
+    node rows. ``prop_star`` and ``super_gather`` (D_e^{-1} times the star
+    adjacency's supernode rows) are the star operators bundles held before
+    the star step read H directly.
     """
+    hg = bundle.hypergraph
     clique, star, hyper = expansions(bundle, features)
-    laps = build_laplacians(bundle.hypergraph, clique, star, hyper)
+    laps = build_laplacians(hg, clique, star, hyper)
+    super_rows = star.adjacency.take_row_range(hg.num_nodes, hg.num_nodes + hg.num_edges)
     return {
         "laplacians.smoothing": laps.smoothing,
         "laplacians.rw_plus_sym": laps.rw_plus_sym,
         "laplacians.clique": laps.clique,
         "laplacians.star": laps.star,
         "prop_clique": propagation_matrix(clique, UpdateVariant.RESIDUAL_RW),
+        "prop_star": propagation_matrix(star, UpdateVariant.RESIDUAL_RW),
+        "super_gather": super_rows.scale_rows(1.0 / hg.edge_degrees.astype(np.float64)),
     }
 
 
@@ -145,9 +153,9 @@ def bundle_digest(bundle: StructureBundle, features) -> str:
     """sha256 over the shape, indptr, indices and data of every operator, then the degrees.
 
     The expansion graphs, which the bundle does not keep, are rebuilt from
-    its hypergraph and ``features`` and digested first. A factored
-    operator, and the star Laplacian's node rows, are digested as their
-    CSR reference (:func:`reference_operators`), which
+    its hypergraph and ``features`` and digested first, and so are
+    ``prop_star`` and ``super_gather``. A factored operator, and the star
+    Laplacian's node rows, are digested as their CSR reference (:func:`reference_operators`), which
     test_bundle_operators_match_their_csr_reference compares with the
     bundle's own form.
     """
@@ -162,8 +170,9 @@ def bundle_digest(bundle: StructureBundle, features) -> str:
         *(graph.adjacency for graph in graphs),
         csr("laplacians.smoothing"), csr("laplacians.clique"), reference["laplacians.star"],
         bundle.laplacians.hypergcn, csr("laplacians.rw_plus_sym"),
-        csr("prop_clique"), bundle.prop_star, bundle.prop_hypergcn, bundle.attention_pattern,
-        bundle.edge_from_node, bundle.super_gather, bundle.node_from_edge,
+        csr("prop_clique"), reference["prop_star"], bundle.prop_hypergcn,
+        bundle.attention_pattern, bundle.edge_from_node, reference["super_gather"],
+        bundle.node_from_edge,
     )
     digest = hashlib.sha256()
     for mat in operators:
@@ -233,6 +242,12 @@ def test_bundle_operators_match_their_csr_reference(make_data):
     for got, want in zip(
         operator_arrays(bundle.laplacians.star), operator_arrays(node_rows), strict=True
     ):
+        np.testing.assert_array_equal(got, want)
+    # The fusion gather reads node_from_edge^T: super_gather without its
+    # supernode columns, which hold no entry.
+    gather, old = bundle.node_from_edge.T, reference["super_gather"]
+    assert gather.shape == (old.rows, data.num_nodes) and old.indices.max() < data.num_nodes
+    for got, want in zip(operator_arrays(gather)[1:], operator_arrays(old)[1:], strict=True):
         np.testing.assert_array_equal(got, want)
 
 
@@ -319,8 +334,7 @@ def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
     assert a.key == b.key
     assert a.hypergraph.edges == b.hypergraph.edges
     for name in (
-        "attention_pattern", "prop_clique", "prop_star", "prop_hypergcn",
-        "edge_from_node", "super_gather", "node_from_edge",
+        "attention_pattern", "prop_clique", "prop_hypergcn", "edge_from_node", "node_from_edge",
         "laplacians.smoothing", "laplacians.clique", "laplacians.star",
         "laplacians.hypergcn", "laplacians.rw_plus_sym",
     ):
@@ -377,7 +391,7 @@ def test_cache_file_holds_only_the_bundles_operators(tmp_path, make_data):
     [path] = tmp_path.glob("structure-*.npz")
     with np.load(path) as blob:
         names = blob.files
-    assert not [name for name in names if name.startswith("graph.")]
+    assert not [name for name in names if name.startswith(("graph.", "prop_star.", "super_gather."))]
     prefixes = {name.rsplit(".", 1)[0] for name in names}
     factors = {p for p in prefixes if re.fullmatch(r"factor\.\d+", p)}
     operators = {f.name for f in dataclasses.fields(StructureBundle)} - {
@@ -402,13 +416,13 @@ def test_unusable_cache_dir_raises_before_building(tmp_path, spec_example, monke
             load_or_build(spec_example, np.ones((4, 2)), cache_dir=cache_dir)
 
 
-def test_cache_file_of_format_v5_is_a_miss(tmp_path, spec_example, monkeypatch):
+def test_cache_file_of_format_v6_is_a_miss(tmp_path, spec_example, monkeypatch):
     features = np.ones((4, 2))
-    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 5)
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 6)
     load_or_build(spec_example, features, cache_dir=tmp_path)
     [old] = tmp_path.glob("structure-*.npz")
     monkeypatch.undo()
-    assert precompute.CACHE_FORMAT_VERSION == 6
+    assert precompute.CACHE_FORMAT_VERSION == 7
     built, build = [], precompute._build
     monkeypatch.setattr(precompute, "_build", lambda *args: built.append(1) or build(*args))
     load_or_build(spec_example, features, cache_dir=tmp_path)
