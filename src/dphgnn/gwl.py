@@ -8,6 +8,12 @@ across runs. Two hypergraphs are compared by refining them jointly in a
 shared namespace; differing color histograms certify non-isomorphism,
 while agreement is only ever "possibly isomorphic" (the classic failure
 pair, two triangles against a six-cycle, stays indistinguishable).
+
+The exact search rules pairs out on three cheap invariants before it
+backtracks: the sorted node profiles (degree and incident edge sizes),
+the sorted edge sizes, and the sorted (node count, edge count) of the
+connected components. Isomorphism preserves all three, so they only
+shorten the search for pairs it would reject.
 """
 
 from __future__ import annotations
@@ -169,12 +175,37 @@ def _node_profile(hg: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
+def _component_shapes(hg: Hypergraph) -> list[tuple[int, int]]:
+    """Sorted (node count, edge count) of each connected component.
+
+    An isolated node is a (1, 0) component; singleton and repeated edges
+    count toward the component of their members.
+    """
+    parent = list(range(hg.num_nodes))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in hg.edges:
+        root = find(e[0])
+        for v in e[1:]:
+            parent[find(v)] = root
+    nodes = Counter(find(v) for v in range(hg.num_nodes))
+    edges = Counter(find(e[0]) for e in hg.edges)
+    return sorted((count, edges[root]) for root, count in nodes.items())
+
+
 def brute_force_isomorphic(hg1: Hypergraph, hg2: Hypergraph) -> bool:
     """Exhaustive search for a node bijection mapping edge multisets.
 
-    Backtracks over degree-compatible assignments, checking each edge as
-    soon as its last member is mapped. Only defined for instances with at
-    most ``BRUTE_FORCE_MAX_NODES`` nodes.
+    Before searching it returns False when the node counts, edge counts,
+    sorted node profiles, sorted edge sizes or sorted component shapes
+    differ. The search backtracks over profile-compatible assignments,
+    checking each edge as soon as its last member is mapped. Only defined
+    for instances with at most ``BRUTE_FORCE_MAX_NODES`` nodes.
 
     Raises:
         TooLargeError: either input exceeds the node cap.
@@ -190,6 +221,8 @@ def brute_force_isomorphic(hg1: Hypergraph, hg2: Hypergraph) -> bool:
     if sorted(prof1) != sorted(prof2):
         return False
     if sorted(map(len, hg1.edges)) != sorted(map(len, hg2.edges)):
+        return False
+    if _component_shapes(hg1) != _component_shapes(hg2):
         return False
     if n == 0:
         return True

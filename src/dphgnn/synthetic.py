@@ -305,8 +305,8 @@ def _gen_non_iso_pair(
     # Shuffle labels so the pair is not trivially aligned.
     split, _ = permuted_copy(split, rng)
     joined, _ = permuted_copy(joined, rng)
-    if joined.num_nodes <= BRUTE_FORCE_MAX_NODES:
-        assert not brute_force_isomorphic(split, joined)
+    if joined.num_nodes <= BRUTE_FORCE_MAX_NODES and brute_force_isomorphic(split, joined):
+        raise InfeasibleSpecError("non_iso_pair failed its brute-force isomorphism check")
     return split, joined, False
 
 

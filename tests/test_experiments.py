@@ -118,15 +118,39 @@ def test_iso_pool_rejects_tiny():
 def test_iso_pool_ground_truth_failure_raises(monkeypatch):
     # an oracle that contradicts every label must stop the pool build, also under -O
     monkeypatch.setattr(experiments, "brute_force_isomorphic", lambda a, b: False)
-    with pytest.raises(InfeasibleSpecError):
+    with pytest.raises(InfeasibleSpecError, match=r"pair 0 \(iso\)"):
         build_iso_pool(IsoPoolSpec(num_pairs=4, feature_dim=4), seed=0)
+    # calling every pair isomorphic fails only the non-iso pairs
     monkeypatch.setattr(experiments, "brute_force_isomorphic", lambda a, b: True)
-    with pytest.raises(InfeasibleSpecError):
+    with pytest.raises(InfeasibleSpecError, match=r"pair 1 \(non_iso\)"):
         build_iso_pool(IsoPoolSpec(num_pairs=4, feature_dim=4), seed=0)
     data, _ = build_iso_pool(
         IsoPoolSpec(num_pairs=4, feature_dim=4, verify_ground_truth=False), seed=0
     )
     assert data.num_nodes == 80
+
+
+def test_iso_pool_checks_the_non_iso_pair_once_per_call(monkeypatch):
+    calls = {"brute_force_isomorphic": 0, "gwl_test": 0}
+
+    def counted(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name))
+    spec = IsoPoolSpec(num_pairs=8, feature_dim=4)
+    for _ in range(2):
+        _, pairs = build_iso_pool(spec, seed=0)
+        # 4 iso pairs, each on its own, plus the non-iso pair once
+        assert calls == {"brute_force_isomorphic": 5, "gwl_test": 5}
+        assert all(p.verdict is Verdict.POSSIBLY_ISOMORPHIC for p in pairs)
+        calls.update(brute_force_isomorphic=0, gwl_test=0)
 
 
 def test_iso_experiment_summary_keys():

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import dphgnn.synthetic as synthetic
 from dphgnn.errors import InfeasibleSpecError, ParseError
 from dphgnn.gwl import Verdict, brute_force_isomorphic, gwl_test
 from dphgnn.hypergraph import relabel_nodes
@@ -191,6 +192,13 @@ def test_non_iso_pair_fools_refinement():
     assert not brute_force_isomorphic(split, joined)
     # two triangles against a hexagon: refinement cannot tell them apart
     assert gwl_test(split, joined).verdict is Verdict.POSSIBLY_ISOMORPHIC
+
+
+def test_non_iso_pair_ground_truth_failure_raises(monkeypatch):
+    # an oracle that calls the pair isomorphic must stop the generator, also under -O
+    monkeypatch.setattr(synthetic, "brute_force_isomorphic", lambda a, b: True)
+    with pytest.raises(InfeasibleSpecError, match="brute-force"):
+        generate_synthetic(NonIsoPairSpec(), seed=17)
 
 
 def test_cycle_hypergraph_shapes():
