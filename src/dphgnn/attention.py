@@ -125,14 +125,14 @@ def single_layer_update(
     return relu(matmul(matmul(prop, x), theta))
 
 
-def star_update(x: Tensor, theta: Tensor, structure: "StructureBundle") -> Tensor:
+def star_update(x: Tensor, edge_mean: Tensor, theta: Tensor) -> Tensor:
     """The star view's one-step features on all n + m star vertices.
 
     Supernode rows of the star input start at zero, so the residual step
     leaves each node row as it is and gives a supernode the mean of its
-    member features, D_e^{-1} H^T x: ReLU([x ; D_e^{-1} H^T x] theta).
+    member features, ``edge_mean`` = D_e^{-1} H^T x: ReLU([x ; edge_mean] theta).
     """
-    return relu(matmul(concat_rows(x, matmul(structure.node_from_edge.T, x)), theta))
+    return relu(matmul(concat_rows(x, edge_mean), theta))
 
 
 def _head_slices(width: int, num_heads: int) -> list[slice]:
@@ -218,6 +218,7 @@ def cross_attention(
 
 def taa_forward(
     x: Tensor | np.ndarray,
+    edge_mean: Tensor | np.ndarray,
     params: TaaParams,
     structure: "StructureBundle",
     attn_dropout: float = 0.0,
@@ -228,11 +229,10 @@ def taa_forward(
 
     Returns (spatial attention, spectral attention, star node features):
     the n node rows of the star view (:func:`star_update`), which are the
-    spatial query and also feed the fusion layer downstream. The spectral
-    path reads all n + m star rows.
+    spatial query and feed the fusion layer. The spectral path reads all
+    n + m star rows, the supernode rows from ``edge_mean`` = D_e^{-1} H^T x.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    star_feats = star_update(x, params.theta_star, structure)
+    star_feats = star_update(x, edge_mean, params.theta_star)
     star_nodes = select_rows(star_feats, np.arange(structure.hypergraph.num_nodes))
     clique_feats = single_layer_update(structure.prop_clique, x, params.theta_clique)
     hyper_feats = single_layer_update(structure.prop_hypergcn, x, params.theta_hypergcn)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import TaaParams, star_update, taa_forward
+from .attention import TaaParams, taa_forward
 from .autodiff import (
     Tensor,
     add,
@@ -34,7 +34,6 @@ from .autodiff import (
     matmul,
     mul,
     relu,
-    select_rows,
     sigmoid,
 )
 from .errors import ShapeMismatchError
@@ -230,27 +229,25 @@ def feature_mix(
 
 def dff_forward(
     static: Tensor,
-    star_nodes: Tensor,
+    star_edges: Tensor | None,
     theta: Tensor,
     structure: StructureBundle,
-    include_star_term: bool = True,
     trace_sink: dict | None = None,
 ) -> Tensor:
     """One hyperedge fusion layer.
 
     Aggregates node features onto edges two ways, then scatters back:
 
-        fused = H^T D_v^{-1/2} static + D_e^{-1} H^T star_nodes
+        fused = H^T D_v^{-1/2} static + star_edges
         out   = ReLU(static + H D_e^{-1} fused theta)
 
-    The second fused term averages each edge's member rows of the star
-    view's node features (``star_nodes``, n rows); with
-    ``include_star_term=False`` (fusion ablated) only the incidence
-    aggregation remains.
+    ``star_edges`` is D_e^{-1} H^T star_nodes, each edge's mean of the star
+    view's node features, which does not change from layer to layer; with
+    ``None`` (fusion ablated) only the incidence aggregation remains.
     """
     fused = matmul(structure.edge_from_node, static)
-    if include_star_term:
-        fused = add(fused, matmul(structure.node_from_edge.T, star_nodes))
+    if star_edges is not None:
+        fused = add(fused, star_edges)
     if trace_sink is not None:
         trace_sink["fused"] = fused
     return relu(add(static, matmul(structure.node_from_edge, matmul(fused, theta))))
@@ -309,8 +306,12 @@ def dphgnn_forward(
     if train and rates.gnn:
         projected = dropout(projected, rates.gnn, rng=rng, train=True)
 
+    # The hyperedge mean D_e^{-1} H^T x that the SIB and the star view share.
+    if flags.use_sib or flags.use_taa:
+        edge_mean = matmul(structure.node_from_edge.T, projected)
+
     if flags.use_sib:
-        spectral = sib_update(projected, params.sib_lambda, params.sib_theta, structure.laplacians)
+        spectral = sib_update(projected, edge_mean, params.sib_lambda, params.sib_theta, structure)
         if train and rates.sib:
             spectral = dropout(spectral, rates.sib, rng=rng, train=True)
     else:
@@ -318,7 +319,7 @@ def dphgnn_forward(
 
     if flags.use_taa:
         attn_spatial, attn_spectral, star_nodes = taa_forward(
-            projected, params.taa, structure,
+            projected, edge_mean, params.taa, structure,
             attn_dropout=rates.taa if train else 0.0,
             rng=rng,
             train=train,
@@ -329,21 +330,16 @@ def dphgnn_forward(
 
     static = feature_mix(attn_spatial, attn_spectral, spectral, projected, params)
 
-    if star_nodes is None and flags.use_dff:
-        # Fusion needs the star view's node rows even when attention is ablated.
-        star_nodes = select_rows(
-            star_update(projected, params.taa.theta_star, structure),
-            np.arange(data.hypergraph.num_nodes),
-        )
+    star_edges = None
+    if flags.use_dff and params.fusion_weights:
+        if star_nodes is None:  # attention ablated: the star step's node rows alone
+            star_nodes = relu(matmul(projected, params.taa.theta_star))
+        star_edges = matmul(structure.node_from_edge.T, star_nodes)
 
     current = static
     sink: dict = {}
     for theta in params.fusion_weights:
-        current = dff_forward(
-            current, star_nodes, theta, structure,
-            include_star_term=flags.use_dff,
-            trace_sink=sink,
-        )
+        current = dff_forward(current, star_edges, theta, structure, trace_sink=sink)
         if train and rates.dff:
             current = dropout(current, rates.dff, rng=rng, train=True)
 

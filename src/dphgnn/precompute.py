@@ -7,29 +7,28 @@ are built only to derive these operators; the bundle and its npz keep
 the operators alone. The bundle can be cached on disk under a sha256
 content hash (:func:`content_hash`) of:
 
-- the cache format version, now 7, and the node and edge counts;
+- the cache format version, now 8, and the node and edge counts;
 - the edge sizes and the flat edge members;
 - the input features, which the distance-pair expansion reads. A dense
   array contributes a ``dense`` tag, its shape and its float64 values; a
   CSR matrix (featureless data as X = I, say) contributes a ``csr`` tag,
   its shape, ``indptr``, ``indices`` and ``data``, so hashing it is O(nnz).
 
-Four operators share the pattern of H H^T, whose nnz is O(sum |e|^2):
-the smoothing operator, ``rw_plus_sym``, the clique Laplacian and
-``prop_clique``. Each may instead be held as a
-:class:`~dphgnn.sparse.FactoredOperator`, a sum of products through H
-(see :func:`_factored_operators`), whose factors store O(nnz(H)) terms.
-The build picks the factored form for an operator when its stored terms
-are at most ``FACTORED_SHARE`` of nnz(H H^T), a property of the input
-alone; a factored operator's CSR is never built. Wide edges factor;
-size-2 edges store more terms factored and stay CSR. Only the n node rows
-of the star Laplacian are kept, the rows the spectral attention path
-reads. No star propagation operator is kept: the star step reads H D_e^{-1}
-(``node_from_edge``) transposed (:func:`~dphgnn.attention.star_update`).
-The npz stores each CSR operator, the attention pattern among
-them, as its shape, ``indptr``, ``indices`` and ``data``, and a factored
-operator as its term layout (chain lengths, factor ids, scales) with each
-distinct factor once.
+Three operators share the pattern of H H^T, whose nnz is O(sum |e|^2): the
+smoothing operator, the clique Laplacian and ``prop_clique``. Each may
+instead be held as a :class:`~dphgnn.sparse.FactoredOperator`, a sum of
+products through H (see :func:`_factored_operators`), whose factors store
+O(nnz(H)) terms. The build picks the factored form for an operator when
+its stored terms are at most ``FACTORED_SHARE`` of nnz(H H^T), a property
+of the input alone; a factored operator's CSR is never built. Wide edges
+factor; size-2 edges store more terms factored and stay CSR. Only the star
+Laplacian's n node rows are kept, the rows the spectral attention path
+reads. The star step and the identifier block read the hyperedge mean
+D_e^{-1} H^T x through ``node_from_edge``, not a star propagation operator
+or the random-walk and symmetric Laplacians. The npz stores each CSR
+operator, the attention pattern among them, as its shape, ``indptr``,
+``indices`` and ``data``, and a factored operator as its term layout
+(chain lengths, factor ids, scales), each distinct factor once.
 
 Every stored array is O(nnz) or O(n + m); nothing n x n is built or
 written. A cache hit is O(nnz) array work: the bundle's hypergraph is the
@@ -72,14 +71,14 @@ class StructureBundle:
 
 # Bump whenever the npz layout or the hash inputs change, so files from
 # older code are never read.
-CACHE_FORMAT_VERSION = 7
+CACHE_FORMAT_VERSION = 8
 
 # A clique-pattern operator is applied factored when its factors store at most
 # this share of the terms of its CSR form. Well below 1, because every factor
 # adds a product with its own fixed cost: size-2 edges (the iso pool) store
 # more terms factored, the c10 forward-timing instances (300 nodes, size-3
-# edges) 0.67 to 1.9 times as many, while on size-8 edges the four operators
-# store 0.28 to 0.60 times as many.
+# edges) 0.67 to 1.02 times as many, while on size-8 edges the three operators
+# store 0.28 to 0.57 times as many.
 FACTORED_SHARE = 0.625
 
 
@@ -146,13 +145,12 @@ def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix, key: str) -> Str
 def _factored_operators(
     hg: Hypergraph, clique: Graph, node_from_edge: SparseMatrix, edge_from_node: SparseMatrix
 ) -> dict[str, FactoredOperator]:
-    """The four clique-pattern operators as products through H.
+    """The three clique-pattern operators as products through H.
 
     With A the clique adjacency, H H^T = diag(d_v) + A + C, where C holds
     count - 1 on the node pairs that share two or more edges, so
 
         smoothing   = D_v^{-1/2} (H D_e^{-1}) (H^T D_v^{-1/2})
-        rw_plus_sym = 2I - D_v^{-1} (H D_e^{-1}) H^T - smoothing
         clique      = diag(D_c + d_v) - H H^T + C
         prop_clique = diag(1 - D_c^{-1} d_v) + D_c^{-1} H H^T - D_c^{-1} C
 
@@ -171,14 +169,8 @@ def _factored_operators(
     joined = clique.degrees > 0
     inv_clique[joined] = 1.0 / clique.degrees[joined]
 
-    smoothing = FactoredOperator((n, n), [(inv_sqrt, (node_from_edge, edge_from_node))])
     return {
-        "smoothing": smoothing,
-        "rw_plus_sym": FactoredOperator((n, n), [
-            (np.full(n, 2.0), ()),
-            (-1.0 / deg, (node_from_edge, ht)),
-            (-inv_sqrt, (node_from_edge, edge_from_node)),
-        ]),
+        "smoothing": FactoredOperator((n, n), [(inv_sqrt, (node_from_edge, edge_from_node))]),
         "clique": FactoredOperator((n, n), [
             (clique.degrees + deg, ()), (np.full(n, -1.0), (h, ht)), (None, (multi,)),
         ]),
@@ -198,7 +190,7 @@ _SPARSE_FIELDS = (
     "edge_from_node",
     "node_from_edge",
 )
-_LAPLACIAN_FIELDS = ("smoothing", "clique", "star", "hypergcn", "rw_plus_sym")
+_LAPLACIAN_FIELDS = ("smoothing", "clique", "star", "hypergcn")
 
 
 def _pack_sparse(prefix: str, mat: SparseMatrix, out: dict) -> None:

@@ -12,20 +12,24 @@ Laplacians of expansion graphs are the combinatorial D - A.
 
 The functions here build every operator as one CSR matrix; they are the
 reference for the factored forms that ``precompute`` may apply instead.
+The identifier block applies the last two's sum through a hyperedge mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, matmul, relu, scale
+from .autodiff import Tensor, concat_cols, matmul, mul, relu, scale, sub
 from .errors import IsolatedNodeError
 from .expand import Graph
 from .hypergraph import Hypergraph, incidence
 from .sparse import FactoredOperator, SparseMatrix
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .precompute import StructureBundle
 
 __all__ = [
     "LaplacianSet",
@@ -81,11 +85,10 @@ def graph_laplacian(g: Graph) -> SparseMatrix:
 
 @dataclass(eq=False)
 class LaplacianSet:
-    """All operators one forward pass needs, built once per dataset.
+    """The Laplacians one forward pass reads, built once per dataset.
 
-    The symmetric and random-walk Laplacians are only ever read as their
-    sum, so only ``rw_plus_sym`` is kept; :func:`laplacian_sym` and
-    :func:`laplacian_rw` still build either one alone.
+    The symmetric and random-walk Laplacians are not kept: :func:`sib_update`
+    applies their sum through the hyperedge mean.
 
     :func:`build_laplacians` gives every operator as a CSR matrix and the
     star Laplacian with all n + m rows. A structure bundle keeps only the
@@ -97,7 +100,6 @@ class LaplacianSet:
     clique: SparseMatrix | FactoredOperator       # D - A of the clique expansion
     star: SparseMatrix                            # D - A of the star expansion
     hypergcn: SparseMatrix                        # D - A of the distance-pair expansion
-    rw_plus_sym: SparseMatrix | FactoredOperator  # (I - D_v^{-1} H D_e^{-1} H^T) + (I - smoothing)
 
 
 def build_laplacians(
@@ -109,32 +111,26 @@ def build_laplacians(
 ) -> LaplacianSet:
     """Every operator as one CSR matrix, except those given in ``factored``.
 
-    ``factored`` may map ``smoothing``, ``clique`` and ``rw_plus_sym`` to a
-    factored form of that operator, which is used as given and whose CSR
-    is never built; other keys are ignored. Without it, this is the CSR
-    reference for every operator. The star Laplacian has all n + m rows.
+    ``factored`` may map ``smoothing`` and ``clique`` to a factored form of
+    that operator, which is used as given and whose CSR is never built;
+    other keys are ignored. Without it, this is the CSR reference for every
+    operator. The star Laplacian has all n + m rows.
     """
     factored = factored or {}
-    smoothing = factored.get("smoothing") or laplacian_hgnn(hg)
-    rw_plus_sym = factored.get("rw_plus_sym")
-    if rw_plus_sym is None:
-        csr = smoothing if isinstance(smoothing, SparseMatrix) else laplacian_hgnn(hg)
-        sym = SparseMatrix.identity(hg.num_nodes).add(csr.scale(-1.0))
-        rw_plus_sym = laplacian_rw(hg).add(sym)
     return LaplacianSet(
-        smoothing=smoothing,
+        smoothing=factored.get("smoothing") or laplacian_hgnn(hg),
         clique=factored.get("clique") or graph_laplacian(clique),
         star=graph_laplacian(star_graph),
         hypergcn=graph_laplacian(hyper),
-        rw_plus_sym=rw_plus_sym,
     )
 
 
 def sib_update(
     x: Tensor | np.ndarray,
+    edge_mean: Tensor | np.ndarray,
     lam: float,
     theta: Tensor | np.ndarray,
-    laplacians: LaplacianSet,
+    structure: "StructureBundle",
 ) -> Tensor:
     """Spectral identifier block.
 
@@ -145,10 +141,13 @@ def sib_update(
         S = [(rw + sym) x  ||  smoothing x]          (n, 2d)
         out = ReLU(([x || x] + lam * S) theta)
 
-    ``theta`` maps 2d columns to the output width. ``laplacians`` is a
-    structure bundle's set or the CSR reference of :func:`build_laplacians`.
+    With ``edge_mean`` = D_e^{-1} H^T x, which the star view reads as well,
+    (rw + sym) x is 2x - D_v^{-1} H edge_mean - smoothing x, where D_v^{-1} H
+    is D_v^{-1/2} (H^T D_v^{-1/2})^T. ``theta`` maps 2d columns to the output width.
     """
-    identifiers = concat_cols(matmul(laplacians.rw_plus_sym, x), matmul(laplacians.smoothing, x))
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    smoothed = matmul(structure.laplacians.smoothing, x)
+    inv_sqrt_deg = 1.0 / np.sqrt(structure.hypergraph.node_degrees)
+    walked = mul(matmul(structure.edge_from_node.T, edge_mean), inv_sqrt_deg[:, None])
+    identifiers = concat_cols(sub(sub(scale(x, 2.0), walked), smoothed), smoothed)
     mixed = concat_cols(x, x) + scale(identifiers, lam)
     return relu(matmul(mixed, theta))

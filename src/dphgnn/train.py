@@ -66,10 +66,13 @@ class ModuleConfig:
     attention_heads: int = 1
 
     def validate(self, name: str) -> None:
-        if self.lr <= 0:
-            raise ParseError(f"{name}.lr must be positive")
-        if self.weight_decay < 0:
-            raise ParseError(f"{name}.weight_decay must be non-negative")
+        for key, kinds in (("lr", "iuf"), ("weight_decay", "iuf"), ("dropout", "iuf"),
+                           ("hidden", "iu"), ("num_layers", "iu"), ("attention_heads", "iu")):
+            number_array(getattr(self, key), f"{name}.{key}", kinds, ndim=0)
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ParseError(f"{name}.lr must be finite and positive")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ParseError(f"{name}.weight_decay must be finite and non-negative")
         if not 0 <= self.dropout < 1:
             raise ParseError(f"{name}.dropout must be in [0, 1)")
         if self.hidden < 1 or self.num_layers < 1:
@@ -113,8 +116,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.model not in ("dphgnn", "hgnn"):
             raise ParseError(f"model must be 'dphgnn' or 'hgnn', got {self.model!r}")
-        if self.epochs < 0:
-            raise ParseError("epochs must be non-negative")
+        for name, kinds in (("epochs", "iu"), ("seed", "iu"), ("sib_lambda", "iuf")):
+            number_array(getattr(self, name), name, kinds, ndim=0)
+        if self.epochs < 0 or self.seed < 0:
+            raise ParseError("epochs and seed must be non-negative")
+        if not np.isfinite(self.sib_lambda):
+            raise ParseError(f"sib_lambda must be finite, got {self.sib_lambda}")
         for name in ("gnn", "taa", "sib", "dff"):
             getattr(self, name).validate(name)
         if self.gnn.hidden % 2:
@@ -357,19 +364,29 @@ def _params_from_checkpoint(arrays: dict, extra: dict):
     model = extra.get("model")
     if model not in ("hgnn", "dphgnn"):
         raise ParseError(f"checkpoint has unknown model kind {model!r}")
-    dims = []
-    for key in ("in_dim", "hidden", "num_classes"):
+
+    def number(key: str, kinds: str, default=None):
         if key not in extra:
-            raise ParseError(f"checkpoint extra lacks the model dimension {key!r}")
-        dims.append(int(number_array(extra[key], f"checkpoint extra {key}", "iu", ndim=0)))
+            if default is None:
+                raise ParseError(f"checkpoint extra lacks the model dimension {key!r}")
+            return default
+        value = number_array(extra[key], f"checkpoint extra {key}", kinds, ndim=0).item()
+        if not np.isfinite(value):
+            raise ParseError(f"checkpoint extra {key} must be finite, got {value}")
+        return value
+
+    dims = [number(key, "iu") for key in ("in_dim", "hidden", "num_classes")]
+    # Checked against the stored first and last weights before any weight is allocated.
+    first, last = (("layer1.theta", "layer2.theta") if model == "hgnn"
+                   else ("proj.weight", "head.theta"))
+    for name, shape in ((first, tuple(dims[:2])), (last, tuple(dims[1:]))):
+        stored = arrays[name].shape if name in arrays else None
+        if min(dims) < 1 or stored != shape:
+            raise ParseError(f"checkpoint extra in_dim, hidden and num_classes {dims} must be "
+                             f"positive and give {name} its shape {stored}")
     if model == "hgnn":
         params = init_hgnn(rng, *dims)
     else:
-        def number(key: str, kinds: str, default):
-            if key not in extra:
-                return default
-            return number_array(extra[key], f"checkpoint extra {key}", kinds, ndim=0).item()
-
         # Checked against the stored fusion weights before any is allocated.
         num_layers = number("num_layers", "iu", 2)
         fusion = sum(bool(re.fullmatch(r"fusion\.\d+\.theta", name)) for name in arrays)

@@ -27,6 +27,17 @@ from dphgnn.spectral import graph_laplacian
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
+def edge_mean(x, structure):
+    """D_e^-1 H^T x, the hyperedge mean the forward pass gives the star view."""
+    return autodiff.matmul(structure.node_from_edge.T, x)
+
+
+def taa(x, params, structure):
+    """taa_forward on ``x`` with the hyperedge mean the forward pass forms."""
+    x = Tensor(x)
+    return taa_forward(x, edge_mean(x, structure), params, structure)
+
+
 def make_params(rng, width, heads=1):
     return TaaParams(
         delta=Tensor(rng.standard_normal((2 * width, 1)), requires_grad=True),
@@ -161,7 +172,7 @@ def test_taa_forward_shapes_and_star_content(spec_example):
     x = rng.standard_normal((4, width))
     structure = build_structure(spec_example, x)
     params = make_params(rng, width)
-    spatial, spectral, star_nodes = taa_forward(Tensor(x), params, structure)
+    spatial, spectral, star_nodes = taa(x, params, structure)
     assert spatial.value.shape == (4, width)
     assert spectral.value.shape == (4, width)
     assert star_nodes.value.shape == (4, width)
@@ -172,7 +183,7 @@ def test_taa_forward_shapes_and_star_content(spec_example):
     stacked = np.vstack([x, np.zeros((2, width))])
     expected = np.maximum(prop.to_dense() @ stacked @ params.theta_star.value, 0.0)
     np.testing.assert_allclose(star_nodes.value, expected[:4], atol=1e-10)
-    star_feats = star_update(Tensor(x), params.theta_star, structure)
+    star_feats = star_update(Tensor(x), edge_mean(x, structure), params.theta_star)
     np.testing.assert_allclose(star_feats.value, expected, atol=1e-10)
     members = x[[0, 1, 2]].mean(axis=0)
     np.testing.assert_allclose(
@@ -197,7 +208,7 @@ def test_star_update_matches_the_dense_and_star_propagation_oracles(edge_size):
     rng = np.random.default_rng(edge_size)
     hg, x, theta = star_step_inputs(rng, edge_size)
     structure = build_structure(hg, x)
-    got = star_update(Tensor(x), Tensor(theta), structure).value
+    got = star_update(Tensor(x), edge_mean(x, structure), Tensor(theta)).value
 
     H = np.zeros((hg.num_nodes, hg.num_edges))
     for j, e in enumerate(hg.edges):
@@ -222,7 +233,8 @@ def test_star_update_gradient():
     tt = Tensor(theta, requires_grad=True)
     weight = Tensor(rng.standard_normal((hg.num_nodes + hg.num_edges, 3)))
     err = grad_check(
-        lambda: sum_all(mul(star_update(xt, tt, structure), weight)), {"x": xt, "theta": tt}
+        lambda: sum_all(mul(star_update(xt, edge_mean(xt, structure), tt), weight)),
+        {"x": xt, "theta": tt},
     )
     assert err < 1e-6
 
@@ -235,7 +247,7 @@ def test_taa_forward_spectral_premultiplies(spec_example):
     params = make_params(rng, width)
     params.delta.value[:] = 0.0  # uniform attention isolates the value path
 
-    _, spectral, _ = taa_forward(Tensor(x), params, structure)
+    _, spectral, _ = taa(x, params, structure)
 
     hyper_prop = structure.prop_hypergcn.to_dense()
     hyper_feats = np.maximum(hyper_prop @ x @ params.theta_hypergcn.value, 0.0)
@@ -253,7 +265,7 @@ def test_constant_features_orbit_rows_match():
     structure = build_structure(hg, x)
     rng = np.random.default_rng(7)
     params = make_params(rng, 2)
-    spatial, spectral, _ = taa_forward(Tensor(x), params, structure)
+    spatial, spectral, _ = taa(x, params, structure)
     for out in (spatial.value, spectral.value):
         for row in out[1:]:
             np.testing.assert_allclose(row, out[0], atol=1e-10)
@@ -264,7 +276,7 @@ def test_zero_features_zero_outputs(spec_example):
     structure = build_structure(spec_example, np.ones((4, 3)))
     rng = np.random.default_rng(8)
     params = make_params(rng, 3)
-    spatial, spectral, star_nodes = taa_forward(Tensor(x), params, structure)
+    spatial, spectral, star_nodes = taa(x, params, structure)
     np.testing.assert_array_equal(spatial.value, np.zeros((4, 3)))
     np.testing.assert_array_equal(spectral.value, np.zeros((4, 3)))
     np.testing.assert_array_equal(star_nodes.value, np.zeros((4, 3)))

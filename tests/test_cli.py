@@ -1,6 +1,7 @@
 """End-to-end command line flows on temporary files."""
 
 import dataclasses
+import importlib
 import json
 import os
 import shutil
@@ -264,9 +265,10 @@ def trained_run(tmp_path_factory):
         ("num_layers", "2"),
         ("sib_lambda", "x"),
         ("sib_lambda", None),
+        ("sib_lambda", float("nan")),
     ],
     ids=["ablation_unknown_flag", "ablation_list", "ablation_int_flag", "heads_string",
-         "layers_string", "lambda_string", "lambda_null"],
+         "layers_string", "lambda_string", "lambda_null", "lambda_nan"],
 )
 def test_eval_of_a_checkpoint_with_a_bad_extra_field_exits_two(
     tmp_path, capsys, trained_run, key, value
@@ -291,6 +293,39 @@ def test_eval_of_a_checkpoint_with_more_layers_than_fusion_weights_exits_two(
     assert code == 2
     assert err.startswith("error:") and "num_layers" in err and "Traceback" not in err
     assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("hidden", -2), ("in_dim", -1), ("num_classes", -1), ("hidden", 10**12)],
+    ids=["hidden_negative", "in_dim_negative", "classes_negative", "hidden_huge"],
+)
+def test_eval_of_a_checkpoint_with_bad_model_dimensions_exits_two(
+    tmp_path, capsys, monkeypatch, trained_run, key, value
+):
+    # The dimensions are checked against the stored weights before the model
+    # is allocated; a hidden width of 10^12 would ask numpy for terabytes.
+    def no_init(*args, **kwargs):
+        raise AssertionError("the model must not be allocated")
+
+    monkeypatch.setattr(importlib.import_module("dphgnn.train"), "init_dphgnn", no_init)
+    payload, data_path = trained_run
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps({**payload, "extra": {**payload["extra"], key: value}}))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(data_path))
+    assert code == 2
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+def test_train_with_a_non_finite_sib_lambda_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path)
+    payload = json.loads(config.read_text())
+    config.write_text(json.dumps({**payload, "sib_lambda": float("nan")}))
+    code, stdout, err = run_cli(capsys, "train", "--config", str(config),
+                                "--out", str(tmp_path / "run"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "sib_lambda" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_with_a_cache_path_naming_a_file_exits_two(tmp_path, capsys, trained_run):

@@ -13,7 +13,7 @@ from conftest import (
     random_covering_hypergraph,
 )
 import dphgnn.autodiff as autodiff
-from dphgnn.attention import taa_forward
+from dphgnn.attention import star_update, taa_forward
 from dphgnn.autodiff import Tensor, backward, cross_entropy
 from dphgnn.errors import ShapeMismatchError
 from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
@@ -125,12 +125,42 @@ def test_taa_off_fusion_reads_the_star_features_taa_forward_returns(small_instan
     )
     structure = build_structure(small_instance.hypergraph, small_instance.features)
     trace = dphgnn_forward(small_instance, params, structure=structure)
-    _, _, star_nodes = taa_forward(trace.projected, params.taa, structure)
+    edge_mean = autodiff.matmul(structure.node_from_edge.T, trace.projected)
+    _, _, star_nodes = taa_forward(trace.projected, edge_mean, params.taa, structure)
+    # With attention off the forward forms only the star step's node rows.
+    star_feats = star_update(trace.projected, edge_mean, params.taa.theta_star)
+    assert star_nodes.value.tobytes() == star_feats.value[:6].tobytes()
     expected = autodiff.add(
         autodiff.matmul(structure.edge_from_node, trace.static),
         autodiff.matmul(structure.node_from_edge.T, star_nodes),
     )
     assert trace.fused.value.tobytes() == expected.value.tobytes()
+
+
+@pytest.mark.parametrize("num_layers", [2, 4])
+def test_forward_forms_each_edge_mean_once(small_instance, monkeypatch, num_layers):
+    # The SIB and the star step share D_e^-1 H^T projected, and every fusion
+    # layer reads one D_e^-1 H^T star_nodes: two products by node_from_edge^T.
+    params = init_dphgnn(np.random.default_rng(6), 4, 8, 3, num_layers=num_layers)
+    structure = build_structure(small_instance.hypergraph, small_instance.features)
+    gather = structure.node_from_edge.T
+    operands = []
+    product = SparseMatrix.matmul_dense
+
+    def recording_product(self, other):
+        if self is gather:
+            operands.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "matmul_dense", recording_product)
+    with autodiff.no_grad():
+        trace = dphgnn_forward(small_instance, params, Mode.EVAL, structure=structure)
+    monkeypatch.undo()
+    assert len(operands) == 2
+    assert operands[0] is trace.projected.value
+    edge_mean = autodiff.matmul(gather, trace.projected)
+    _, _, star_nodes = taa_forward(trace.projected, edge_mean, params.taa, structure)
+    np.testing.assert_array_equal(operands[1], star_nodes.value)
 
 
 def other_edges(data, num_nodes, edges):
@@ -206,23 +236,20 @@ def test_dff_forward_dense_oracle(spec_example):
     h = 4
     structure = build_structure(spec_example, rng.standard_normal((4, h)))
     static = rng.standard_normal((4, h))
-    star_nodes = rng.standard_normal((4, h))
+    star_edges = rng.standard_normal((2, h))
     theta = rng.standard_normal((h, h))
 
     H = np.array([[1, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     dv = H.sum(axis=1)
     de = H.sum(axis=0)
-    a_star = star_expand(spec_example).adjacency.to_dense()
-    fused = H.T @ np.diag(1 / np.sqrt(dv)) @ static
-    fused = fused + np.diag(1 / de) @ a_star[4:, :4] @ star_nodes
-    expected = np.maximum(static + H @ np.diag(1 / de) @ fused @ theta, 0.0)
-
-    sink = {}
-    out = dff_forward(
-        Tensor(static), Tensor(star_nodes), Tensor(theta), structure, trace_sink=sink
-    )
-    assert sink["fused"].value.shape == (2, h)
-    np.testing.assert_allclose(out.value, expected, atol=1e-10)
+    incident = H.T @ np.diag(1 / np.sqrt(dv)) @ static
+    for edges, fused in ((Tensor(star_edges), incident + star_edges), (None, incident)):
+        expected = np.maximum(static + H @ np.diag(1 / de) @ fused @ theta, 0.0)
+        sink = {}
+        out = dff_forward(Tensor(static), edges, Tensor(theta), structure, trace_sink=sink)
+        assert sink["fused"].value.shape == (2, h)
+        np.testing.assert_allclose(sink["fused"].value, fused, atol=1e-12)
+        np.testing.assert_allclose(out.value, expected, atol=1e-10)
 
 
 def test_dff_theta_zero_is_rectified_skip(spec_example):
@@ -230,7 +257,7 @@ def test_dff_theta_zero_is_rectified_skip(spec_example):
     structure = build_structure(spec_example, rng.standard_normal((4, 3)))
     static = rng.standard_normal((4, 3))
     out = dff_forward(
-        Tensor(static), Tensor(rng.standard_normal((4, 3))), Tensor(np.zeros((3, 3))), structure
+        Tensor(static), Tensor(rng.standard_normal((2, 3))), Tensor(np.zeros((3, 3))), structure
     )
     np.testing.assert_array_equal(out.value, np.maximum(static, 0.0))
 
@@ -240,8 +267,8 @@ def test_dff_single_edge_symmetric_rows():
     structure = build_structure(hg, np.ones((3, 2)))
     rng = np.random.default_rng(10)
     static = Tensor(np.ones((3, 2)))
-    star_nodes = Tensor(np.ones((3, 2)))
-    out = dff_forward(static, star_nodes, Tensor(rng.standard_normal((2, 2))), structure).value
+    star_edges = Tensor(np.ones((1, 2)))
+    out = dff_forward(static, star_edges, Tensor(rng.standard_normal((2, 2))), structure).value
     np.testing.assert_allclose(out[1], out[0], atol=1e-12)
     np.testing.assert_allclose(out[2], out[0], atol=1e-12)
 
@@ -252,8 +279,8 @@ def test_dff_automorphic_pair_identical_rows():
     structure = build_structure(hg, np.ones((6, 2)))
     rng = np.random.default_rng(11)
     static = Tensor(np.ones((6, 2)))
-    star_nodes = Tensor(np.ones((6, 2)))
-    out = dff_forward(static, star_nodes, Tensor(rng.standard_normal((2, 2))), structure).value
+    star_edges = Tensor(np.ones((2, 2)))
+    out = dff_forward(static, star_edges, Tensor(rng.standard_normal((2, 2))), structure).value
     np.testing.assert_allclose(out[3:], out[:3], atol=1e-12)
 
 
@@ -486,18 +513,18 @@ def _train_step(data, seed):
 # from _train_step(<two_community n=60, m=40, size 4, seed 2>, 3). Any change
 # to an op's arithmetic, its summation order or the sweep order shows here.
 TRAIN_STEP_DIGESTS = {
-    "logits": "95070ef29c7327e4",
-    "proj.weight": "c12dc4a98b66921a",
-    "proj.bias": "3ce2939ac90e09ec",
-    "taa.delta": "3683b12f3bb9218d",
-    "taa.weight": "1ed212877780f215",
-    "taa.theta_clique": "00ddd359cb83ed85",
-    "taa.theta_star": "56a677c1bc4e4f10",
-    "taa.theta_hypergcn": "2acebce6f191e636",
-    "sib.theta": "399d889d27e315bf",
-    "mix.attended.weight": "76163dd4d4bf6e29",
-    "mix.attended.bias": "cbdddc66ae19d3aa",
-    "mix.gate.weight": "7c980dec38164f5e",
+    "logits": "5921e3ae6e16eb32",
+    "proj.weight": "b843c19f69f6ca13",
+    "proj.bias": "f3c4bf4b5b026ede",
+    "taa.delta": "2997e42b5aeeb725",
+    "taa.weight": "7b57c13bb79680c5",
+    "taa.theta_clique": "ecae080538574e9a",
+    "taa.theta_star": "4bfa82a330555439",
+    "taa.theta_hypergcn": "48cc4d690135e5c0",
+    "sib.theta": "2de75b832dfec69b",
+    "mix.attended.weight": "15608e8afe29cfb0",
+    "mix.attended.bias": "4fd2dfdfda30fefd",
+    "mix.gate.weight": "1fb71748545fbc32",
     "mix.gate.bias": "6cc52379a57272e0",
     "mix.skip.weight": "41a7d041c8ed6c36",
     "mix.skip.bias": "b0be9242430cd871",

@@ -15,9 +15,7 @@ from conftest import (
     dense_clique_laplacian,
     dense_incidence,
     dense_prop_clique,
-    dense_rw,
     dense_smoothing,
-    dense_sym,
 )
 from dphgnn.attention import UpdateVariant, propagation_matrix
 from dphgnn.errors import IsolatedNodeError, ParseError
@@ -33,11 +31,11 @@ from dphgnn.precompute import (
     save_structure,
 )
 from dphgnn.sparse import FactoredOperator, SparseMatrix
-from dphgnn.spectral import LaplacianSet, build_laplacians
+from dphgnn.spectral import LaplacianSet, build_laplacians, laplacian_rw, laplacian_sym
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 # The operators a bundle may hold in factored form, by their attribute path.
-FACTORABLE = ("laplacians.smoothing", "laplacians.rw_plus_sym", "laplacians.clique", "prop_clique")
+FACTORABLE = ("laplacians.smoothing", "laplacians.clique", "prop_clique")
 
 
 def getattr_path(obj, path: str):
@@ -132,7 +130,9 @@ def reference_operators(bundle: StructureBundle, features) -> dict[str, SparseMa
     The star Laplacian has all n + m rows, of which a bundle keeps the n
     node rows. ``prop_star`` and ``super_gather`` (D_e^{-1} times the star
     adjacency's supernode rows) are the star operators bundles held before
-    the star step read H directly.
+    the star step read H directly, and ``rw_plus_sym`` is the sum of the
+    random-walk and symmetric Laplacians they held before the identifier
+    block read the hyperedge mean.
     """
     hg = bundle.hypergraph
     clique, star, hyper = expansions(bundle, features)
@@ -140,7 +140,7 @@ def reference_operators(bundle: StructureBundle, features) -> dict[str, SparseMa
     super_rows = star.adjacency.take_row_range(hg.num_nodes, hg.num_nodes + hg.num_edges)
     return {
         "laplacians.smoothing": laps.smoothing,
-        "laplacians.rw_plus_sym": laps.rw_plus_sym,
+        "laplacians.rw_plus_sym": laplacian_rw(hg).add(laplacian_sym(hg)),
         "laplacians.clique": laps.clique,
         "laplacians.star": laps.star,
         "prop_clique": propagation_matrix(clique, UpdateVariant.RESIDUAL_RW),
@@ -154,8 +154,9 @@ def bundle_digest(bundle: StructureBundle, features) -> str:
 
     The expansion graphs, which the bundle does not keep, are rebuilt from
     its hypergraph and ``features`` and digested first, and so are
-    ``prop_star`` and ``super_gather``. A factored operator, and the star
-    Laplacian's node rows, are digested as their CSR reference (:func:`reference_operators`), which
+    ``rw_plus_sym``, ``prop_star`` and ``super_gather``. A factored
+    operator, and the star Laplacian's node rows, are digested as their CSR
+    reference (:func:`reference_operators`), which
     test_bundle_operators_match_their_csr_reference compares with the
     bundle's own form.
     """
@@ -169,7 +170,7 @@ def bundle_digest(bundle: StructureBundle, features) -> str:
     operators = (
         *(graph.adjacency for graph in graphs),
         csr("laplacians.smoothing"), csr("laplacians.clique"), reference["laplacians.star"],
-        bundle.laplacians.hypergcn, csr("laplacians.rw_plus_sym"),
+        bundle.laplacians.hypergcn, reference["laplacians.rw_plus_sym"],
         csr("prop_clique"), reference["prop_star"], bundle.prop_hypergcn,
         bundle.attention_pattern, bundle.edge_from_node, reference["super_gather"],
         bundle.node_from_edge,
@@ -265,7 +266,7 @@ def hypergraph_with_shared_pairs(rng, n: int):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_factored_operators_match_the_dense_oracles(seed, monkeypatch):
-    monkeypatch.setattr(precompute, "FACTORED_SHARE", np.inf)  # factor all four
+    monkeypatch.setattr(precompute, "FACTORED_SHARE", np.inf)  # factor all three
     rng = np.random.default_rng(seed)
     hg = hypergraph_with_shared_pairs(rng, 30)
     shared = cooccurrence(hg).to_dense() - np.diag(hg.node_degrees)
@@ -273,7 +274,6 @@ def test_factored_operators_match_the_dense_oracles(seed, monkeypatch):
     bundle = build_structure(hg, rng.standard_normal((30, 3)))
     oracles = {
         "laplacians.smoothing": dense_smoothing(hg),
-        "laplacians.rw_plus_sym": dense_rw(hg) + dense_sym(hg),
         "laplacians.clique": dense_clique_laplacian(hg),
         "prop_clique": dense_prop_clique(hg),
     }
@@ -295,14 +295,12 @@ def test_factored_form_is_chosen_by_stored_terms(monkeypatch):
     every_csr = dict.fromkeys(FACTORABLE, "SparseMatrix")
     iso, _ = build_iso_pool(IsoPoolSpec(num_pairs=10), 0)
     assert forms(build_structure(ensure_min_degree(iso.hypergraph), iso.features)) == every_csr
-    # Size-8 edges: rw_plus_sym's factors hold 0.71 of its CSR terms on 120
-    # nodes, above the share; the other three hold at most 0.57.
+    # Size-8 edges on 120 nodes: the factors hold at most 0.57 of the CSR terms.
     data = _wide_edges()
-    assert forms(build_structure(ensure_min_degree(data.hypergraph), data.features)) == {
-        **dict.fromkeys(FACTORABLE, "FactoredOperator"),
-        "laplacians.rw_plus_sym": "SparseMatrix",
-    }
-    # The wide_edges_train benchmark instance factors all four.
+    assert forms(build_structure(ensure_min_degree(data.hypergraph), data.features)) == (
+        dict.fromkeys(FACTORABLE, "FactoredOperator")
+    )
+    # The wide_edges_train benchmark instance factors all three.
     data = generate_synthetic(TwoCommunitySpec(num_nodes=2000, num_edges=1000, edge_size=8), 0)
     assert set(forms(build_structure(ensure_min_degree(data.hypergraph), data.features))
                .values()) == {"FactoredOperator"}
@@ -336,7 +334,7 @@ def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
     for name in (
         "attention_pattern", "prop_clique", "prop_hypergcn", "edge_from_node", "node_from_edge",
         "laplacians.smoothing", "laplacians.clique", "laplacians.star",
-        "laplacians.hypergcn", "laplacians.rw_plus_sym",
+        "laplacians.hypergcn",
     ):
         op_a, op_b = (getattr_path(bundle, name) for bundle in (a, b))
         assert type(op_a) is type(op_b), name
@@ -392,6 +390,7 @@ def test_cache_file_holds_only_the_bundles_operators(tmp_path, make_data):
     with np.load(path) as blob:
         names = blob.files
     assert not [name for name in names if name.startswith(("graph.", "prop_star.", "super_gather."))]
+    assert not [name for name in names if name.startswith("lap.rw_plus_sym.")]
     prefixes = {name.rsplit(".", 1)[0] for name in names}
     factors = {p for p in prefixes if re.fullmatch(r"factor\.\d+", p)}
     operators = {f.name for f in dataclasses.fields(StructureBundle)} - {
@@ -416,13 +415,13 @@ def test_unusable_cache_dir_raises_before_building(tmp_path, spec_example, monke
             load_or_build(spec_example, np.ones((4, 2)), cache_dir=cache_dir)
 
 
-def test_cache_file_of_format_v6_is_a_miss(tmp_path, spec_example, monkeypatch):
+def test_cache_file_of_format_v7_is_a_miss(tmp_path, spec_example, monkeypatch):
     features = np.ones((4, 2))
-    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 6)
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 7)
     load_or_build(spec_example, features, cache_dir=tmp_path)
     [old] = tmp_path.glob("structure-*.npz")
     monkeypatch.undo()
-    assert precompute.CACHE_FORMAT_VERSION == 7
+    assert precompute.CACHE_FORMAT_VERSION == 8
     built, build = [], precompute._build
     monkeypatch.setattr(precompute, "_build", lambda *args: built.append(1) or build(*args))
     load_or_build(spec_example, features, cache_dir=tmp_path)
@@ -630,7 +629,7 @@ def test_bundle_and_cache_hold_no_quadratic_array(tmp_path):
     hg = ensure_min_degree(data.hypergraph)
     bundle = load_or_build(hg, data.features, cache_dir=tmp_path)
     sizes = [a.size for a in _arrays_in(bundle)]
-    assert len(sizes) > 30
+    assert len(sizes) == 30  # the walk reaches every array of the hypergraph and the operators
     assert max(sizes) < n * n
     (path,) = tmp_path.glob("structure-*.npz")
     with np.load(path) as blob:

@@ -1,19 +1,25 @@
 """Laplacian operators against dense re-derivations and pinned values."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (
+    dense_incidence,
     dense_rw,
     dense_smoothing,
     dense_sym,
     random_covering_hypergraph,
 )
-from dphgnn.autodiff import Tensor
+from dphgnn.autodiff import Tensor, grad_check, matmul, mul, sum_all
 from dphgnn.errors import IsolatedNodeError
 from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
-from dphgnn.hypergraph import build_hypergraph, relabel_nodes
+from dphgnn.hypergraph import build_hypergraph, ensure_min_degree, relabel_nodes
+from dphgnn.precompute import build_structure
+from dphgnn.sparse import FactoredOperator, SparseMatrix
 from dphgnn.spectral import (
+    LaplacianSet,
     build_laplacians,
     graph_laplacian,
     laplacian_hgnn,
@@ -21,6 +27,7 @@ from dphgnn.spectral import (
     laplacian_sym,
     sib_update,
 )
+from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
 def test_smoothing_pinned_entries(spec_example):
@@ -99,11 +106,10 @@ def test_graph_laplacian_edgeless_and_rowsum():
     np.testing.assert_allclose(L @ np.ones(7), np.zeros(7), atol=1e-12)
 
 
-def reference_laplacians(hg, x):
-    """The CSR reference operators of every view of ``hg``."""
-    return build_laplacians(
-        hg, clique_expand(hg), star_expand(hg), hypergcn_expand(hg, x)
-    )
+def sib(x, lam, theta, structure):
+    """sib_update with the hyperedge mean D_e^-1 H^T x, which the star view shares."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    return sib_update(x, matmul(structure.node_from_edge.T, x), lam, theta, structure)
 
 
 def _sib_dense(hg, x, lam):
@@ -117,7 +123,7 @@ def test_sib_lambda_zero_drops_laplacians(spec_example):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 3))
     theta = Tensor(rng.standard_normal((6, 2)))
-    out = sib_update(Tensor(x), 0.0, theta, reference_laplacians(spec_example, x))
+    out = sib(x, 0.0, theta, build_structure(spec_example, x))
     np.testing.assert_allclose(
         out.value, np.maximum(np.hstack([x, x]) @ theta.value, 0.0), atol=1e-12
     )
@@ -127,13 +133,41 @@ def test_sib_identity_block_row_check(spec_example):
     # theta stacked [I; 0] keeps the left block: relu(X + (rw+sym) X)
     x = np.eye(4)
     theta = Tensor(np.vstack([np.eye(4), np.zeros((4, 4))]))
-    out = sib_update(Tensor(x), 1.0, theta, reference_laplacians(spec_example, x))
+    out = sib(x, 1.0, theta, build_structure(spec_example, x))
     expected = np.maximum(x + (dense_rw(spec_example) + dense_sym(spec_example)) @ x, 0.0)
     np.testing.assert_allclose(out.value[0], expected[0], atol=1e-12)
     np.testing.assert_allclose(out.value, expected, atol=1e-12)
 
 
-def test_sib_matches_dense_oracle():
+@pytest.mark.parametrize(
+    "edge_size, smoothing_form",
+    [(2, SparseMatrix), (8, FactoredOperator)],
+    ids=["csr_smoothing", "factored_smoothing"],
+)
+def test_sib_matches_dense_oracle(edge_size, smoothing_form):
+    # (2I - D_v^-1 H D_e^-1 H^T - S) x || S x, on bundles whose smoothing S
+    # is one CSR matrix (size-2 edges) or a product through H (size-8 edges).
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        data = generate_synthetic(
+            TwoCommunitySpec(num_nodes=120, num_edges=60, edge_size=edge_size), seed
+        )
+        hg = ensure_min_degree(data.hypergraph)
+        x = rng.standard_normal((hg.num_nodes, 3))
+        structure = build_structure(hg, x)
+        assert type(structure.laplacians.smoothing) is smoothing_form
+        lam = float(rng.uniform(0.1, 2.0))
+        theta = Tensor(rng.standard_normal((6, 4)))
+        H = dense_incidence(hg)
+        walk = np.diag(1 / H.sum(axis=1)) @ H @ np.diag(1 / H.sum(axis=0)) @ H.T
+        S = dense_smoothing(hg)
+        identifiers = np.hstack([(2 * np.eye(hg.num_nodes) - walk - S) @ x, S @ x])
+        expected = np.maximum((np.hstack([x, x]) + lam * identifiers) @ theta.value, 0.0)
+        out = sib(x, lam, theta, structure)
+        np.testing.assert_allclose(out.value, expected, atol=1e-10)
+
+
+def test_sib_matches_dense_oracle_on_random_hypergraphs():
     rng = np.random.default_rng(4)
     for _ in range(10):
         n = int(rng.integers(3, 9))
@@ -141,9 +175,22 @@ def test_sib_matches_dense_oracle():
         x = rng.standard_normal((n, 3))
         lam = float(rng.uniform(0.1, 2.0))
         theta = Tensor(rng.standard_normal((6, 4)))
-        out = sib_update(Tensor(x), lam, theta, reference_laplacians(hg, x))
+        out = sib(x, lam, theta, build_structure(hg, x))
         expected = np.maximum(_sib_dense(hg, x, lam) @ theta.value, 0.0)
         np.testing.assert_allclose(out.value, expected, atol=1e-10)
+
+
+def test_sib_gradient_through_the_edge_mean():
+    rng = np.random.default_rng(6)
+    hg = random_covering_hypergraph(rng, 7, 5)
+    x = rng.standard_normal((7, 3))
+    structure = build_structure(hg, x)
+    xt = Tensor(x, requires_grad=True)
+    tt = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    weight = Tensor(rng.standard_normal((7, 4)))
+    err = grad_check(lambda: sum_all(mul(sib(xt, 0.8, tt, structure), weight)),
+                     {"x": xt, "theta": tt})
+    assert err < 1e-6
 
 
 def test_sib_permutation_equivariance():
@@ -151,12 +198,12 @@ def test_sib_permutation_equivariance():
     hg = random_covering_hypergraph(rng, 6, 4)
     x = rng.standard_normal((6, 3))
     theta = Tensor(rng.standard_normal((6, 2)))
-    base = sib_update(Tensor(x), 0.7, theta, reference_laplacians(hg, x)).value
+    base = sib(x, 0.7, theta, build_structure(hg, x)).value
     perm = rng.permutation(6)
     hg_p = relabel_nodes(hg, perm)
     x_p = np.empty_like(x)
     x_p[perm] = x
-    permuted = sib_update(Tensor(x_p), 0.7, theta, reference_laplacians(hg_p, x_p)).value
+    permuted = sib(x_p, 0.7, theta, build_structure(hg_p, x_p)).value
     np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
 
@@ -172,8 +219,7 @@ def test_laplacian_set_builds_all_views(spec_example):
     assert laps.star.shape == (6, 6)
     assert laps.clique.shape == (4, 4)
     assert laps.hypergcn.shape == (4, 4)
-    np.testing.assert_allclose(
-        laps.rw_plus_sym.to_dense(),
-        dense_rw(spec_example) + dense_sym(spec_example),
-        atol=1e-12,
-    )
+    # The identifier block applies rw + sym through the edge mean; neither is kept.
+    assert [f.name for f in dataclasses.fields(LaplacianSet)] == [
+        "smoothing", "clique", "star", "hypergcn"
+    ]

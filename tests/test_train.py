@@ -81,6 +81,68 @@ def test_config_validation():
         RunConfig.from_dict({**cfg.to_dict(), "taa": {**cfg.to_dict()["taa"], "attention_heads": 3}})
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"sib_lambda": float("nan")}, "sib_lambda"),
+        ({"sib_lambda": float("inf")}, "sib_lambda"),
+        ({"sib_lambda": "x"}, "sib_lambda"),
+        ({"epochs": "3"}, "epochs"),
+        ({"seed": "a"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"gnn": {"hidden": "8"}}, "gnn.hidden"),
+        ({"gnn": {"lr": "x"}}, "gnn.lr"),
+        ({"gnn": {"lr": float("nan")}}, "gnn.lr"),
+        ({"dff": {"weight_decay": float("nan")}}, "dff.weight_decay"),
+        ({"taa": {"attention_heads": True}}, "taa.attention_heads"),
+    ],
+    ids=["lambda_nan", "lambda_inf", "lambda_string", "epochs_string", "seed_string",
+         "seed_negative", "hidden_string", "lr_string", "lr_nan", "weight_decay_nan", "heads_bool"],
+)
+def test_config_rejects_a_bad_scalar(edit, named):
+    payload = small_config().to_dict()
+    for key, value in edit.items():
+        payload[key] = {**payload[key], **value} if isinstance(value, dict) else value
+    with pytest.raises(ParseError, match=named):
+        RunConfig.from_dict(payload)
+
+
+def _checkpoint_with(path, **extra):
+    payload = json.loads(path.read_text())
+    payload["extra"].update(extra)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("model", ["dphgnn", "hgnn"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("in_dim", 0), ("in_dim", 21), ("hidden", -2), ("hidden", 6), ("num_classes", 3)],
+)
+def test_checkpoint_dimensions_must_match_the_stored_weights(tmp_path, monkeypatch, model,
+                                                             key, value):
+    cfg = small_config(model=model, epochs=1)
+    report = train(cfg, out_dir=tmp_path)
+    checkpoint = _checkpoint_with(tmp_path / "checkpoint.json", **{key: value})
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("nothing may be allocated for mismatched dimensions")
+
+    monkeypatch.setattr(train_mod, "init_dphgnn", no_init)
+    monkeypatch.setattr(train_mod, "init_hgnn", no_init)
+    with pytest.raises(ParseError, match=key):
+        evaluate(report.checkpoint, resolve_dataset(cfg))
+    assert checkpoint.exists()
+
+
+def test_checkpoint_sib_lambda_must_be_finite(tmp_path):
+    cfg = small_config(epochs=1)
+    report = train(cfg, out_dir=tmp_path)
+    _checkpoint_with(tmp_path / "checkpoint.json", sib_lambda=float("nan"))
+    with pytest.raises(ParseError, match="sib_lambda"):
+        evaluate(report.checkpoint, resolve_dataset(cfg))
+
+
 def test_resolve_dataset_path_and_generator(tmp_path):
     data = generate_synthetic(TwoCommunitySpec(num_nodes=20, num_edges=15), seed=3)
     path = tmp_path / "data.json"
