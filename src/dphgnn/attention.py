@@ -166,7 +166,6 @@ def cross_attention(
     params: TaaParams,
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    train: bool = False,
 ) -> Tensor:
     """Neighborhood-restricted additive attention.
 
@@ -174,6 +173,8 @@ def cross_attention(
     :func:`attention_pattern`, whose row i lists node i's neighbors and i
     itself; only its sparsity structure is read. With a zero score vector
     the output row i is the plain mean of projected values over that set.
+    A non-zero ``attn_dropout`` drops attention weights at that rate, so
+    an EVAL caller passes 0.0.
     """
     n = neighborhoods.rows
     if neighborhoods.shape != (n, n):
@@ -206,7 +207,7 @@ def cross_attention(
         )
         weights = segment_softmax(scores, indptr)
         if attn_dropout:
-            weights = dropout(weights, attn_dropout, rng=rng, train=train)
+            weights = dropout(weights, attn_dropout, rng=rng)
         head_outputs.append(
             segment_sums(weights, select_cols(v_proj, head_cols), neighborhoods)
         )
@@ -223,7 +224,6 @@ def taa_forward(
     structure: "StructureBundle",
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    train: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Run both attention paths over the bundle's views.
 
@@ -245,7 +245,6 @@ def taa_forward(
         params,
         attn_dropout=attn_dropout,
         rng=rng,
-        train=train,
     )
     # The bundle's star Laplacian holds only its n node rows.
     spectral = cross_attention(
@@ -256,6 +255,5 @@ def taa_forward(
         params,
         attn_dropout=attn_dropout,
         rng=rng,
-        train=train,
     )
     return spatial, spectral, star_nodes

@@ -408,9 +408,9 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     with the (nnz, 1) weights as the pattern's values. Only the pattern's
     structure is read; an empty row sums to zero. The values gradient is
     the transposed product with the same weights
-    (:meth:`SparseMatrix.transpose_matmul_dense`), whose column plan the
-    first backward builds on ``pattern`` and keeps; a forward alone builds
-    none.
+    (:meth:`SparseMatrix.transpose_matmul_dense`): the product of
+    ``pattern``'s transpose, which the first backward builds and caches;
+    a forward alone builds none.
     """
     weights, values = as_tensor(weights), as_tensor(values)
     w, v = weights.value, values.value
@@ -419,7 +419,7 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
             f"segment_sums needs ({pattern.nnz}, 1) weights, got {w.shape}"
         )
     # matmul_dense rejects values whose row count is not pattern.cols.
-    val = pattern.with_data(w[:, 0]).matmul_dense(v)
+    val = pattern.matmul_dense(v, data=w[:, 0])
     wn, vn = weights._node, values._node
     # Each gradient reads the other operand; keep only the ones it needs.
     w = w if vn is not None else None
@@ -427,8 +427,7 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
 
     def bwd(g):
         if vn is not None:
-            # Column sums in stored-entry order from 0.0, as np.add.at adds;
-            # the plan is cached on ``pattern``, not on the with_data copy.
+            # Column sums in stored-entry order from 0.0, as np.add.at adds.
             _accum(vn, pattern.transpose_matmul_dense(w[:, 0], g))
         if wn is not None:
             # g[row] . v[col] per pair, _WEIGHT_GRAD_PAIRS pairs at a time.

@@ -217,7 +217,7 @@ class LabeledHypergraph:
     ``features`` is an (n, d) float64 array or an (n, d) SparseMatrix. The
     CSR form keeps featureless data (X = I, see
     ``synthetic.one_hot_features``) O(n): the model projects it with the
-    row-bucket sparse product, the distance-pair expansion reads only each
+    level-loop sparse product, the distance-pair expansion reads only each
     edge's member rows, and the cache hashes its CSR arrays.
     """
 

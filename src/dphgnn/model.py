@@ -322,7 +322,6 @@ def dphgnn_forward(
             projected, edge_mean, params.taa, structure,
             attn_dropout=rates.taa if train else 0.0,
             rng=rng,
-            train=train,
         )
     else:
         attn_spatial = attn_spectral = projected

@@ -14,35 +14,24 @@ column indices. ``row_sums`` is one ``np.bincount``. ``from_coo`` sorts
 only triplets that are not already in row-major order; of the callers
 here, only the sparse @ sparse product hands it unsorted triplets.
 
-Sparse @ dense groups the rows by their entry count L and, per group,
-gathers the L scaled input rows of every row into one (L, rows, width)
-block. Axis 0 of a block is reduced in the order ``np.add.reduceat``
-uses, so products are bit-identical to that formulation: the first term
-plus numpy's pairwise sum of the other L - 1 terms. A pairwise sum of
-fewer than 8 terms is a running sum; of 8 to 128 terms it keeps 8
-running sums, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-then adds the leftover terms one by one; longer sums split at half the
-count, rounded down to a multiple of 8, and recurse on both halves.
+Sparse @ dense sums each output row over the row's entries in stored
+order, starting from 0.0: the order of ``np.add.at`` and of
+``np.bincount``, signs of zero included. Rows with at most ``_LEVEL_CAP``
+entries are summed by level: level k adds every such row's k-th entry
+into a contiguous prefix of an accumulator whose rows are those rows
+sorted by entry count, most first. The few longer rows are summed by
+``_scatter_rows``, one flat ``np.bincount`` keyed by row and output
+column, so the level loop never runs more than ``_LEVEL_CAP`` times. Its
+plan (the sorted rows, their starts, the level sizes, and the entries of
+the long rows) depends on the pattern alone, and a product may put other
+values on it (``data=``), zeros included. The transposed product
+:meth:`SparseMatrix.transpose_matmul_dense` is the product of the
+transpose with the values reordered by the transpose's column sort, so
+output row c adds column c's entries in stored order.
 
-The transposed product :meth:`SparseMatrix.transpose_matmul_dense` puts
-caller-given values on the pattern and returns (pattern)ᵀ @ dense. Output
-row c adds the terms of column c's entries in stored order, starting from
-0.0: the order of ``np.bincount`` and of ``np.add.at``, signs of zero
-included. Columns with at most ``_LEVEL_CAP`` entries are summed by level:
-level k adds every such column's k-th entry into a contiguous prefix of an
-accumulator whose rows are those columns sorted by entry count, most
-first. The few longer columns are summed by ``_scatter_rows``, one flat
-``np.bincount`` keyed by column and output column, so the level loop
-never runs more than ``_LEVEL_CAP`` times. Its plan (entry positions,
-their row ids, the level sizes and the column order) depends on the
-pattern alone.
-
-A matrix is immutable once built: its transpose, the row grouping of its
-products and the column plan of its transposed product are cached on the
-instance, each built on first use. :meth:`SparseMatrix.with_data` puts new
-values on the same pattern and shares that row grouping with its source.
-Such a matrix may hold zeros (an attention weight that dropout removed,
-say), since only products read it.
+A matrix is immutable once built: its transpose, the column sort that
+maps its entries onto the transpose's, and the plan of its products are
+cached on the instance, each built on first use.
 
 A :class:`FactoredOperator` is a sum of terms diag(d) M1 ... Mk of
 matrices, applied factor by factor and never multiplied out. A product
@@ -59,7 +48,7 @@ from .errors import ShapeMismatchError
 
 __all__ = ["FactoredOperator", "SparseMatrix"]
 
-# Columns with more entries than this leave the level loop of the transposed
+# Rows with more entries than this leave the level loop of the sparse @ dense
 # product for one flat bincount, which bounds that loop's Python iterations.
 _LEVEL_CAP = 64
 
@@ -84,42 +73,15 @@ def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
     return np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * width).reshape(rows, width)
 
 
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    # numpy's pairwise summation of terms[0], terms[1], ... along axis 0.
-    n = len(terms)
-    if n < 8:
-        total = terms[0] if n == 1 else terms[0] + terms[1]
-        for i in range(2, n):
-            total += terms[i]
-        return total
-    if n <= 128:
-        blocked = n - n % 8
-        acc = terms[:8].copy()
-        for i in range(8, blocked, 8):
-            acc += terms[i : i + 8]
-        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), one tree level per step.
-        acc = acc[0::2] + acc[1::2]
-        acc = acc[0::2] + acc[1::2]
-        total = acc[0] + acc[1]
-        for i in range(blocked, n):
-            total += terms[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 class SparseMatrix:
     """CSR matrix: row offsets, column indices, and values.
 
     Invariants: ``indptr`` has ``rows + 1`` monotone entries ending at nnz,
     column indices are strictly increasing within each row, and no stored
-    value is exactly zero (except in a :meth:`with_data` matrix).
+    value is exactly zero.
     """
 
-    __slots__ = (
-        "rows", "cols", "indptr", "indices", "data", "_transpose", "_row_groups", "_col_plan",
-    )
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_to_transpose", "_plan")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -128,8 +90,9 @@ class SparseMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self._transpose: SparseMatrix | None = None
-        self._row_groups: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._col_plan: tuple[np.ndarray, ...] | None = None
+        # Entry k of the transpose is entry _to_transpose[k] of this matrix.
+        self._to_transpose: np.ndarray | None = None
+        self._plan: tuple[np.ndarray, ...] | None = None
         if validate:
             self._check()
 
@@ -264,6 +227,9 @@ class SparseMatrix:
                 self.cols, self.rows, indptr, self._row_of()[order], self.data[order],
                 validate=False,
             )
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(len(order))
+            self._to_transpose, t._to_transpose = order, inverse
             t._transpose = self
             self._transpose = t
         return self._transpose
@@ -277,111 +243,83 @@ class SparseMatrix:
             return self._matmul_sparse(other)
         return self.matmul_dense(other)
 
-    def _rows_by_length(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        # Nonempty rows grouped by entry count L: (row ids, (L, rows) positions
-        # into indices and data) per L, built on the first product and kept.
-        if self._row_groups is None:
-            lengths = np.diff(self.indptr)
-            order = np.argsort(lengths, kind="stable")
-            cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-            self._row_groups = [
-                (rows, self.indptr[rows] + np.arange(lengths[rows[0]])[:, None])
-                for rows in np.split(order, cuts)
-                if rows.size and lengths[rows[0]]
-            ]
-        return self._row_groups
-
-    def with_data(self, data) -> SparseMatrix:
-        """The same pattern with new values, one per stored entry.
-
-        Shares ``indptr``, ``indices`` and the row grouping with this
-        matrix; zeros are kept, so the result is only fit for products.
-        """
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != (self.nnz,):
-            raise ShapeMismatchError(
-                f"with_data needs {self.nnz} values, got shape {data.shape}"
+    def _levels(self) -> tuple[np.ndarray, ...]:
+        # Plan of matmul_dense, built on its first call and kept: (short rows
+        # most entries first, their starts, level sizes, long rows, the
+        # positions of the long rows' entries, each such entry's rank among
+        # the long rows). Level k holds the k-th entry of each short row
+        # with more than k entries: a prefix of the short rows.
+        if self._plan is None:
+            counts = np.diff(self.indptr)
+            short = np.flatnonzero((counts > 0) & (counts <= _LEVEL_CAP))
+            short = short[np.argsort(-counts[short], kind="stable")]
+            depth = int(counts[short[0]]) if short.size else 0
+            sizes = np.searchsorted(-counts[short], -np.arange(depth), side="left")
+            long_rows = np.flatnonzero(counts > _LEVEL_CAP)
+            long_counts = counts[long_rows]
+            self._plan = (
+                short, self.indptr[short], sizes, long_rows,
+                np.repeat(self.indptr[long_rows], long_counts) + _ranges(long_counts),
+                np.repeat(np.arange(len(long_rows)), long_counts),
             )
-        out = SparseMatrix(self.rows, self.cols, self.indptr, self.indices, data, validate=False)
-        out._row_groups = self._rows_by_length()
-        return out
+        return self._plan
 
-    def matmul_dense(self, other) -> np.ndarray:
+    def matmul_dense(self, other, data=None) -> np.ndarray:
+        """This matrix @ ``other``, or this pattern with values ``data`` @ ``other``.
+
+        Output row i adds ``data[p] * other[indices[p]]`` over the entries p
+        of row i in stored order, starting from 0.0, as ``np.add.at`` does.
+        ``data`` may hold zeros; only the pattern is read then.
+        """
         other = np.asarray(other, dtype=np.float64)
         if other.ndim != 2 or other.shape[0] != self.cols:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        out = np.zeros((self.rows, other.shape[1]))
-        for rows, pos in self._rows_by_length():
-            terms = other[self.indices[pos]]
-            terms *= self.data[pos][..., None]
-            out[rows] = terms[0] + _pairwise_sum(terms[1:]) if len(pos) > 1 else terms[0]
+        if data is None:
+            data = self.data
+        else:
+            data = np.asarray(data, dtype=np.float64)
+            if data.shape != (self.nnz,):
+                raise ShapeMismatchError(
+                    f"matmul_dense needs {self.nnz} values, got shape {data.shape}"
+                )
+        short, starts, sizes, long_rows, long_pos, long_rank = self._levels()
+        width = other.shape[1]
+        out = np.zeros((self.rows, width))
+        acc = np.zeros((len(short), width))
+        # The output's first rows hold each level's terms until the sums are
+        # put in place. Column indices are valid by construction; "clip"
+        # keeps take from buffering its output.
+        buf = out[: len(short)]
+        for k, size in enumerate(sizes):
+            pos = starts[:size] + k
+            terms = np.take(other, self.indices[pos], axis=0, out=buf[:size], mode="clip")
+            terms *= data[pos, None]
+            acc[:size] += terms
+        buf[:] = 0.0
+        out[short] = acc
+        if long_rows.size:
+            terms = other[self.indices[long_pos]]
+            terms *= data[long_pos, None]
+            out[long_rows] = _scatter_rows(long_rank, terms, len(long_rows))
         return out
-
-    def _columns_by_level(self) -> tuple[np.ndarray, ...]:
-        # Plan of transpose_matmul_dense, built on its first call and kept:
-        # (entry positions, their row ids, level sizes, short columns most
-        # entries first, long columns, each long entry's rank among them).
-        # Positions run level by level over the short columns, level k
-        # holding the k-th entry of each column with more than k entries,
-        # then over the long columns' entries in stored order.
-        if self._col_plan is None:
-            counts = np.bincount(self.indices, minlength=self.cols)
-            by_col = np.argsort(self.indices, kind="stable")
-            starts = np.cumsum(counts) - counts
-            short = np.flatnonzero((counts > 0) & (counts <= _LEVEL_CAP))
-            short = short[np.argsort(-counts[short], kind="stable")]
-            depth = int(counts[short[0]]) if short.size else 0
-            # Level k covers the short columns with more than k entries: a prefix.
-            sizes = np.searchsorted(-counts[short], -np.arange(depth), side="left")
-            level = np.repeat(np.arange(depth), sizes)
-            short_pos = by_col[starts[short[_ranges(sizes)]] + level]
-            long_cols = np.flatnonzero(counts > _LEVEL_CAP)
-            long_pos = np.flatnonzero(counts[self.indices] > _LEVEL_CAP)
-            pos = np.concatenate((short_pos, long_pos))
-            self._col_plan = (
-                pos, self._row_of()[pos], sizes, short, long_cols,
-                np.searchsorted(long_cols, self.indices[long_pos]),
-            )
-        return self._col_plan
 
     def transpose_matmul_dense(self, data, other) -> np.ndarray:
         """(this pattern with values ``data``)ᵀ @ ``other``.
 
-        Output row c adds ``data[p] * other[row of p]`` over the entries p of
-        column c in stored order, starting from 0.0, as ``np.bincount`` and
-        ``np.add.at`` do. Only the pattern is read; ``data`` may hold zeros.
+        The product of the cached transpose with ``data`` in its entry
+        order: output row c adds ``data[p] * other[row of p]`` over the
+        entries p of column c in stored order, starting from 0.0, as
+        ``np.bincount`` and ``np.add.at`` do. ``data`` may hold zeros.
         """
         data = np.asarray(data, dtype=np.float64)
-        other = np.asarray(other, dtype=np.float64)
         if data.shape != (self.nnz,):
             raise ShapeMismatchError(
                 f"transpose_matmul_dense needs {self.nnz} values, got shape {data.shape}"
             )
-        if other.ndim != 2 or other.shape[0] != self.rows:
-            raise ShapeMismatchError(
-                f"cannot multiply the transpose of {self.shape} by {other.shape}"
-            )
-        pos, row_ids, sizes, short, long_cols, long_rank = self._columns_by_level()
-        width = other.shape[1]
-        out = np.zeros((self.cols, width))
-        acc = np.zeros((len(short), width))
-        # One buffer for every level's terms. Row ids are valid by
-        # construction; "clip" keeps take from buffering its output.
-        buf = np.empty_like(acc)
-        at = 0
-        for size in sizes:
-            terms = np.take(other, row_ids[at : at + size], axis=0, out=buf[:size], mode="clip")
-            terms *= data[pos[at : at + size], None]
-            acc[:size] += terms
-            at += size
-        out[short] = acc
-        if long_cols.size:
-            terms = other[row_ids[at:]]
-            terms *= data[pos[at:], None]
-            out[long_cols] = _scatter_rows(long_rank, terms, len(long_cols))
-        return out
+        t = self.transpose()
+        return t.matmul_dense(other, data=data[self._to_transpose])
 
     def _matmul_sparse(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:

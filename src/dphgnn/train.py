@@ -190,7 +190,10 @@ def resolve_dataset(config: RunConfig) -> LabeledHypergraph:
         return load_dataset(src)
     if isinstance(src, dict) and "generator" in src:
         spec = parse_generator_spec(src["generator"])
-        data = generate_synthetic(spec, int(src.get("seed", 0)))
+        seed = number_array(src.get("seed", 0), "dataset.seed", "iu", ndim=0)
+        if seed < 0:
+            raise ParseError("dataset.seed must be non-negative")
+        data = generate_synthetic(spec, int(seed))
         if not isinstance(data, LabeledHypergraph):
             raise ParseError("pair generators do not produce trainable datasets")
         return data

@@ -76,6 +76,15 @@ def dense_prop_clique(hg: Hypergraph) -> np.ndarray:
     return np.eye(hg.num_nodes) + inv[:, None] * a
 
 
+def dense_pattern(m: SparseMatrix, data) -> np.ndarray:
+    """Dense form of the pattern of ``m`` with values ``data``, row by row."""
+    out = np.zeros(m.shape)
+    for i in range(m.rows):
+        for p in range(m.indptr[i], m.indptr[i + 1]):
+            out[i, m.indices[p]] = data[p]
+    return out
+
+
 def dense_adjacency(graph) -> np.ndarray:
     return graph.adjacency.to_dense()
 

@@ -380,7 +380,7 @@ def test_cross_attention_gradients_with_attention_dropout():
     def loss():
         # A fresh generator per call keeps the dropout mask fixed.
         out = cross_attention(q, k, v, pattern, params, attn_dropout=0.4,
-                              rng=np.random.default_rng(3), train=True)
+                              rng=np.random.default_rng(3))
         return sum_all(mul(out, upstream))
 
     tensors = {"q": q, "k": k, "v": v, "delta": params.delta, "weight": params.weight}
@@ -393,9 +393,9 @@ def test_forward_only_cross_attention_builds_no_backward_plan():
     q, k, v = (Tensor(rng.standard_normal((9, 4)), requires_grad=True) for _ in range(3))
     params = make_params(rng, 4, heads=2)
     out = cross_attention(q, k, v, pattern, params)
-    assert out.requires_grad and pattern._col_plan is None
+    assert out.requires_grad and pattern._transpose is None
     backward(sum_all(out))
-    assert pattern._col_plan is not None and v.grad is not None
+    assert pattern._transpose is not None and pattern.T._plan is not None and v.grad is not None
 
 
 def record_op_sizes(monkeypatch, sizes):
@@ -430,7 +430,7 @@ def test_cross_attention_ops_are_o_nnz_and_scale_linearly_in_nodes(monkeypatch):
         with monkeypatch.context() as patched:
             record_op_sizes(patched, sizes)
             out = cross_attention(q, k, v, pattern, params, attn_dropout=0.2,
-                                  rng=np.random.default_rng(0), train=True)
+                                  rng=np.random.default_rng(0))
             backward(sum_all(out))
         assert v.grad is not None and params.delta.grad is not None
         assert pairs * head_width not in sizes

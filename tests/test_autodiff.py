@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import dense_pattern
 
 from dphgnn import autodiff, errors
 from dphgnn.autodiff import (
@@ -485,17 +486,19 @@ def pattern_with_row_lengths(rng, lengths, cols):
 
 
 def old_weighted_sums(w, v, pattern, g):
-    """The former spread / pick / multiply / reduceat chain and its gradients.
+    """The former spread / pick / multiply chain and its gradients.
 
-    Returns (output, d weights, d values) for the upstream gradient g, each
-    formed the way that chain formed it. Every row must be non-empty.
+    Returns (output, d weights, d values) for the upstream gradient g. The
+    output sums each row's products with np.add.at in stored order; the
+    gradients are formed the way that chain formed them.
     """
     width = v.shape[1]
     rows = np.repeat(np.arange(pattern.rows), np.diff(pattern.indptr))
     ones = np.ones((1, width))
     spread = w @ ones
     picked = v[pattern.indices]
-    out = np.add.reduceat(spread * picked, pattern.indptr[:-1], axis=0)
+    out = np.zeros((pattern.rows, width))
+    np.add.at(out, rows, spread * picked)
     g_pairs = g[rows]
     d_weights = (g_pairs * picked) @ ones.T
     d_values = np.zeros_like(v)
@@ -512,8 +515,8 @@ def new_weighted_sums(w, v, pattern, g):
     return out.value, wt.grad, vt.grad
 
 
-# Length-1 rows, 8-term blocks, the 128-term block limit and the recursion beyond it.
-SEGMENT_LENGTHS = (1, 1, 2, 7, 8, 9, 17, 128, 129, 200, 3, 1)
+# Short rows, both sides of the level cap (64) and far beyond it.
+SEGMENT_LENGTHS = (1, 1, 2, 7, 8, 9, 17, 63, 64, 65, 128, 129, 200, 3, 1)
 
 
 @pytest.mark.parametrize("width", [1, 4, 32])
@@ -528,6 +531,7 @@ def test_segment_sums_bit_identical_to_old_chain(width):
     for got, want in zip(new_weighted_sums(w, v, pattern, g), old_weighted_sums(w, v, pattern, g)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_segment_sums_matches_dense_oracle_with_empty_rows():
@@ -538,7 +542,7 @@ def test_segment_sums_matches_dense_oracle_with_empty_rows():
     w = Tensor(rng.standard_normal((pattern.nnz, 1)), requires_grad=True)
     v = param(rng, 7, 3)
     out = segment_sums(w, v, pattern)
-    dense = pattern.with_data(w.value[:, 0]).to_dense()
+    dense = dense_pattern(pattern, w.value[:, 0])
     np.testing.assert_allclose(out.value, dense @ v.value, rtol=1e-12, atol=1e-15)
     assert np.all(out.value[[1, 4]] == 0.0)
     upstream = Tensor(rng.standard_normal((6, 3)))
@@ -559,7 +563,7 @@ def test_segment_sums_gradient_with_zero_weights_and_long_row():
     w = Tensor(w_value, requires_grad=True)
     v = param(rng, 150, 2)
     upstream = Tensor(rng.standard_normal((3, 2)))
-    dense = pattern.with_data(w.value[:, 0]).to_dense()
+    dense = dense_pattern(pattern, w.value[:, 0])
     out = segment_sums(w, v, pattern)
     np.testing.assert_allclose(out.value, dense @ v.value, rtol=1e-12, atol=1e-15)
 

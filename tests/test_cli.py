@@ -328,6 +328,16 @@ def test_train_with_a_non_finite_sib_lambda_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("seed", ["a", -1, 2.7, None, [3]], ids=["text", "negative", "fraction", "null", "list"])
+def test_train_with_a_bad_dataset_seed_exits_two(tmp_path, capsys, seed):
+    config = write_config(tmp_path, dataset={**SMALL, "seed": seed})
+    code, stdout, err = run_cli(capsys, "train", "--config", str(config),
+                                "--out", str(tmp_path / "run"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "dataset.seed" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_with_a_cache_path_naming_a_file_exits_two(tmp_path, capsys, trained_run):
     payload, data_path = trained_run
     checkpoint = tmp_path / "checkpoint.json"

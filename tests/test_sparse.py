@@ -58,15 +58,11 @@ def test_matmul_dense_with_empty_rows_and_empty_matrix():
     assert (SparseMatrix.from_dense(dense) @ np.ones((4, 0))).shape == (3, 0)
 
 
-def reduceat_product(m, other):
-    """CSR x dense as one np.add.reduceat over the stored entries' products."""
+def add_at_product(m, other, data=None):
+    """CSR x dense as one np.add.at over the stored entries' products, in stored order."""
+    data = m.data if data is None else data
     out = np.zeros((m.rows, other.shape[1]))
-    if m.nnz == 0 or other.shape[1] == 0:
-        return out
-    contrib = m.data[:, None] * other[m.indices]
-    starts = m.indptr[:-1]
-    nonempty = np.flatnonzero(m.indptr[1:] > starts)
-    out[nonempty] = np.add.reduceat(contrib, starts[nonempty], axis=0)
+    np.add.at(out, m._row_of(), other[m.indices] * data[:, None])
     return out
 
 
@@ -83,17 +79,25 @@ def wide_range(rng, rows, width):
     return rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
 
 
-# Around the 8-term blocks, the 128-term block limit and the recursion beyond it.
-ROW_LENGTHS = (1, 2, 8, 9, 16, 17, 128, 129, 130, 300)
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# Short rows, both sides of the level cap (64) and far beyond it.
+ROW_LENGTHS = (1, 2, 8, 9, 16, 17, 63, 64, 65, 128, 129, 130, 300)
 
 
 @pytest.mark.parametrize("length", ROW_LENGTHS)
 def test_matmul_dense_bit_identical_to_reduceat(length):
+    # Named for the order it pinned before the level loop; the oracle is
+    # now np.add.at in stored order.
     rng = np.random.default_rng(length)
     m = with_row_lengths(rng, [length] * 6, 400)
     for width in (1, 5):
         other = wide_range(rng, 400, width)
-        assert np.array_equal(m @ other, reduceat_product(m, other))
+        assert_same_bits(m @ other, add_at_product(m, other))
 
 
 def test_matmul_dense_mixed_lengths_and_empty_rows_bit_identical():
@@ -102,45 +106,100 @@ def test_matmul_dense_mixed_lengths_and_empty_rows_bit_identical():
     m = with_row_lengths(rng, lengths, 400)
     other = wide_range(rng, 400, 4)
     got = m @ other
-    assert np.array_equal(got, reduceat_product(m, other))
+    assert_same_bits(got, add_at_product(m, other))
     assert np.all(got[lengths == 0] == 0.0)
 
 
-def test_transpose_product_has_its_own_cached_row_groups():
+def test_transpose_product_has_its_own_cached_plan():
     rng = np.random.default_rng(22)
     m = with_row_lengths(rng, rng.integers(0, 150, 60), 200)
     other, other_t = wide_range(rng, 200, 3), wide_range(rng, 60, 3)
-    assert np.array_equal(m @ other, reduceat_product(m, other))
-    assert np.array_equal(m.T @ other_t, reduceat_product(m.T, other_t))
-    groups, groups_t = m._row_groups, m.T._row_groups
-    assert groups is not None and groups_t is not None and groups is not groups_t
-    assert np.array_equal(m.T @ other_t, reduceat_product(m.T, other_t))
-    assert m._row_groups is groups and m.T._row_groups is groups_t
+    assert_same_bits(m @ other, add_at_product(m, other))
+    assert_same_bits(m.T @ other_t, add_at_product(m.T, other_t))
+    plan, plan_t = m._plan, m.T._plan
+    assert plan is not None and plan_t is not None and plan is not plan_t
+    assert_same_bits(m.T @ other_t, add_at_product(m.T, other_t))
+    assert m._plan is plan and m.T._plan is plan_t
 
 
-def test_with_data_shares_pattern_and_row_groups_and_keeps_zeros():
+def test_transpose_keeps_its_entry_order_on_both_matrices():
+    rng = np.random.default_rng(21)
+    m = with_row_lengths(rng, rng.integers(0, 30, 20), 50)
+    t = m.T
+    assert np.array_equal(t.data, m.data[m._to_transpose])
+    assert np.array_equal(m.data, t.data[t._to_transpose])
+    assert np.array_equal(m._to_transpose[t._to_transpose], np.arange(m.nnz))
+
+
+def test_matmul_dense_data_keeps_zeros_and_leaves_the_matrix_alone():
+    from conftest import dense_pattern
+
     rng = np.random.default_rng(24)
     m = with_row_lengths(rng, rng.integers(0, 140, 30), 200)
     before = m.data.copy()
-    data = rng.standard_normal(m.nnz)
+    data = wide_range(rng, m.nnz, 1)[:, 0]
     data[::3] = 0.0
-    w = m.with_data(data)
-    assert w.indptr is m.indptr and w.indices is m.indices
-    assert m._row_groups is not None and w._row_groups is m._row_groups
-    np.testing.assert_array_equal(w.data, data)
-    np.testing.assert_array_equal(m.data, before)
+    data[1::7] = -0.0
     other = wide_range(rng, 200, 3)
-    assert np.array_equal(w @ other, reduceat_product(w, other))
-    np.testing.assert_allclose(w @ other, w.to_dense() @ other, rtol=1e-12, atol=0)
+    got = m.matmul_dense(other, data=data)
+    np.testing.assert_array_equal(m.data, before)
+    assert_same_bits(got, add_at_product(m, other, data))
+    np.testing.assert_allclose(got, dense_pattern(m, data) @ other, rtol=1e-12, atol=0)
+    # The plan depends on the pattern alone: the matrix's own values reuse it.
+    plan = m._plan
+    assert_same_bits(m @ other, add_at_product(m, other))
+    assert m._plan is plan
 
 
-def test_with_data_rejects_wrong_length():
-    from dphgnn.errors import ShapeMismatchError
+def test_matmul_dense_data_of_signed_zeros_sums_from_positive_zero():
+    rng = np.random.default_rng(25)
+    m = with_row_lengths(rng, [2, 70, 5], 90)
+    other = wide_range(rng, 90, 2)
+    for zero in (0.0, -0.0):
+        data = np.full(m.nnz, zero)
+        got = m.matmul_dense(other, data=data)
+        assert_same_bits(got, add_at_product(m, other, data))
+        assert np.all(got == 0.0) and not np.signbit(got).any()
 
+
+def test_matmul_dense_data_at_width_zero_and_on_the_empty_matrix():
+    from conftest import dense_pattern
+
+    rng = np.random.default_rng(26)
+    m = with_row_lengths(rng, [0, 3, 66, 1], 80)
+    data = rng.standard_normal(m.nnz)
+    assert_same_bits(m.matmul_dense(np.ones((80, 0)), data=data), np.zeros((4, 0)))
+    assert_same_bits(m.T.matmul_dense(np.ones((4, 0)), data=data[m._to_transpose]),
+                     np.zeros((80, 0)))
+    empty = SparseMatrix.from_coo(3, 4, [], [], [])
+    other = wide_range(rng, 4, 2)
+    assert_same_bits(empty.matmul_dense(other, data=np.zeros(0)),
+                     dense_pattern(empty, np.zeros(0)) @ other)
+    assert_same_bits(SparseMatrix.from_coo(0, 0, [], [], []).matmul_dense(np.ones((0, 2))),
+                     np.zeros((0, 2)))
+
+
+def test_matmul_dense_rejects_wrong_length_data():
     m = SparseMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
     for bad in (np.ones(2), np.ones(4), np.ones((3, 1)), np.float64(1.0)):
         with pytest.raises(ShapeMismatchError):
-            m.with_data(bad)
+            m.matmul_dense(np.ones((3, 2)), data=bad)
+
+
+def test_matmul_dense_plan_is_o_rows_plus_long_row_entries():
+    from dphgnn.sparse import _LEVEL_CAP
+
+    rng = np.random.default_rng(27)
+    lengths = np.array([0, 1, 5, 64, 65, 200, 3, 0, 64])
+    m = with_row_lengths(rng, lengths, 400)
+    m @ wide_range(rng, 400, 2)
+    long_entries = int(lengths[lengths > _LEVEL_CAP].sum())
+    assert m._plan is not None and m.nnz > m.rows + long_entries
+    assert all(len(part) <= m.rows + long_entries for part in m._plan)
+    short, starts, sizes, long_rows, long_pos, long_rank = m._plan
+    # Every entry is visited once: by a level or as a long row's entry.
+    assert int(sizes.sum()) + len(long_pos) == m.nnz and len(sizes) == _LEVEL_CAP
+    assert np.array_equal(np.sort(long_rows), [4, 5]) and len(short) == 5
 
 
 def test_matmul_dense_matches_dense_laplacian_oracle():
@@ -152,7 +211,7 @@ def test_matmul_dense_matches_dense_laplacian_oracle():
     x = rng.standard_normal((300, 4))
     np.testing.assert_allclose(lap @ x, dense_sym(hg) @ x, atol=1e-12)
     np.testing.assert_allclose(lap.T @ x, dense_sym(hg).T @ x, atol=1e-12)
-    assert np.array_equal(lap @ x, reduceat_product(lap, x))
+    assert_same_bits(lap @ x, add_at_product(lap, x))
 
 
 def test_matmul_sparse_matches_numpy():
@@ -380,18 +439,14 @@ def bincount_product(m, data, other):
     return out
 
 
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 # Column entry counts on both sides of the 64-level cap, with empty columns.
 COLUMN_COUNTS = (0, 1, 2, 7, 8, 9, 63, 64, 65, 129, 300, 0, 3)
 
 
 @pytest.mark.parametrize("width", [1, 5, 32])
 def test_transpose_matmul_dense_bit_identical_to_bincount(width):
+    from conftest import dense_pattern
+
     from dphgnn.sparse import _LEVEL_CAP
 
     rng = np.random.default_rng(40 + width)
@@ -408,10 +463,10 @@ def test_transpose_matmul_dense_bit_identical_to_bincount(width):
     assert_same_bits(got, bincount_product(m, data, other))
     assert not np.signbit(got[1]).any() and np.all(got[[0, 11]] == 0.0)
     # Short columns run the level loop to its cap; 65, 129 and 300 entries do not.
-    pos, _, sizes, short, long_cols, _ = m._col_plan
-    assert len(sizes) == _LEVEL_CAP and np.array_equal(np.sort(pos), np.arange(m.nnz))
+    short, _, sizes, long_cols, long_pos, _ = m.T._plan
+    assert len(sizes) == _LEVEL_CAP and int(sizes.sum()) + len(long_pos) == m.nnz
     assert np.array_equal(np.sort(long_cols), [8, 9, 10]) and len(short) == 8
-    np.testing.assert_allclose(got, m.with_data(data).to_dense().T @ other, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, dense_pattern(m, data).T @ other, rtol=1e-12, atol=0)
 
 
 def test_transpose_matmul_dense_non_symmetric_square_pattern():
@@ -458,22 +513,22 @@ def test_transpose_matmul_dense_hub_column_leaves_the_level_loop():
     w = rng.random(hub.nnz)
     other = wide_range(rng, 301, 32)
     assert_same_bits(hub.transpose_matmul_dense(w, other), bincount_product(hub, w, other))
-    _, _, sizes, _, long_cols, _ = hub._col_plan
+    _, _, sizes, long_cols, _, _ = hub.T._plan
     assert len(sizes) <= _LEVEL_CAP and 0 in long_cols
 
 
 def test_transpose_matmul_dense_caches_its_plan_on_the_pattern_only():
     rng = np.random.default_rng(50)
     m = with_row_lengths(rng, rng.integers(0, 80, 40), 100)
-    copy = m.with_data(rng.standard_normal(m.nnz))
-    assert m._col_plan is None
+    data = rng.standard_normal(m.nnz)
+    assert m._transpose is None
     other = wide_range(rng, 40, 3)
-    first = m.transpose_matmul_dense(copy.data, other)
-    plan = m._col_plan
-    assert plan is not None and copy._col_plan is None
-    assert m.transpose_matmul_dense(copy.data, other) is not first
-    assert m._col_plan is plan
-    assert_same_bits(first, bincount_product(m, copy.data, other))
+    first = m.transpose_matmul_dense(data, other)
+    plan = m.T._plan
+    assert plan is not None and m._plan is None
+    assert m.transpose_matmul_dense(data, other) is not first
+    assert m.T._plan is plan
+    assert_same_bits(first, bincount_product(m, data, other))
     empty = SparseMatrix.from_coo(3, 4, [], [], [])
     assert_same_bits(empty.transpose_matmul_dense(np.zeros(0), np.ones((3, 2))), np.zeros((4, 2)))
 
