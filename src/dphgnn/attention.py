@@ -10,11 +10,16 @@ graph Laplacian. Attention scores follow the additive form
 
 restricted to j in N(i) or j = i, normalized row-wise by softmax. Heads
 split the hidden width into equal slices that attend independently. The
-admissible pairs come from a CSR pattern of the clique adjacency plus the
-identity (see :func:`attention_pattern`), so scores and softmax cost
-O(nnz), never O(n^2). Each head's weighted sum is one CSR product: the
-pattern carries the attention weights as its values and multiplies the
-head's projected values (:func:`~dphgnn.autodiff.segment_sums`), so no
+score is additive, so a head's query half is q_i . (W_h delta_q,h), where
+W_h holds the head's columns of W: each head folds W into one score
+vector per side, an (h x 1) product, and the projected queries and keys
+are never formed. The admissible pairs come from a CSR pattern of the
+clique adjacency plus the identity (see :func:`attention_pattern`), so
+scores and softmax cost O(nnz), never O(n^2). The weighted sums of all
+heads are one op (:func:`~dphgnn.autodiff.segment_sums`) with one
+weights tensor per head: the pattern carries a head's attention weights
+as its values and multiplies that head's columns of the projected
+values, written into the same columns of the output, so no
 (pairs x head width) array is formed.
 
 Every operator a forward pass reads comes from the dataset's structure
@@ -34,7 +39,6 @@ from .autodiff import (
     Tensor,
     add,
     concat_rows,
-    concat_cols,
     dropout,
     leaky_relu,
     matmul,
@@ -190,17 +194,15 @@ def cross_attention(
         raise ShapeMismatchError("every row of neighborhoods must hold its own diagonal entry")
 
     width = params.weight.value.shape[1]
-    q_proj = matmul(query, params.weight)
-    k_proj = matmul(key, params.weight)
     v_proj = matmul(value, params.weight)
-    d_query = select_rows(params.delta, np.arange(width))
-    d_key = select_rows(params.delta, np.arange(width, 2 * width))
 
-    head_outputs = []
+    head_weights = []
     for sl in _head_slices(width, params.num_heads):
         head_cols = np.arange(sl.start, sl.stop)
-        q_score = matmul(select_cols(q_proj, head_cols), select_rows(d_query, head_cols))
-        k_score = matmul(select_cols(k_proj, head_cols), select_rows(d_key, head_cols))
+        # (W q_i)[head] . delta_q[head] = q_i . (W[:, head] delta_q[head]).
+        head_weight = select_cols(params.weight, head_cols)
+        q_score = matmul(query, matmul(head_weight, select_rows(params.delta, head_cols)))
+        k_score = matmul(key, matmul(head_weight, select_rows(params.delta, width + head_cols)))
         scores = leaky_relu(
             add(select_rows(q_score, pair_rows), select_rows(k_score, pair_cols)),
             LEAKY_SLOPE,
@@ -208,13 +210,8 @@ def cross_attention(
         weights = segment_softmax(scores, indptr)
         if attn_dropout:
             weights = dropout(weights, attn_dropout, rng=rng)
-        head_outputs.append(
-            segment_sums(weights, select_cols(v_proj, head_cols), neighborhoods)
-        )
-    out = head_outputs[0]
-    for extra in head_outputs[1:]:
-        out = concat_cols(out, extra)
-    return out
+        head_weights.append(weights)
+    return segment_sums(head_weights, v_proj, neighborhoods)
 
 
 def taa_forward(

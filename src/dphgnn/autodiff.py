@@ -7,10 +7,13 @@ a tensor, so the tape pins only what the closures save:
 
 - ``mul``, dense ``matmul`` and ``segment_sums``: the operands their
   gradients read (the other operand of each operand that requires grad);
+  ``segment_sums`` takes one weights tensor per attention head, each a
+  parent of its one node, and reads the values' column blocks in place;
 - ``sigmoid`` and ``segment_softmax``: their output;
   ``cross_entropy``: the masked logits, their row maxima, labels and rows;
 - ``relu``, ``leaky_relu`` and ``dropout``: a bool mask; dropout rebuilds
-  its ``keep / (1 - p)`` factor in backward;
+  its ``keep / (1 - p)`` factor in backward, and ``relu`` forms its mask
+  only while recording;
 - ``add``, ``sub``, ``scale``, the concats, the selects, ``transpose``,
   ``sum_all`` and sparse ``matmul``: no values, only shapes, indices or
   the constant operator.
@@ -318,9 +321,12 @@ def concat_rows(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    keep = a.value > 0
-    val = np.where(keep, a.value, 0.0)
+    # fmax maps NaN and every non-positive value to 0.0 or -0.0, and adding
+    # 0.0 turns -0.0 into 0.0: np.where(x > 0, x, 0.0) bit for bit.
+    val = np.fmax(a.value, 0.0)
+    val += 0.0
     an = a._node
+    keep = a.value > 0 if an is not None and _GRAD_MODE.enabled else None
 
     def bwd(g):
         _accum(an, g * keep)
@@ -344,7 +350,8 @@ def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # Split by sign to stay overflow-free.
     x = a.value
-    val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     an = a._node
 
     def bwd(g):
@@ -403,47 +410,69 @@ def segment_softmax(a, indptr: np.ndarray) -> Tensor:
 def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     """Weighted neighbor sums over the stored entries of a CSR pattern.
 
-    Output row i is the sum over the entries p of row i of ``pattern`` of
-    ``weights[p] * values[pattern.indices[p]]``: one sparse @ dense product
-    with the (nnz, 1) weights as the pattern's values. Only the pattern's
-    structure is read; an empty row sums to zero. The values gradient is
-    the transposed product with the same weights
+    ``weights`` is one (nnz, 1) tensor or a list of them, one per head; the
+    values' columns split into that many equal blocks, and block h is summed
+    with head h's weights: output row i, block h, is the sum over the
+    entries p of row i of ``pattern`` of ``weights[h][p] * values[pattern.indices[p], block h]``.
+    Each block is one sparse @ dense product with the weights as the
+    pattern's values, written into its columns of the one output. Only the
+    pattern's structure is read; an empty row sums to zero. The values
+    gradient is the transposed product with the same weights
     (:meth:`SparseMatrix.transpose_matmul_dense`): the product of
     ``pattern``'s transpose, which the first backward builds and caches;
     a forward alone builds none.
     """
-    weights, values = as_tensor(weights), as_tensor(values)
-    w, v = weights.value, values.value
-    if w.shape != (pattern.nnz, 1):
+    heads = [as_tensor(w) for w in (weights if isinstance(weights, (list, tuple)) else [weights])]
+    values = as_tensor(values)
+    v = values.value
+    for head in heads:
+        if head.value.shape != (pattern.nnz, 1):
+            raise ShapeMismatchError(
+                f"segment_sums needs ({pattern.nnz}, 1) weights, got {head.value.shape}"
+            )
+    if not heads or v.ndim != 2 or v.shape[1] % len(heads):
         raise ShapeMismatchError(
-            f"segment_sums needs ({pattern.nnz}, 1) weights, got {w.shape}"
+            f"segment_sums cannot split values of shape {v.shape} among {len(heads)} heads"
         )
+    step = v.shape[1] // len(heads)
+    blocks = [slice(h * step, (h + 1) * step) for h in range(len(heads))]
+    ws = [head.value[:, 0] for head in heads]
     # matmul_dense rejects values whose row count is not pattern.cols.
-    val = pattern.matmul_dense(v, data=w[:, 0])
-    wn, vn = weights._node, values._node
+    val = np.empty((pattern.rows, v.shape[1]))
+    for w, cols in zip(ws, blocks):
+        pattern.matmul_dense(v[:, cols], data=w, out=val[:, cols])
+    wns, vn = [head._node for head in heads], values._node
     # Each gradient reads the other operand; keep only the ones it needs.
-    w = w if vn is not None else None
-    v = v if wn is not None else None
+    ws = ws if vn is not None else None
+    v = v if any(n is not None for n in wns) else None
 
     def bwd(g):
         if vn is not None:
             # Column sums in stored-entry order from 0.0, as np.add.at adds.
-            _accum(vn, pattern.transpose_matmul_dense(w[:, 0], g))
-        if wn is not None:
-            # g[row] . v[col] per pair, _WEIGHT_GRAD_PAIRS pairs at a time.
-            # Summed over the width by a product with ones, so the result
-            # matches the broadcast-and-multiply formulation bit for bit.
-            row_of = pattern._row_of()
-            ones = np.ones((1, v.shape[1])).T
-            grad = np.empty((pattern.nnz, 1))
-            for lo in range(0, pattern.nnz, _WEIGHT_GRAD_PAIRS):
-                at = slice(lo, lo + _WEIGHT_GRAD_PAIRS)
-                terms = v[pattern.indices[at]]
-                terms *= g[row_of[at]]
-                grad[at] = terms @ ones
+            gv = np.empty((pattern.cols, g.shape[1]))
+            for w, cols in zip(ws, blocks):
+                pattern.transpose_matmul_dense(w, g[:, cols], out=gv[:, cols])
+            _accum(vn, gv)
+        if v is None:
+            return
+        # g[row] . v[col] per pair and head, _WEIGHT_GRAD_PAIRS pairs at a
+        # time. Summed over the head's width by a product with ones, so the
+        # result matches the broadcast-and-multiply formulation bit for bit.
+        row_of = pattern._row_of()
+        ones = np.ones((1, step)).T
+        grads = [None if wn is None else np.empty((pattern.nnz, 1)) for wn in wns]
+        for lo in range(0, pattern.nnz, _WEIGHT_GRAD_PAIRS):
+            at = slice(lo, lo + _WEIGHT_GRAD_PAIRS)
+            cols_at, rows_at = pattern.indices[at], row_of[at]
+            for grad, cols in zip(grads, blocks):
+                if grad is not None:
+                    terms = v[cols_at, cols]
+                    terms *= g[rows_at, cols]
+                    grad[at] = terms @ ones
+        for wn, grad in zip(wns, grads):
             _accum(wn, grad)
 
-    return _make(val, (weights, values), bwd)
+    return _make(val, (*heads, values), bwd)
 
 
 def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bool = True) -> Tensor:
@@ -469,14 +498,29 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
     return _make(val, (a,), bwd)
 
 
+def _written_once(g: np.ndarray, shape: tuple[int, ...], at) -> np.ndarray:
+    # g put at ``at`` of a zero array, each entry written once; adding 0.0
+    # sums each entry from 0.0 as a scatter-add does (-0.0 becomes 0.0).
+    out = np.zeros(shape)
+    out[at] = g
+    out += 0.0
+    return out
+
+
 def select_rows(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
-    val = a.value[index]
-    an, rows = a._node, a.value.shape[0]
+    an, shape, k = a._node, a.value.shape, index.size
+    # arange(k): checked last element first, so a gather of pairs costs no pass.
+    prefix = (index.ndim == 1 and k <= shape[0] and (k == 0 or index[-1] == k - 1)
+              and np.array_equal(index, np.arange(k)))
+    val = a.value[:k].copy() if prefix else a.value[index]
 
     def bwd(g):
-        _accum(an, _scatter_rows(index, g, rows))
+        if prefix:
+            _accum(an, _written_once(g, shape, slice(0, k)))
+        else:
+            _accum(an, _scatter_rows(index, g, shape[0]))
 
     return _make(val, (a,), bwd)
 
@@ -486,8 +530,12 @@ def select_cols(a, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     val = a.value[:, index]
     an, (rows, cols) = a._node, a.value.shape
+    unique = np.unique(index).size == index.size
 
     def bwd(g):
+        if unique:
+            _accum(an, _written_once(g, (rows, cols), (slice(None), index)))
+            return
         # Entry (r, k) of g adds into (r, index[k]): one bincount over g in
         # row-major order, so repeated columns add in index order from 0.0,
         # as np.add.at does, with no transposed copy of g or of the result.

@@ -109,8 +109,18 @@ class IsoPair:
     verdict: Verdict = Verdict.POSSIBLY_ISOMORPHIC
 
 
-def _shift_edges(hg: Hypergraph, offset: int):
-    return [tuple(v + offset for v in e) for e in hg.edges]
+def _pooled_hypergraph(sides: list[Hypergraph]) -> Hypergraph:
+    """The sides side by side, each side's nodes numbered after the nodes of
+    the sides before it: what ``build_hypergraph`` makes of the shifted
+    edges, built from the sides' validated arrays without checking them again."""
+    counts = np.array([side.num_nodes for side in sides], dtype=np.int64)
+    offsets = (np.cumsum(counts) - counts).tolist()
+    members = np.concatenate([side.members + off for side, off in zip(sides, offsets)])
+    sizes = np.concatenate([side.edge_degrees for side in sides])
+    flat, bounds = members.tolist(), np.concatenate(([0], np.cumsum(sizes))).tolist()
+    edges = tuple(map(tuple, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+    degrees = np.concatenate([side.node_degrees for side in sides])
+    return Hypergraph(int(counts.sum()), edges, degrees, sizes, members)
 
 
 def build_iso_pool(
@@ -135,7 +145,7 @@ def build_iso_pool(
     joined = cycle_hypergraph(spec.split_a + spec.split_b)
     rng = np.random.default_rng(seed)
     pairs: list[IsoPair] = []
-    edges: list[tuple[int, ...]] = []
+    sides: list[Hypergraph] = []
     labels = []
     offset = 0
     non_iso_verdict = None
@@ -175,12 +185,11 @@ def build_iso_pool(
                 verdict=verdict,
             )
         )
-        edges.extend(_shift_edges(base, offset))
-        edges.extend(_shift_edges(other, offset + base.num_nodes))
+        sides += [base, other]
         labels.extend([label] * pair_nodes)
         offset += pair_nodes
 
-    hg = build_hypergraph(offset, edges)
+    hg = _pooled_hypergraph(sides)
     labels = np.asarray(labels, dtype=np.int64)
     features = rng.standard_normal((offset, spec.feature_dim))
 

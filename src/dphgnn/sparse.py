@@ -19,19 +19,28 @@ order, starting from 0.0: the order of ``np.add.at`` and of
 ``np.bincount``, signs of zero included. Rows with at most ``_LEVEL_CAP``
 entries are summed by level: level k adds every such row's k-th entry
 into a contiguous prefix of an accumulator whose rows are those rows
-sorted by entry count, most first. The few longer rows are summed by
-``_scatter_rows``, one flat ``np.bincount`` keyed by row and output
-column, so the level loop never runs more than ``_LEVEL_CAP`` times. Its
-plan (the sorted rows, their starts, the level sizes, and the entries of
-the long rows) depends on the pattern alone, and a product may put other
-values on it (``data=``), zeros included. The transposed product
+sorted by entry count, most first. When that sort leaves the rows in
+place (every row short, no row longer than the one before it, as with
+edges of one size or regular degrees) the output itself is the
+accumulator; otherwise the sums are put in place after the last level.
+The few longer rows are summed by ``_scatter_rows``, one flat
+``np.bincount`` keyed by row and output column, so the level loop never
+runs more than ``_LEVEL_CAP`` times. Its plan (the sorted rows, their
+starts, the level sizes, and the entries of the long rows) depends on
+the pattern alone, and a product may put other values on it (``data=``),
+zeros included. Each level's gathered terms, the accumulator and a
+contiguous copy of a strided input live in one grow-only scratch buffer
+per thread, which no result ever aliases, so a product allocates only
+its output (and the long rows' bincount). The transposed product
 :meth:`SparseMatrix.transpose_matmul_dense` is the product of the
 transpose with the values reordered by the transpose's column sort, so
 output row c adds column c's entries in stored order.
 
-A matrix is immutable once built: its transpose, the column sort that
-maps its entries onto the transpose's, and the plan of its products are
-cached on the instance, each built on first use.
+A matrix is immutable once built: its transpose and the plan of its
+products are cached on the instance, each built on first use. The column
+sort that maps its entries onto the transpose's is kept only once a
+transposed product asks for it, and a transpose with the same pattern as
+its matrix (a symmetric pattern) shares its ``indptr`` and ``indices``.
 
 A :class:`FactoredOperator` is a sum of terms diag(d) M1 ... Mk of
 matrices, applied factor by factor and never multiplied out. A product
@@ -42,6 +51,8 @@ per factor rather than the O(sum |e|^2) entries of H H^T.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ShapeMismatchError
@@ -51,6 +62,22 @@ __all__ = ["FactoredOperator", "SparseMatrix"]
 # Rows with more entries than this leave the level loop of the sparse @ dense
 # product for one flat bincount, which bounds that loop's Python iterations.
 _LEVEL_CAP = 64
+
+
+class _Scratch(threading.local):
+    buffer = np.empty(0)
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(size: int) -> np.ndarray:
+    # The first ``size`` float64s of this thread's scratch buffer, which grows
+    # and is never shrunk. Its contents never outlive the product that wrote
+    # them, and no product returns a view of it.
+    if _SCRATCH.buffer.size < size:
+        _SCRATCH.buffer = np.empty(size)
+    return _SCRATCH.buffer[:size]
 
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
@@ -81,7 +108,8 @@ class SparseMatrix:
     value is exactly zero.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_to_transpose", "_plan")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_order", "_plan",
+                 "_in_order")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -90,9 +118,11 @@ class SparseMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self._transpose: SparseMatrix | None = None
-        # Entry k of the transpose is entry _to_transpose[k] of this matrix.
-        self._to_transpose: np.ndarray | None = None
+        self._order: np.ndarray | None = None
         self._plan: tuple[np.ndarray, ...] | None = None
+        # Set with the plan: its sorted rows are 0..rows-1, so the product
+        # sums straight into its output.
+        self._in_order = False
         if validate:
             self._check()
 
@@ -216,20 +246,26 @@ class SparseMatrix:
     # ------------------------------------------------------------------
     # algebra
 
+    @property
+    def _to_transpose(self) -> np.ndarray:
+        # Entry k of the transpose is entry _to_transpose[k] of this matrix: a
+        # stable sort by column, which keeps each column's entries in row order.
+        # Kept once asked for; only transposed products ask.
+        if self._order is None:
+            self._order = np.argsort(self.indices, kind="stable")
+        return self._order
+
     def transpose(self) -> SparseMatrix:
         if self._transpose is None:
-            # Row offsets by counting columns; a stable sort by column keeps
-            # each column's entries in row order, so every row comes out sorted.
-            order = np.argsort(self.indices, kind="stable")
+            # Row offsets by counting columns; the column sort leaves every
+            # row of the transpose sorted.
+            order = self._order if self._order is not None else np.argsort(self.indices, kind="stable")
             indptr = np.zeros(self.cols + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.indices, minlength=self.cols), out=indptr[1:])
-            t = SparseMatrix(
-                self.cols, self.rows, indptr, self._row_of()[order], self.data[order],
-                validate=False,
-            )
-            inverse = np.empty_like(order)
-            inverse[order] = np.arange(len(order))
-            self._to_transpose, t._to_transpose = order, inverse
+            indices = self._row_of()[order]
+            if np.array_equal(indptr, self.indptr) and np.array_equal(indices, self.indices):
+                indptr, indices = self.indptr, self.indices
+            t = SparseMatrix(self.cols, self.rows, indptr, indices, self.data[order], validate=False)
             t._transpose = self
             self._transpose = t
         return self._transpose
@@ -252,6 +288,9 @@ class SparseMatrix:
         if self._plan is None:
             counts = np.diff(self.indptr)
             short = np.flatnonzero((counts > 0) & (counts <= _LEVEL_CAP))
+            # The stable sort keeps every row in place iff all rows are short
+            # and no row holds more entries than the one before it.
+            self._in_order = short.size == self.rows and bool(np.all(counts[1:] <= counts[:-1]))
             short = short[np.argsort(-counts[short], kind="stable")]
             depth = int(counts[short[0]]) if short.size else 0
             sizes = np.searchsorted(-counts[short], -np.arange(depth), side="left")
@@ -264,12 +303,15 @@ class SparseMatrix:
             )
         return self._plan
 
-    def matmul_dense(self, other, data=None) -> np.ndarray:
+    def matmul_dense(self, other, data=None, out=None) -> np.ndarray:
         """This matrix @ ``other``, or this pattern with values ``data`` @ ``other``.
 
         Output row i adds ``data[p] * other[indices[p]]`` over the entries p
         of row i in stored order, starting from 0.0, as ``np.add.at`` does.
-        ``data`` may hold zeros; only the pattern is read then.
+        ``data`` may hold zeros; only the pattern is read then. ``other``
+        may be a strided view. The result is written into ``out`` when it
+        is given, an array or view of the result's shape that overlaps no
+        input, and returned.
         """
         other = np.asarray(other, dtype=np.float64)
         if other.ndim != 2 or other.shape[0] != self.cols:
@@ -284,42 +326,60 @@ class SparseMatrix:
                 raise ShapeMismatchError(
                     f"matmul_dense needs {self.nnz} values, got shape {data.shape}"
                 )
-        short, starts, sizes, long_rows, long_pos, long_rank = self._levels()
         width = other.shape[1]
-        out = np.zeros((self.rows, width))
-        acc = np.zeros((len(short), width))
-        # The output's first rows hold each level's terms until the sums are
-        # put in place. Column indices are valid by construction; "clip"
-        # keeps take from buffering its output.
-        buf = out[: len(short)]
+        if out is None:
+            out = np.zeros((self.rows, width))
+        elif out.shape != (self.rows, width):
+            raise ShapeMismatchError(f"matmul_dense cannot write {(self.rows, width)} into {out.shape}")
+        else:
+            out[...] = 0.0
+        short, starts, sizes, long_rows, long_pos, long_rank = self._levels()
+        in_order, block = self._in_order, len(short) * width
+        # One scratch block holds the level terms, the accumulator unless the
+        # output is one, and a contiguous copy of a strided ``other``, which
+        # take would otherwise copy once per level.
+        copied = 0 if other.flags.c_contiguous else other.size
+        scratch = _scratch(block * (1 if in_order else 2) + copied)
+        if copied:
+            strided, other = other, scratch[scratch.size - copied :].reshape(other.shape)
+            other[...] = strided
+        if in_order:
+            acc = out
+        else:
+            acc = scratch[block : 2 * block].reshape(len(short), width)
+            acc[...] = 0.0
         for k, size in enumerate(sizes):
             pos = starts[:size] + k
-            terms = np.take(other, self.indices[pos], axis=0, out=buf[:size], mode="clip")
+            # Column indices are valid by construction; "clip" keeps take
+            # from buffering its output.
+            terms = np.take(other, self.indices[pos], axis=0,
+                            out=scratch[: size * width].reshape(size, width), mode="clip")
             terms *= data[pos, None]
             acc[:size] += terms
-        buf[:] = 0.0
-        out[short] = acc
+        if not in_order:
+            out[short] = acc
         if long_rows.size:
             terms = other[self.indices[long_pos]]
             terms *= data[long_pos, None]
             out[long_rows] = _scatter_rows(long_rank, terms, len(long_rows))
         return out
 
-    def transpose_matmul_dense(self, data, other) -> np.ndarray:
+    def transpose_matmul_dense(self, data, other, out=None) -> np.ndarray:
         """(this pattern with values ``data``)ᵀ @ ``other``.
 
         The product of the cached transpose with ``data`` in its entry
         order: output row c adds ``data[p] * other[row of p]`` over the
         entries p of column c in stored order, starting from 0.0, as
-        ``np.bincount`` and ``np.add.at`` do. ``data`` may hold zeros.
+        ``np.bincount`` and ``np.add.at`` do. ``data`` may hold zeros;
+        ``out`` is as for :meth:`matmul_dense`.
         """
         data = np.asarray(data, dtype=np.float64)
         if data.shape != (self.nnz,):
             raise ShapeMismatchError(
                 f"transpose_matmul_dense needs {self.nnz} values, got shape {data.shape}"
             )
-        t = self.transpose()
-        return t.matmul_dense(other, data=data[self._to_transpose])
+        order = self._to_transpose
+        return self.transpose().matmul_dense(other, data=data[order], out=out)
 
     def _matmul_sparse(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:

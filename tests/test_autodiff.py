@@ -1,5 +1,6 @@
 """Autodiff engine: per-op gradients vs finite differences, op semantics."""
 
+import contextlib
 import weakref
 
 import numpy as np
@@ -593,3 +594,179 @@ def test_segment_sums_rejects_bad_shapes():
     for bad in (np.ones((3, 2)), np.ones((5, 2)), np.ones(4)):
         with pytest.raises(ShapeMismatchError):
             segment_sums(Tensor(np.ones((3, 1))), Tensor(bad), pattern)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def spread_rows(rng, rows, width):
+    # Rows spread over twelve decades, so each summation order rounds differently.
+    return rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+
+
+def head_weights(rng, nnz, heads):
+    """One (nnz, 1) weights array per head, holding 0.0 and -0.0 entries."""
+    out = []
+    for _ in range(heads):
+        w = rng.random((nnz, 1))
+        w[rng.random(nnz) < 0.2] = 0.0
+        w[rng.random(nnz) < 0.1] = -0.0
+        out.append(w)
+    return out
+
+
+# Rows on both sides of the level cap (64), an empty row and a single entry.
+HEAD_ROW_LENGTHS = (63, 64, 65, 3, 0, 1, 64)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_multi_head_segment_sums_equals_one_call_per_head_bit_for_bit(heads):
+    from dphgnn.autodiff import segment_sums
+
+    rng = np.random.default_rng(60 + heads)
+    step = 3
+    pattern = pattern_with_row_lengths(rng, HEAD_ROW_LENGTHS, 120)
+    # Every other column of a wider array: the values and each head's block are strided views.
+    values = spread_rows(rng, 120, 2 * heads * step)[:, ::2]
+    assert not values.flags.c_contiguous
+    ws = head_weights(rng, pattern.nnz, heads)
+    g = spread_rows(rng, pattern.rows, heads * step)
+    wts, vt = [Tensor(w, requires_grad=True) for w in ws], Tensor(values, requires_grad=True)
+    out = segment_sums(wts, vt, pattern)
+    backward(sum_all(mul(out, Tensor(g))))
+    for h, w in enumerate(ws):
+        cols = slice(h * step, (h + 1) * step)
+        wh = Tensor(w, requires_grad=True)
+        vh = Tensor(np.ascontiguousarray(values[:, cols]), requires_grad=True)
+        one = segment_sums(wh, vh, pattern)
+        backward(sum_all(mul(one, Tensor(np.ascontiguousarray(g[:, cols])))))
+        assert_same_bits(out.value[:, cols], one.value)
+        assert_same_bits(wts[h].grad, wh.grad)
+        assert_same_bits(vt.grad[:, cols], vh.grad)
+    assert np.all(out.value[4] == 0.0) and not np.signbit(out.value[4]).any()
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+def test_multi_head_segment_sums_matches_the_dense_oracle(heads):
+    from dphgnn.autodiff import segment_sums
+
+    rng = np.random.default_rng(70 + heads)
+    step = 2
+    pattern = pattern_with_row_lengths(rng, HEAD_ROW_LENGTHS, 90)
+    wts = [Tensor(w, requires_grad=True) for w in head_weights(rng, pattern.nnz, heads)]
+    v = param(rng, 90, heads * step)
+    g = rng.standard_normal((pattern.rows, heads * step))
+    out = segment_sums(wts, v, pattern)
+    backward(sum_all(mul(out, Tensor(g))))
+    rows = np.repeat(np.arange(pattern.rows), np.diff(pattern.indptr))
+    d_values = np.zeros_like(v.value)
+    for h, wt in enumerate(wts):
+        cols = slice(h * step, (h + 1) * step)
+        dense = dense_pattern(pattern, wt.value[:, 0])
+        np.testing.assert_allclose(out.value[:, cols], dense @ v.value[:, cols], rtol=1e-12, atol=1e-14)
+        d_values[:, cols] = dense.T @ g[:, cols]
+        d_weights = (g[rows, cols] * v.value[pattern.indices, cols]).sum(axis=1)
+        np.testing.assert_allclose(wt.grad[:, 0], d_weights, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(v.grad, d_values, rtol=1e-12, atol=1e-14)
+
+    upstream = Tensor(g)
+
+    def loss():
+        return sum_all(mul(segment_sums(wts, v, pattern), upstream))
+
+    assert grad_check(loss, {"v": v, **{f"w{h}": wt for h, wt in enumerate(wts)}}, max_entries=60) < 1e-6
+
+
+def test_multi_head_segment_sums_rejects_bad_heads():
+    from dphgnn.autodiff import segment_sums
+
+    pattern = SparseMatrix(2, 4, np.array([0, 2, 3]), np.array([0, 3, 1]), np.ones(3))
+    values = Tensor(np.ones((4, 6)))
+    good = Tensor(np.ones((3, 1)))
+    # One head's weights of the wrong length, in either place.
+    for heads in ([good, Tensor(np.ones((2, 1)))], [Tensor(np.ones((4, 1))), good]):
+        with pytest.raises(ShapeMismatchError):
+            segment_sums(heads, values, pattern)
+    # A width of 6 splits among 1, 2, 3 or 6 heads, not among 4 or 5, nor among none.
+    for count in (4, 5, 0):
+        with pytest.raises(ShapeMismatchError):
+            segment_sums([good] * count, values, pattern)
+    assert segment_sums([good] * 3, values, pattern).shape == (2, 6)
+
+
+# NaN, signed zeros and infinities, the smallest subnormals, a subnormal, a
+# normal near the bottom of the range, and values past exp's overflow.
+SPECIAL_VALUES = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, -1e-310,
+                           2.3e-308, 1.0, -1.0, 37.5, -37.5, 710.0, -710.0, -np.nan])
+
+
+def special_grid(rng, shape):
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    x.flat[: SPECIAL_VALUES.size] = SPECIAL_VALUES
+    return x
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (1,), (3, 1)])
+def test_relu_and_sigmoid_match_their_former_forms_on_special_values(shape):
+    # numpy's vector loops and its scalar tail treat max(-0.0, 0.0) differently,
+    # so each special value is also tried alone and in short arrays.
+    rng = np.random.default_rng(80)
+    inputs = [special_grid(rng, shape)] + [np.full(shape, v) for v in SPECIAL_VALUES]
+    with np.errstate(all="ignore"):
+        for x in inputs:
+            g = special_grid(rng, shape)[::-1].copy()
+            keep = x > 0
+            for op, value in (
+                (relu, np.where(keep, x, 0.0)),
+                (sigmoid, np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))),
+            ):
+                t = Tensor(x, requires_grad=True)
+                out = op(t)
+                assert_same_bits(out.value, value)
+                out._node.backward(g)
+                assert_same_bits(t.grad, g * keep if op is relu else g * value * (1.0 - value))
+
+
+def test_select_backwards_match_the_scatter_forms_on_special_values():
+    from dphgnn.autodiff import _scatter_rows
+
+    rng = np.random.default_rng(81)
+    x = rng.standard_normal((9, 7))
+    # Unique unsorted columns, three never picked: the former bincount over (row, column).
+    index = np.array([5, 0, 3, 6])
+    g = special_grid(rng, (9, 4))
+    t = Tensor(x, requires_grad=True)
+    select_cols(t, index)._node.backward(g)
+    key = np.arange(9)[:, None] * 7 + index
+    assert_same_bits(t.grad, np.bincount(key.ravel(), weights=g.ravel(), minlength=63).reshape(9, 7))
+    assert not np.signbit(t.grad[t.grad == 0.0]).any()  # g's -0.0 comes out +0.0
+    # A prefix of the rows, in 2-d and 1-d: the former bincount over rows.
+    for shape, k in (((9, 7), 5), ((9,), 9), ((9, 7), 0)):
+        t = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = select_rows(t, np.arange(k))
+        assert_same_bits(out.value, t.value[:k])
+        g = special_grid(rng, (k,) + shape[1:]) if k else np.zeros((0,) + shape[1:])
+        out._node.backward(g)
+        assert_same_bits(t.grad, _scatter_rows(np.arange(k), g, shape[0]))
+
+
+def test_relu_keeps_its_mask_only_while_recording():
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(82).standard_normal(1 << 16), requires_grad=True)
+    peaks = {}
+    for recording in (True, False):
+        tracemalloc.start()
+        with autodiff.no_grad() if not recording else contextlib.nullcontext():
+            out = relu(x)
+        peaks[recording] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert out.requires_grad is recording
+        del out
+    # Both allocate the 512 KiB output; only the recording one adds the 64 KiB bool mask.
+    assert peaks[True] - peaks[False] >= x.value.size
+    assert peaks[False] < x.value.nbytes + x.value.size // 2

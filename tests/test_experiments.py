@@ -176,3 +176,23 @@ def test_time_forward_returns_positive_medians():
 def test_time_forward_rejects_uncoverable():
     with pytest.raises(InfeasibleSpecError):
         time_forward(30, (5,), feature_dim=4, hidden=8)  # 30 nodes need 10 edges
+
+
+@pytest.mark.parametrize("spec", [IsoPoolSpec(num_pairs=6), IsoPoolSpec(num_pairs=7, split_a=3, split_b=4)])
+def test_pooled_hypergraph_is_the_built_hypergraph_of_the_shifted_sides(spec):
+    from dphgnn.hypergraph import build_hypergraph
+
+    data, pairs = build_iso_pool(spec, 5)
+    shifted = [
+        tuple(v + pair.node_offset + start for v in edge)
+        for pair in pairs
+        for side, start in ((pair.left, 0), (pair.right, pair.left.num_nodes))
+        for edge in side.edges
+    ]
+    want = build_hypergraph(sum(pair.num_nodes for pair in pairs), shifted)
+    got = data.hypergraph
+    assert got.num_nodes == want.num_nodes and got.edges == want.edges
+    assert all(type(v) is int for edge in got.edges for v in edge)
+    for name in ("node_degrees", "edge_degrees", "members"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

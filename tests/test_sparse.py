@@ -589,3 +589,74 @@ def test_factored_operator_rejects_factors_that_do_not_chain():
     with pytest.raises(ShapeMismatchError):
         FactoredOperator((3, 3), [(np.ones(3), (a,))]).matmul_dense(np.ones((2, 1)))
 
+
+
+def test_rows_in_place_sum_into_the_output_bit_for_bit_with_the_permuted_path():
+    from dphgnn import sparse
+
+    rng = np.random.default_rng(51)
+    # Non-increasing lengths on both sides of 64 rows: the level sort keeps every row in place.
+    lengths = np.sort(rng.integers(1, 65, 40))[::-1]
+    in_place = with_row_lengths(rng, lengths, 300)
+    # The same rows in another order, which the sort must permute.
+    order = rng.permutation(40)
+    rows, cols, vals = in_place.to_coo()
+    permuted = SparseMatrix.from_coo(40, 300, np.argsort(order)[rows], cols, vals)
+    for other in (wide_range(rng, 300, 5), wide_range(rng, 300, 6)[:, ::2]):
+        got = in_place @ other
+        assert in_place._in_order and not permuted._in_order
+        assert_same_bits(got, (permuted @ other)[np.argsort(order)])
+        assert_same_bits(got, add_at_product(in_place, np.ascontiguousarray(other)))
+        assert not np.shares_memory(got, sparse._SCRATCH.buffer)
+
+
+def test_a_product_never_reuses_an_earlier_output():
+    rng = np.random.default_rng(52)
+    uniform = with_row_lengths(rng, [4] * 50, 80)
+    mixed = with_row_lengths(rng, [0, 3, 70, 9, 1, 64], 80)
+    other = wide_range(rng, 80, 8)
+    first = uniform @ other
+    kept = first.copy()
+    # Products of other sizes and both paths, one of them on a strided view.
+    results = [mixed @ other, uniform @ other[:, 1::2], uniform.T @ wide_range(rng, 50, 16),
+               mixed.transpose_matmul_dense(mixed.data, wide_range(rng, 6, 32))]
+    assert_same_bits(first, kept)
+    for a in results:
+        assert not np.shares_memory(a, first)
+        assert all(not np.shares_memory(a, b) for b in results if b is not a)
+
+
+def test_matmul_dense_writes_into_a_column_view_of_out():
+    rng = np.random.default_rng(53)
+    m = with_row_lengths(rng, [0, 3, 70, 9, 1], 80)
+    other = wide_range(rng, 80, 6)[:, ::2]
+    target = np.full((5, 7), 7.0)
+    got = m.matmul_dense(other, out=target[:, 2:5])
+    assert np.shares_memory(got, target)
+    assert_same_bits(target[:, 2:5], add_at_product(m, np.ascontiguousarray(other)))
+    assert np.all(target[:, [0, 1, 5, 6]] == 7.0)
+    t_target = np.full((80, 3), 7.0)
+    m.transpose_matmul_dense(m.data, wide_range(rng, 5, 3), out=t_target)
+    assert np.all(t_target[np.bincount(m.indices, minlength=80) == 0] == 0.0)
+    for bad in (np.empty((5, 2)), np.empty((4, 3)), np.empty(15)):
+        with pytest.raises(ShapeMismatchError):
+            m.matmul_dense(other, out=bad)
+
+
+def test_transpose_keeps_its_column_sort_only_for_transposed_products():
+    from dphgnn.attention import attention_pattern
+    from dphgnn.expand import clique_expand
+
+    rng = np.random.default_rng(54)
+    m = with_row_lengths(rng, rng.integers(0, 30, 20), 50)
+    assert m.T._order is None and m._order is None
+    m.transpose_matmul_dense(m.data, wide_range(rng, 20, 2))
+    assert m._order is not None and m.T._order is None
+    assert not np.array_equal(m.T.indptr[:-1], m.indptr[:-1])
+    # A symmetric pattern's transpose shares its structure arrays.
+    hg = build_hypergraph(9, [(0, 1, 2), (2, 3, 4, 5), (5, 6), (7,), (1, 8)])
+    pattern = attention_pattern(clique_expand(hg).adjacency)
+    assert pattern.T.indptr is pattern.indptr and pattern.T.indices is pattern.indices
+    square = SparseMatrix.from_dense(np.triu(np.ones((4, 4))))
+    assert square.T.indices is not square.indices
+    np.testing.assert_array_equal(square.T.to_dense(), np.tril(np.ones((4, 4))))
