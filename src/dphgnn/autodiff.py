@@ -410,8 +410,8 @@ def segment_softmax(a, indptr: np.ndarray) -> Tensor:
 def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     """Weighted neighbor sums over the stored entries of a CSR pattern.
 
-    ``weights`` is one (nnz, 1) tensor or a list of them, one per head; the
-    values' columns split into that many equal blocks, and block h is summed
+    ``weights`` is a list of (nnz, 1) tensors, one per head; the values'
+    columns split into that many equal blocks, and block h is summed
     with head h's weights: output row i, block h, is the sum over the
     entries p of row i of ``pattern`` of ``weights[h][p] * values[pattern.indices[p], block h]``.
     Each block is one sparse @ dense product with the weights as the
@@ -422,7 +422,7 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     ``pattern``'s transpose, which the first backward builds and caches;
     a forward alone builds none.
     """
-    heads = [as_tensor(w) for w in (weights if isinstance(weights, (list, tuple)) else [weights])]
+    heads = [as_tensor(w) for w in weights]
     values = as_tensor(values)
     v = values.value
     for head in heads:
@@ -498,15 +498,6 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
     return _make(val, (a,), bwd)
 
 
-def _written_once(g: np.ndarray, shape: tuple[int, ...], at) -> np.ndarray:
-    # g put at ``at`` of a zero array, each entry written once; adding 0.0
-    # sums each entry from 0.0 as a scatter-add does (-0.0 becomes 0.0).
-    out = np.zeros(shape)
-    out[at] = g
-    out += 0.0
-    return out
-
-
 def select_rows(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
@@ -518,7 +509,12 @@ def select_rows(a, index: np.ndarray) -> Tensor:
 
     def bwd(g):
         if prefix:
-            _accum(an, _written_once(g, shape, slice(0, k)))
+            # Each row written once into zeros; adding 0.0 sums each entry
+            # from 0.0 as the scatter-add does (-0.0 becomes 0.0).
+            grad = np.zeros(shape)
+            grad[:k] = g
+            grad += 0.0
+            _accum(an, grad)
         else:
             _accum(an, _scatter_rows(index, g, shape[0]))
 
@@ -530,12 +526,8 @@ def select_cols(a, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     val = a.value[:, index]
     an, (rows, cols) = a._node, a.value.shape
-    unique = np.unique(index).size == index.size
 
     def bwd(g):
-        if unique:
-            _accum(an, _written_once(g, (rows, cols), (slice(None), index)))
-            return
         # Entry (r, k) of g adds into (r, index[k]): one bincount over g in
         # row-major order, so repeated columns add in index order from 0.0,
         # as np.add.at does, with no transposed copy of g or of the result.

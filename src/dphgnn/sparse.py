@@ -19,13 +19,10 @@ order, starting from 0.0: the order of ``np.add.at`` and of
 ``np.bincount``, signs of zero included. Rows with at most ``_LEVEL_CAP``
 entries are summed by level: level k adds every such row's k-th entry
 into a contiguous prefix of an accumulator whose rows are those rows
-sorted by entry count, most first. When that sort leaves the rows in
-place (every row short, no row longer than the one before it, as with
-edges of one size or regular degrees) the output itself is the
-accumulator; otherwise the sums are put in place after the last level.
-The few longer rows are summed by ``_scatter_rows``, one flat
-``np.bincount`` keyed by row and output column, so the level loop never
-runs more than ``_LEVEL_CAP`` times. Its plan (the sorted rows, their
+sorted by entry count, most first, and the sums are put in place after
+the last level. The few longer rows are summed by ``_scatter_rows``, one
+flat ``np.bincount`` keyed by row and output column, so the level loop
+never runs more than ``_LEVEL_CAP`` times. Its plan (the sorted rows, their
 starts, the level sizes, and the entries of the long rows) depends on
 the pattern alone, and a product may put other values on it (``data=``),
 zeros included. Each level's gathered terms, the accumulator and a
@@ -108,8 +105,7 @@ class SparseMatrix:
     value is exactly zero.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_order", "_plan",
-                 "_in_order")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_order", "_plan")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -120,9 +116,6 @@ class SparseMatrix:
         self._transpose: SparseMatrix | None = None
         self._order: np.ndarray | None = None
         self._plan: tuple[np.ndarray, ...] | None = None
-        # Set with the plan: its sorted rows are 0..rows-1, so the product
-        # sums straight into its output.
-        self._in_order = False
         if validate:
             self._check()
 
@@ -288,9 +281,6 @@ class SparseMatrix:
         if self._plan is None:
             counts = np.diff(self.indptr)
             short = np.flatnonzero((counts > 0) & (counts <= _LEVEL_CAP))
-            # The stable sort keeps every row in place iff all rows are short
-            # and no row holds more entries than the one before it.
-            self._in_order = short.size == self.rows and bool(np.all(counts[1:] <= counts[:-1]))
             short = short[np.argsort(-counts[short], kind="stable")]
             depth = int(counts[short[0]]) if short.size else 0
             sizes = np.searchsorted(-counts[short], -np.arange(depth), side="left")
@@ -334,20 +324,17 @@ class SparseMatrix:
         else:
             out[...] = 0.0
         short, starts, sizes, long_rows, long_pos, long_rank = self._levels()
-        in_order, block = self._in_order, len(short) * width
-        # One scratch block holds the level terms, the accumulator unless the
-        # output is one, and a contiguous copy of a strided ``other``, which
-        # take would otherwise copy once per level.
+        block = len(short) * width
+        # One scratch block holds the level terms, the accumulator and a
+        # contiguous copy of a strided ``other``, which take would otherwise
+        # copy once per level.
         copied = 0 if other.flags.c_contiguous else other.size
-        scratch = _scratch(block * (1 if in_order else 2) + copied)
+        scratch = _scratch(2 * block + copied)
         if copied:
             strided, other = other, scratch[scratch.size - copied :].reshape(other.shape)
             other[...] = strided
-        if in_order:
-            acc = out
-        else:
-            acc = scratch[block : 2 * block].reshape(len(short), width)
-            acc[...] = 0.0
+        acc = scratch[block : 2 * block].reshape(len(short), width)
+        acc[...] = 0.0
         for k, size in enumerate(sizes):
             pos = starts[:size] + k
             # Column indices are valid by construction; "clip" keeps take
@@ -356,8 +343,7 @@ class SparseMatrix:
                             out=scratch[: size * width].reshape(size, width), mode="clip")
             terms *= data[pos, None]
             acc[:size] += terms
-        if not in_order:
-            out[short] = acc
+        out[short] = acc
         if long_rows.size:
             terms = other[self.indices[long_pos]]
             terms *= data[long_pos, None]

@@ -456,7 +456,7 @@ def test_segment_sums_values_and_gradient():
     indptr = np.array([0, 2, 3, 6])
     pattern = SparseMatrix(3, 6, indptr, np.arange(6), np.ones(6))
     ones = Tensor(np.ones((6, 1)), requires_grad=True)
-    out = segment_sums(ones, x, pattern)
+    out = segment_sums([ones], x, pattern)
     expected = np.vstack([
         x.value[0:2].sum(axis=0),
         x.value[2:3].sum(axis=0),
@@ -467,13 +467,13 @@ def test_segment_sums_values_and_gradient():
     weights = Tensor(rng.standard_normal((3, 3)))
 
     def loss():
-        return sum_all(mul(segment_sums(ones, x, pattern), weights))
+        return sum_all(mul(segment_sums([ones], x, pattern), weights))
 
     assert grad_check(loss, {"x": x}) < 1e-7
     assert grad_check(loss, {"ones": ones}) < 1e-7
     x.zero_grad()
     ones.zero_grad()
-    backward(sum_all(segment_sums(ones, x, pattern)))
+    backward(sum_all(segment_sums([ones], x, pattern)))
     np.testing.assert_array_equal(x.grad, np.ones((6, 3)))
     np.testing.assert_allclose(ones.grad[:, 0], x.value.sum(axis=1), atol=1e-12)
 
@@ -511,7 +511,7 @@ def new_weighted_sums(w, v, pattern, g):
     from dphgnn.autodiff import segment_sums
 
     wt, vt = Tensor(w, requires_grad=True), Tensor(v, requires_grad=True)
-    out = segment_sums(wt, vt, pattern)
+    out = segment_sums([wt], vt, pattern)
     backward(sum_all(mul(out, Tensor(g))))
     return out.value, wt.grad, vt.grad
 
@@ -542,14 +542,14 @@ def test_segment_sums_matches_dense_oracle_with_empty_rows():
     pattern = pattern_with_row_lengths(rng, [3, 0, 1, 5, 0, 2], 7)
     w = Tensor(rng.standard_normal((pattern.nnz, 1)), requires_grad=True)
     v = param(rng, 7, 3)
-    out = segment_sums(w, v, pattern)
+    out = segment_sums([w], v, pattern)
     dense = dense_pattern(pattern, w.value[:, 0])
     np.testing.assert_allclose(out.value, dense @ v.value, rtol=1e-12, atol=1e-15)
     assert np.all(out.value[[1, 4]] == 0.0)
     upstream = Tensor(rng.standard_normal((6, 3)))
 
     def loss():
-        return sum_all(mul(segment_sums(w, v, pattern), upstream))
+        return sum_all(mul(segment_sums([w], v, pattern), upstream))
 
     assert grad_check(loss, {"w": w, "v": v}) < 1e-7
 
@@ -565,11 +565,11 @@ def test_segment_sums_gradient_with_zero_weights_and_long_row():
     v = param(rng, 150, 2)
     upstream = Tensor(rng.standard_normal((3, 2)))
     dense = dense_pattern(pattern, w.value[:, 0])
-    out = segment_sums(w, v, pattern)
+    out = segment_sums([w], v, pattern)
     np.testing.assert_allclose(out.value, dense @ v.value, rtol=1e-12, atol=1e-15)
 
     def loss():
-        return sum_all(mul(segment_sums(w, v, pattern), upstream))
+        return sum_all(mul(segment_sums([w], v, pattern), upstream))
 
     assert grad_check(loss, {"w": w, "v": v}, max_entries=400) < 1e-6
     # A weight of zero still passes a gradient to itself, none to its value row.
@@ -590,10 +590,10 @@ def test_segment_sums_rejects_bad_shapes():
     values = Tensor(np.ones((4, 2)))
     for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 1)), np.ones((4, 1))):
         with pytest.raises(ShapeMismatchError):
-            segment_sums(Tensor(bad), values, pattern)
+            segment_sums([Tensor(bad)], values, pattern)
     for bad in (np.ones((3, 2)), np.ones((5, 2)), np.ones(4)):
         with pytest.raises(ShapeMismatchError):
-            segment_sums(Tensor(np.ones((3, 1))), Tensor(bad), pattern)
+            segment_sums([Tensor(np.ones((3, 1)))], Tensor(bad), pattern)
 
 
 def assert_same_bits(got, want):
@@ -641,7 +641,7 @@ def test_multi_head_segment_sums_equals_one_call_per_head_bit_for_bit(heads):
         cols = slice(h * step, (h + 1) * step)
         wh = Tensor(w, requires_grad=True)
         vh = Tensor(np.ascontiguousarray(values[:, cols]), requires_grad=True)
-        one = segment_sums(wh, vh, pattern)
+        one = segment_sums([wh], vh, pattern)
         backward(sum_all(mul(one, Tensor(np.ascontiguousarray(g[:, cols])))))
         assert_same_bits(out.value[:, cols], one.value)
         assert_same_bits(wts[h].grad, wh.grad)
@@ -731,20 +731,11 @@ def test_relu_and_sigmoid_match_their_former_forms_on_special_values(shape):
                 assert_same_bits(t.grad, g * keep if op is relu else g * value * (1.0 - value))
 
 
-def test_select_backwards_match_the_scatter_forms_on_special_values():
+def test_select_rows_prefix_backward_matches_the_scatter_form_on_special_values():
     from dphgnn.autodiff import _scatter_rows
 
     rng = np.random.default_rng(81)
-    x = rng.standard_normal((9, 7))
-    # Unique unsorted columns, three never picked: the former bincount over (row, column).
-    index = np.array([5, 0, 3, 6])
-    g = special_grid(rng, (9, 4))
-    t = Tensor(x, requires_grad=True)
-    select_cols(t, index)._node.backward(g)
-    key = np.arange(9)[:, None] * 7 + index
-    assert_same_bits(t.grad, np.bincount(key.ravel(), weights=g.ravel(), minlength=63).reshape(9, 7))
-    assert not np.signbit(t.grad[t.grad == 0.0]).any()  # g's -0.0 comes out +0.0
-    # A prefix of the rows, in 2-d and 1-d: the former bincount over rows.
+    # A prefix of the rows, in 2-d and 1-d, against the bincount over rows.
     for shape, k in (((9, 7), 5), ((9,), 9), ((9, 7), 0)):
         t = Tensor(rng.standard_normal(shape), requires_grad=True)
         out = select_rows(t, np.arange(k))

@@ -591,22 +591,21 @@ def test_factored_operator_rejects_factors_that_do_not_chain():
 
 
 
-def test_rows_in_place_sum_into_the_output_bit_for_bit_with_the_permuted_path():
+def test_rows_sum_bit_for_bit_whatever_their_order_and_never_alias_the_scratch():
     from dphgnn import sparse
 
     rng = np.random.default_rng(51)
     # Non-increasing lengths on both sides of 64 rows: the level sort keeps every row in place.
     lengths = np.sort(rng.integers(1, 65, 40))[::-1]
-    in_place = with_row_lengths(rng, lengths, 300)
+    sorted_rows = with_row_lengths(rng, lengths, 300)
     # The same rows in another order, which the sort must permute.
     order = rng.permutation(40)
-    rows, cols, vals = in_place.to_coo()
+    rows, cols, vals = sorted_rows.to_coo()
     permuted = SparseMatrix.from_coo(40, 300, np.argsort(order)[rows], cols, vals)
     for other in (wide_range(rng, 300, 5), wide_range(rng, 300, 6)[:, ::2]):
-        got = in_place @ other
-        assert in_place._in_order and not permuted._in_order
+        got = sorted_rows @ other
         assert_same_bits(got, (permuted @ other)[np.argsort(order)])
-        assert_same_bits(got, add_at_product(in_place, np.ascontiguousarray(other)))
+        assert_same_bits(got, add_at_product(sorted_rows, np.ascontiguousarray(other)))
         assert not np.shares_memory(got, sparse._SCRATCH.buffer)
 
 
@@ -617,7 +616,7 @@ def test_a_product_never_reuses_an_earlier_output():
     other = wide_range(rng, 80, 8)
     first = uniform @ other
     kept = first.copy()
-    # Products of other sizes and both paths, one of them on a strided view.
+    # Products of other sizes, one of them on a strided view.
     results = [mixed @ other, uniform @ other[:, 1::2], uniform.T @ wide_range(rng, 50, 16),
                mixed.transpose_matmul_dense(mixed.data, wide_range(rng, 6, 32))]
     assert_same_bits(first, kept)
