@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyMaskError, GraphConsumedError, NonScalarLossError, ShapeMismatchError
-from .sparse import FactoredOperator, SparseMatrix, _scatter_rows
+from .sparse import FactoredOperator, SparseMatrix
 
 # Pairs per slice of the segment_sums weights gradient, which holds two
 # (slice x values width) arrays at a time instead of two (pairs x width) ones.
@@ -496,6 +496,17 @@ def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bo
         _accum(an, g * (keep / (1.0 - p)))
 
     return _make(val, (a,), bwd)
+
+
+def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    # Row k of g added into row index[k] of a zero (rows, ...) array.
+    # bincount adds in index order from zero, as np.add.at does, but fast;
+    # a 2-d g is one bincount keyed by (row, column) over g in row-major order.
+    if g.ndim == 1:
+        return np.bincount(index, weights=g, minlength=rows)
+    width = g.shape[1]
+    key = index[:, None] * width + np.arange(width)
+    return np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 def select_rows(a, index: np.ndarray) -> Tensor:

@@ -16,19 +16,18 @@ here, only the sparse @ sparse product hands it unsorted triplets.
 
 Sparse @ dense sums each output row over the row's entries in stored
 order, starting from 0.0: the order of ``np.add.at`` and of
-``np.bincount``, signs of zero included. Rows with at most ``_LEVEL_CAP``
-entries are summed by level: level k adds every such row's k-th entry
-into a contiguous prefix of an accumulator whose rows are those rows
-sorted by entry count, most first, and the sums are put in place after
-the last level. The few longer rows are summed by ``_scatter_rows``, one
-flat ``np.bincount`` keyed by row and output column, so the level loop
-never runs more than ``_LEVEL_CAP`` times. Its plan (the sorted rows, their
-starts, the level sizes, and the entries of the long rows) depends on
-the pattern alone, and a product may put other values on it (``data=``),
-zeros included. Each level's gathered terms, the accumulator and a
-contiguous copy of a strided input live in one grow-only scratch buffer
-per thread, which no result ever aliases, so a product allocates only
-its output (and the long rows' bincount). The transposed product
+``np.bincount``, signs of zero included. The non-empty rows, sorted by
+entry count, most first, are summed by level: level k adds the k-th entry
+of every row with more than k entries into a contiguous prefix of an
+accumulator, while a level holds at least ``_MIN_LEVEL_ROWS`` rows. Each
+row still unfinished then adds its remaining terms to its level sum by one
+in-place cumsum, which adds in sequence, and the sums are put in
+place at the end. The plan (the sorted rows, their starts and the level
+sizes) depends on the pattern alone, and a product may put other values
+on it (``data=``), zeros included. The gathered terms, the accumulator
+and a contiguous copy of a strided input live in one grow-only scratch
+buffer per thread, which no result ever aliases, so a product allocates
+only its output. The transposed product
 :meth:`SparseMatrix.transpose_matmul_dense` is the product of the
 transpose with the values reordered by the transpose's column sort, so
 output row c adds column c's entries in stored order.
@@ -56,9 +55,9 @@ from .errors import ShapeMismatchError
 
 __all__ = ["FactoredOperator", "SparseMatrix"]
 
-# Rows with more entries than this leave the level loop of the sparse @ dense
-# product for one flat bincount, which bounds that loop's Python iterations.
-_LEVEL_CAP = 64
+# Sparse @ dense runs a level while it holds at least this many rows and then sums
+# each unfinished row alone: at most nnz / _MIN_LEVEL_ROWS + _MIN_LEVEL_ROWS steps.
+_MIN_LEVEL_ROWS = 16
 
 
 class _Scratch(threading.local):
@@ -78,23 +77,9 @@ def _scratch(size: int) -> np.ndarray:
 
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
-    # Concatenation of arange(l) for each l in lengths.
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
+    # Concatenation of arange(l) for each l in a non-empty lengths.
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-
-
-def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
-    # Row k of g added into row index[k] of a zero (rows, ...) array.
-    # bincount adds in index order from zero, as np.add.at does, but fast;
-    # a 2-d g is one bincount keyed by (row, column) over g in row-major order.
-    if g.ndim == 1:
-        return np.bincount(index, weights=g, minlength=rows)
-    width = g.shape[1]
-    key = index[:, None] * width + np.arange(width)
-    return np.bincount(key.ravel(), weights=g.ravel(), minlength=rows * width).reshape(rows, width)
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
 
 
 class SparseMatrix:
@@ -273,24 +258,16 @@ class SparseMatrix:
         return self.matmul_dense(other)
 
     def _levels(self) -> tuple[np.ndarray, ...]:
-        # Plan of matmul_dense, built on its first call and kept: (short rows
-        # most entries first, their starts, level sizes, long rows, the
-        # positions of the long rows' entries, each such entry's rank among
-        # the long rows). Level k holds the k-th entry of each short row
-        # with more than k entries: a prefix of the short rows.
+        # Plan of matmul_dense, built on its first call and kept: the non-empty
+        # rows most entries first, their starts, and the sizes of the levels
+        # run. Level k holds the k-th entry of each row with more than k
+        # entries, a prefix of the rows; it runs if that is _MIN_LEVEL_ROWS rows.
         if self._plan is None:
             counts = np.diff(self.indptr)
-            short = np.flatnonzero((counts > 0) & (counts <= _LEVEL_CAP))
-            short = short[np.argsort(-counts[short], kind="stable")]
-            depth = int(counts[short[0]]) if short.size else 0
-            sizes = np.searchsorted(-counts[short], -np.arange(depth), side="left")
-            long_rows = np.flatnonzero(counts > _LEVEL_CAP)
-            long_counts = counts[long_rows]
-            self._plan = (
-                short, self.indptr[short], sizes, long_rows,
-                np.repeat(self.indptr[long_rows], long_counts) + _ranges(long_counts),
-                np.repeat(np.arange(len(long_rows)), long_counts),
-            )
+            rows = np.flatnonzero(counts)
+            rows = rows[np.argsort(-counts[rows], kind="stable")]
+            sizes = np.searchsorted(-counts[rows], -np.arange(counts.max(initial=0)), side="left")
+            self._plan = (rows, self.indptr[rows], sizes[sizes >= _MIN_LEVEL_ROWS])
         return self._plan
 
     def matmul_dense(self, other, data=None, out=None) -> np.ndarray:
@@ -323,17 +300,20 @@ class SparseMatrix:
             raise ShapeMismatchError(f"matmul_dense cannot write {(self.rows, width)} into {out.shape}")
         else:
             out[...] = 0.0
-        short, starts, sizes, long_rows, long_pos, long_rank = self._levels()
-        block = len(short) * width
-        # One scratch block holds the level terms, the accumulator and a
-        # contiguous copy of a strided ``other``, which take would otherwise
-        # copy once per level.
+        rows, starts, sizes = self._levels()
+        depth = len(sizes)
+        # One scratch block holds the terms (a level's, or an unfinished row's
+        # behind its level sum), the accumulator and a contiguous copy of a
+        # strided ``other``, which take would otherwise copy once per level.
+        block = len(rows) * width
+        longest = int(self.indptr[rows[0] + 1] - starts[0]) - depth + 1 if rows.size else 0
+        head = max(block, longest * width)
         copied = 0 if other.flags.c_contiguous else other.size
-        scratch = _scratch(2 * block + copied)
+        scratch = _scratch(head + block + copied)
         if copied:
             strided, other = other, scratch[scratch.size - copied :].reshape(other.shape)
             other[...] = strided
-        acc = scratch[block : 2 * block].reshape(len(short), width)
+        acc = scratch[head : head + block].reshape(len(rows), width)
         acc[...] = 0.0
         for k, size in enumerate(sizes):
             pos = starts[:size] + k
@@ -343,11 +323,19 @@ class SparseMatrix:
                             out=scratch[: size * width].reshape(size, width), mode="clip")
             terms *= data[pos, None]
             acc[:size] += terms
-        out[short] = acc
-        if long_rows.size:
-            terms = other[self.indices[long_pos]]
-            terms *= data[long_pos, None]
-            out[long_rows] = _scatter_rows(long_rank, terms, len(long_rows))
+        # Each row the levels left unfinished: its level sum, then its
+        # remaining terms, summed in sequence by one in-place cumsum
+        # (``np.add.accumulate``, without ``np.cumsum``'s wrapper).
+        for j in range(min(len(rows), _MIN_LEVEL_ROWS)):
+            first, end = int(starts[j]) + depth, int(self.indptr[rows[j] + 1])
+            if first >= end:
+                break
+            run = scratch[: (end - first + 1) * width].reshape(end - first + 1, width)
+            run[0] = acc[j]
+            np.take(other, self.indices[first:end], axis=0, out=run[1:], mode="clip")
+            run[1:] *= data[first:end, None]
+            acc[j] = np.add.accumulate(run, axis=0, out=run)[-1]
+        out[rows] = acc
         return out
 
     def transpose_matmul_dense(self, data, other, out=None) -> np.ndarray:

@@ -516,7 +516,7 @@ def new_weighted_sums(w, v, pattern, g):
     return out.value, wt.grad, vt.grad
 
 
-# Short rows, both sides of the level cap (64) and far beyond it.
+# Segment lengths from 1 to 200, around 8, 16, 64 and 128.
 SEGMENT_LENGTHS = (1, 1, 2, 7, 8, 9, 17, 63, 64, 65, 128, 129, 200, 3, 1)
 
 
@@ -618,7 +618,7 @@ def head_weights(rng, nnz, heads):
     return out
 
 
-# Rows on both sides of the level cap (64), an empty row and a single entry.
+# Rows of 63 to 65 entries, an empty row and a single entry.
 HEAD_ROW_LENGTHS = (63, 64, 65, 3, 0, 1, 64)
 
 

@@ -85,7 +85,7 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# Short rows, both sides of the level cap (64) and far beyond it.
+# Row lengths from 1 to 300, around 8, 16, 64 and 128.
 ROW_LENGTHS = (1, 2, 8, 9, 16, 17, 63, 64, 65, 128, 129, 130, 300)
 
 
@@ -187,19 +187,119 @@ def test_matmul_dense_rejects_wrong_length_data():
 
 
 def test_matmul_dense_plan_is_o_rows_plus_long_row_entries():
-    from dphgnn.sparse import _LEVEL_CAP
+    from dphgnn.sparse import _MIN_LEVEL_ROWS
 
     rng = np.random.default_rng(27)
-    lengths = np.array([0, 1, 5, 64, 65, 200, 3, 0, 64])
+    lengths = np.array([0, 1, 5, 64, 65, 200, 3, 0, 64, *[20] * 30])
     m = with_row_lengths(rng, lengths, 400)
-    m @ wide_range(rng, 400, 2)
-    long_entries = int(lengths[lengths > _LEVEL_CAP].sum())
-    assert m._plan is not None and m.nnz > m.rows + long_entries
-    assert all(len(part) <= m.rows + long_entries for part in m._plan)
-    short, starts, sizes, long_rows, long_pos, long_rank = m._plan
-    # Every entry is visited once: by a level or as a long row's entry.
-    assert int(sizes.sum()) + len(long_pos) == m.nnz and len(sizes) == _LEVEL_CAP
-    assert np.array_equal(np.sort(long_rows), [4, 5]) and len(short) == 5
+    other = wide_range(rng, 400, 2)
+    assert_same_bits(m @ other, add_at_product(m, other))
+    # The plan is O(rows) plus at most nnz / _MIN_LEVEL_ROWS level sizes.
+    assert m._plan is not None and all(
+        len(part) <= m.rows + m.nnz // _MIN_LEVEL_ROWS for part in m._plan
+    )
+    rows, starts, sizes = m._plan
+    counts = lengths[rows]
+    # Levels run while at least 30 rows are unfinished; rows 3, 4, 5 and 8
+    # then finish alone, each from its 20-entry level sum.
+    assert len(sizes) == 20 and np.all(sizes >= _MIN_LEVEL_ROWS) and len(rows) == 37
+    assert np.array_equal(np.sort(rows[:4]), [3, 4, 5, 8]) and counts[4] == 20
+    assert np.array_equal(starts, m.indptr[rows])
+    # Every entry is visited once: by a level or as an entry of a row finished alone.
+    assert int(sizes.sum()) + int((counts[:4] - 20).sum()) == m.nnz
+
+
+@pytest.mark.parametrize("short_rows", [12, 13, 14])
+def test_rows_left_after_the_levels_carry_their_level_sums(short_rows):
+    from conftest import dense_pattern
+
+    from dphgnn.sparse import _MIN_LEVEL_ROWS
+
+    rng = np.random.default_rng(60 + short_rows)
+    # 15, 16 or 17 non-empty rows: the levels run only from 16 rows on, and
+    # the 30-, 6- and 4-entry rows then add their last entries to a
+    # three-entry level sum.
+    lengths = [30, 6, 4, *[3] * short_rows]
+    m = with_row_lengths(rng, rng.permutation(lengths), 60)
+    for width in (1, 5):
+        other = wide_range(rng, 60, width)
+        got = m @ other
+        assert_same_bits(got, add_at_product(m, other))
+        np.testing.assert_allclose(got, dense_pattern(m, m.data) @ other, rtol=1e-12, atol=0)
+    assert len(m._plan[2]) == (3 if len(lengths) >= _MIN_LEVEL_ROWS else 0)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_signed_zeros_in_rows_finished_alone(width):
+    from conftest import dense_pattern
+
+    rng = np.random.default_rng(70 + width)
+    lengths = np.array([2] * 20 + [40, 9, 25, 0])
+    m = with_row_lengths(rng, lengths, 90)
+    data = wide_range(rng, m.nnz, 1)[:, 0]
+    data[rng.random(m.nnz) < 0.3] = 0.0
+    data[rng.random(m.nnz) < 0.3] = -0.0
+    # Two levels run, then rows 20 to 22 are finished alone. Row 21 is all
+    # -0.0, so from 0.0 its sum is +0.0; row 22's terms after its level sum
+    # are all -0.0, and row 20's level sum adds two -0.0 terms.
+    data[m.indptr[21] : m.indptr[22]] = -0.0
+    data[m.indptr[22] + 2 : m.indptr[23]] = -0.0
+    data[m.indptr[20] : m.indptr[20] + 2] = -0.0
+    target = np.full((24, width + 2), 7.0)
+    for other in (wide_range(rng, 90, 2 * width)[:, ::2], wide_range(rng, 90, width)):
+        got = m.matmul_dense(other, data=data, out=target[:, 1:-1])
+        assert np.shares_memory(got, target)
+        assert_same_bits(got, add_at_product(m, np.ascontiguousarray(other), data))
+        np.testing.assert_allclose(got, dense_pattern(m, data) @ other, rtol=1e-12, atol=0)
+        assert np.all(got[21] == 0.0) and not np.signbit(got[21]).any()
+        assert np.all(target[:, [0, -1]] == 7.0) and np.all(got[23] == 0.0)
+    assert len(m._plan[2]) == 2
+
+
+def test_hub_row_takes_at_most_nnz_over_min_level_rows_plus_min_level_rows_steps():
+    from conftest import dense_pattern
+
+    from dphgnn.sparse import _MIN_LEVEL_ROWS
+
+    rng = np.random.default_rng(80)
+    # One 1,500-entry row among 600 rows of 3 to 10 entries.
+    lengths = rng.permutation([1500, *rng.integers(3, 11, 600)])
+    m = with_row_lengths(rng, lengths, 1600)
+    for width in (1, 32):
+        other = wide_range(rng, 1600, width)
+        got = m @ other
+        assert_same_bits(got, add_at_product(m, other))
+        if width == 1:
+            np.testing.assert_allclose(got, dense_pattern(m, m.data) @ other, rtol=1e-12, atol=0)
+    rows, _, sizes = m._plan
+    # Python steps: one per level, one per row finished alone.
+    alone = int(np.count_nonzero(lengths > len(sizes)))
+    assert len(sizes) == 10 and alone == 1 and rows[0] == np.argmax(lengths)
+    assert len(sizes) + alone <= m.nnz / _MIN_LEVEL_ROWS + _MIN_LEVEL_ROWS
+
+
+def test_matmul_dense_allocates_only_its_output_beyond_the_scratch_growth():
+    import tracemalloc
+
+    from dphgnn import sparse
+
+    rng = np.random.default_rng(81)
+    # Rows of 300 entries, two of them longer than every level.
+    m = with_row_lengths(rng, rng.permutation([300] * 20 + [350, 390]), 400)
+    other = wide_range(rng, 400, 32)
+    for _ in range(2):
+        before = sparse._SCRATCH.buffer
+        tracemalloc.start()
+        try:
+            got = m @ other
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown = 0 if sparse._SCRATCH.buffer is before else sparse._SCRATCH.buffer.nbytes
+        # Index temporaries of one level or one row are a few KB; the terms
+        # of all entries would be m.nnz * 32 * 8 bytes (1.7 MB).
+        assert peak - grown <= got.nbytes + 32 * 1024
+        assert_same_bits(got, add_at_product(m, other))
 
 
 def test_matmul_dense_matches_dense_laplacian_oracle():
@@ -439,18 +539,17 @@ def bincount_product(m, data, other):
     return out
 
 
-# Column entry counts on both sides of the 64-level cap, with empty columns.
-COLUMN_COUNTS = (0, 1, 2, 7, 8, 9, 63, 64, 65, 129, 300, 0, 3)
+# Column entry counts from 0 to 300. The twenty 10-entry columns keep ten
+# levels running; the five longer ones are then finished alone.
+COLUMN_COUNTS = (0, 1, 2, 7, 8, 9, 63, 64, 65, 129, 300, 0, 3, *[10] * 20)
 
 
 @pytest.mark.parametrize("width", [1, 5, 32])
 def test_transpose_matmul_dense_bit_identical_to_bincount(width):
     from conftest import dense_pattern
 
-    from dphgnn.sparse import _LEVEL_CAP
-
     rng = np.random.default_rng(40 + width)
-    # Row lengths of the 13 x 400 matrix are the column counts of its transpose.
+    # Row lengths of the 33 x 400 matrix are the column counts of its transpose.
     m = with_row_lengths(rng, COLUMN_COUNTS, 400).T
     assert np.array_equal(np.bincount(m.indices, minlength=m.cols), COLUMN_COUNTS)
     data = wide_range(rng, m.nnz, 1)[:, 0]
@@ -462,17 +561,18 @@ def test_transpose_matmul_dense_bit_identical_to_bincount(width):
     got = m.transpose_matmul_dense(data, other)
     assert_same_bits(got, bincount_product(m, data, other))
     assert not np.signbit(got[1]).any() and np.all(got[[0, 11]] == 0.0)
-    # Short columns run the level loop to its cap; 65, 129 and 300 entries do not.
-    short, _, sizes, long_cols, long_pos, _ = m.T._plan
-    assert len(sizes) == _LEVEL_CAP and int(sizes.sum()) + len(long_pos) == m.nnz
-    assert np.array_equal(np.sort(long_cols), [8, 9, 10]) and len(short) == 8
+    # Columns of 63 to 300 entries leave the level loop after ten levels.
+    rows, _, sizes = m.T._plan
+    counts = np.asarray(COLUMN_COUNTS)[rows]
+    assert len(sizes) == 10 and int(sizes.sum()) + int((counts[:5] - 10).sum()) == m.nnz
+    assert np.array_equal(np.sort(rows[:5]), [6, 7, 8, 9, 10]) and counts[5] == 10
     np.testing.assert_allclose(got, dense_pattern(m, data).T @ other, rtol=1e-12, atol=0)
 
 
 def test_transpose_matmul_dense_non_symmetric_square_pattern():
     rng = np.random.default_rng(47)
     dense = random_dense(rng, 90, 90, density=0.4)
-    dense[:, 5] = rng.standard_normal(90)  # one column over the level cap
+    dense[:, 5] = rng.standard_normal(90)  # one full column of 90 entries
     dense[:, 6] = 0.0
     m = SparseMatrix.from_dense(dense)
     assert not np.array_equal(dense != 0, dense.T != 0)
@@ -502,7 +602,7 @@ def test_transpose_matmul_dense_matches_dense_incidence_oracle():
 def test_transpose_matmul_dense_hub_column_leaves_the_level_loop():
     from dphgnn.attention import attention_pattern
     from dphgnn.expand import clique_expand
-    from dphgnn.sparse import _LEVEL_CAP
+    from dphgnn.sparse import _MIN_LEVEL_ROWS
 
     rng = np.random.default_rng(49)
     # Node 0 sits in every edge, so its column holds every node.
@@ -513,8 +613,10 @@ def test_transpose_matmul_dense_hub_column_leaves_the_level_loop():
     w = rng.random(hub.nnz)
     other = wide_range(rng, 301, 32)
     assert_same_bits(hub.transpose_matmul_dense(w, other), bincount_product(hub, w, other))
-    _, _, sizes, long_cols, _, _ = hub.T._plan
-    assert len(sizes) <= _LEVEL_CAP and 0 in long_cols
+    # The hub column comes first and is finished alone after the levels.
+    rows, _, sizes = hub.T._plan
+    assert rows[0] == 0 and len(sizes) < 301
+    assert len(sizes) <= hub.nnz // _MIN_LEVEL_ROWS
 
 
 def test_transpose_matmul_dense_caches_its_plan_on_the_pattern_only():
