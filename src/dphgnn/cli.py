@@ -10,10 +10,10 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from .errors import DphgnnError, ParseError
 from .experiments import IsoPoolSpec, iso_experiment, run_ablation
+from .fileio import atomic_write
 from .gwl import brute_force_isomorphic, gwl_test
 from .hypergraph import Hypergraph, LabeledHypergraph, build_hypergraph, load_dataset, save_dataset
 from .synthetic import generate_synthetic, parse_generator_spec
@@ -25,7 +25,8 @@ __all__ = ["main"]
 def _print_json(payload: dict, out: str | None = None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        with atomic_write(out) as fh:
+            fh.write(text + "\n")
     print(text)
 
 
@@ -77,7 +78,7 @@ def _cmd_generate(args) -> int:
             "b": _hypergraph_payload(b),
             "isomorphic": is_iso,
         }
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
         summary = {"out": args.out, "pair": True, "isomorphic": is_iso}

@@ -7,7 +7,7 @@ are built only to derive these operators; the bundle and its npz keep
 the operators alone. The bundle can be cached on disk under a sha256
 content hash (:func:`content_hash`) of:
 
-- the cache format version, now 8, and the node and edge counts;
+- the cache format version, now 9, and the node and edge counts;
 - the edge sizes and the flat edge members;
 - the input features, which the distance-pair expansion reads. A dense
   array contributes a ``dense`` tag, its shape and its float64 values; a
@@ -25,11 +25,20 @@ factor; size-2 edges store more terms factored and stay CSR. Only the star
 Laplacian's n node rows are kept, the rows the spectral attention path
 reads. The star step and the identifier block read the hyperedge mean
 D_e^{-1} H^T x through ``node_from_edge``, not a star propagation operator
-or the random-walk and symmetric Laplacians. The npz stores each CSR
-operator, the attention pattern among them, as its shape, ``indptr``,
-``indices`` and ``data``, and a factored operator as its term layout
-(chain lengths, factor ids, scales), each distinct factor once.
+or the random-walk and symmetric Laplacians.
 
+The npz holds six arrays and one storage form: every operator is a list
+of terms diag(scale) M1 ... Mk, and a CSR operator is one unscaled term of
+one matrix, loaded back as that matrix. ``graph`` is n, m, the edge sizes
+and the flat edge members. ``ints`` and ``floats`` hold every distinct
+index array and every distinct value or scale array once, so operators
+with one pattern share their index arrays, in the file and after a load.
+``matrices`` has a row per distinct matrix, field or factor (rows, cols,
+nnz, then the offsets of its indptr, indices and data in the pools, -1
+for data that is all ones); ``terms`` has a row per term (operator,
+rows, cols, scale offset or -1, then the span of its matrix ids in
+``chains``). Loading checks every span and id against its array, and
+every matrix gets :class:`~dphgnn.sparse.SparseMatrix`'s validation.
 Every stored array is O(nnz) or O(n + m); nothing n x n is built or
 written. A cache hit is O(nnz) array work: the bundle's hypergraph is the
 caller's own object, and the file's node count, edge sizes and edge
@@ -40,7 +49,7 @@ as a miss, like one that cannot be read: it is rebuilt and overwritten.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from zipfile import BadZipFile
 
@@ -66,12 +75,11 @@ class StructureBundle:
     attention_pattern: SparseMatrix     # clique adjacency + I, unit values
     edge_from_node: SparseMatrix        # H^T D_v^{-1/2}
     node_from_edge: SparseMatrix        # H D_e^{-1}
-    key: str
 
 
 # Bump whenever the npz layout or the hash inputs change, so files from
 # older code are never read.
-CACHE_FORMAT_VERSION = 8
+CACHE_FORMAT_VERSION = 9
 
 # A clique-pattern operator is applied factored when its factors store at most
 # this share of the terms of its CSR form. Well below 1, because every factor
@@ -104,12 +112,11 @@ def content_hash(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> str:
 
 
 def build_structure(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> StructureBundle:
-    features = as_features(features)
-    return _build(hg, features, content_hash(hg, features))
+    return _build(hg, as_features(features))
 
 
-def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix, key: str) -> StructureBundle:
-    # The bundle for features already through as_features, under a known key.
+def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> StructureBundle:
+    # The bundle for features already through as_features.
     clique = clique_expand(hg)
     star = star_expand(hg)
     hyper = hypergcn_expand(hg, features)
@@ -138,7 +145,6 @@ def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix, key: str) -> Str
         attention_pattern=attention_pattern(clique.adjacency),
         edge_from_node=edge_from_node,
         node_from_edge=node_from_edge,
-        key=key,
     )
 
 
@@ -183,109 +189,102 @@ def _factored_operators(
 # ----------------------------------------------------------------------
 # disk cache
 
-_SPARSE_FIELDS = (
-    "prop_clique",
-    "prop_hypergcn",
-    "attention_pattern",
-    "edge_from_node",
-    "node_from_edge",
-)
-_LAPLACIAN_FIELDS = ("smoothing", "clique", "star", "hypergcn")
+# The npz members, each one array (see the module docstring).
+_MEMBERS = ("graph", "ints", "floats", "matrices", "terms", "chains")
 
 
-def _pack_sparse(prefix: str, mat: SparseMatrix, out: dict) -> None:
-    out[f"{prefix}.shape"] = np.array(mat.shape, dtype=np.int64)
-    out[f"{prefix}.indptr"] = mat.indptr
-    out[f"{prefix}.indices"] = mat.indices
-    out[f"{prefix}.data"] = mat.data
+def _graph_array(hg: Hypergraph) -> np.ndarray:
+    return np.concatenate(([hg.num_nodes, hg.num_edges], hg.edge_degrees, hg.members))
 
 
-def _unpack_sparse(prefix: str, blob) -> SparseMatrix:
-    rows, cols = (int(v) for v in blob[f"{prefix}.shape"])
-    return SparseMatrix(
-        rows, cols, blob[f"{prefix}.indptr"], blob[f"{prefix}.indices"], blob[f"{prefix}.data"]
-    )
-
-
-def _pack_operator(prefix: str, op, out: dict, factors: list[SparseMatrix]) -> None:
-    # A CSR matrix as _pack_sparse; a factored operator as its term layout,
-    # each distinct factor stored once under factor.<k>.
-    if isinstance(op, SparseMatrix):
-        _pack_sparse(prefix, op, out)
-        return
-    ids = []
-    for _, chain in op.terms:
-        for mat in chain:
-            k = next((k for k, seen in enumerate(factors) if seen is mat), len(factors))
-            if k == len(factors):
-                factors.append(mat)
-                _pack_sparse(f"factor.{k}", mat, out)
-            ids.append(k)
-    out[f"{prefix}.shape"] = np.array(op.shape, dtype=np.int64)
-    out[f"{prefix}.chain_lengths"] = np.array([len(c) for _, c in op.terms], dtype=np.int64)
-    out[f"{prefix}.factors"] = np.array(ids, dtype=np.int64)
-    out[f"{prefix}.scaled"] = np.array([scale is not None for scale, _ in op.terms])
-    out[f"{prefix}.scales"] = np.array(
-        [scale for scale, _ in op.terms if scale is not None], dtype=np.float64
-    ).reshape(-1, op.shape[0])
-
-
-def _unpack_operator(prefix: str, blob, factors: dict[int, SparseMatrix]):
-    if f"{prefix}.chain_lengths" not in blob:
-        return _unpack_sparse(prefix, blob)
-    lengths, ids = blob[f"{prefix}.chain_lengths"], blob[f"{prefix}.factors"]
-    scaled, scales = blob[f"{prefix}.scaled"], blob[f"{prefix}.scales"]
-    if (np.any(lengths < 0) or lengths.sum() != len(ids) or len(scaled) != len(lengths)
-            or np.count_nonzero(scaled) != len(scales)):
-        raise ValueError(f"{prefix}: the term layout does not match its arrays")
-    for k in set(ids.tolist()) - factors.keys():
-        factors[k] = _unpack_sparse(f"factor.{k}", blob)
-    next_scale = iter(scales)
-    terms = [
-        (next(next_scale) if has_scale else None, tuple(factors[k] for k in chain))
-        for has_scale, chain in zip(scaled, np.split(ids, np.cumsum(lengths)[:-1]))
-    ]
-    rows, cols = (int(v) for v in blob[f"{prefix}.shape"])
-    return FactoredOperator((rows, cols), terms)
+def _put(pool: dict[bytes, int], array: np.ndarray) -> int:
+    # The offset of ``array`` in a pool of distinct 8-byte arrays, keyed by their bytes.
+    key = array.tobytes()
+    if key not in pool:
+        pool[key] = sum(map(len, pool)) // 8
+    return pool[key]
 
 
 def save_structure(bundle: StructureBundle, path: str | Path) -> None:
-    arrays: dict[str, np.ndarray] = {
-        "num_nodes": np.array([bundle.hypergraph.num_nodes], dtype=np.int64),
-        "edge_sizes": bundle.hypergraph.edge_degrees,
-        "edge_members": bundle.hypergraph.members,
-    }
-    factors: list[SparseMatrix] = []
-    for name in _LAPLACIAN_FIELDS:
-        _pack_operator(f"lap.{name}", getattr(bundle.laplacians, name), arrays, factors)
-    for name in _SPARSE_FIELDS:
-        _pack_operator(name, getattr(bundle, name), arrays, factors)
+    ints: dict[bytes, int] = {}
+    floats: dict[bytes, int] = {}
+    matrices: list[tuple] = []
+    rows_of: dict[int, int] = {}   # id of each distinct matrix -> its row in matrices
+    terms: list[tuple] = []
+    chains: list[int] = []
+
+    def matrix(mat: SparseMatrix) -> int:
+        if id(mat) not in rows_of:
+            rows_of[id(mat)] = len(matrices)
+            data = -1 if (mat.data == 1.0).all() else _put(floats, mat.data)
+            matrices.append((mat.rows, mat.cols, mat.nnz,
+                             _put(ints, mat.indptr), _put(ints, mat.indices), data))
+        return rows_of[id(mat)]
+
+    laps = bundle.laplacians
+    operators = [getattr(laps, f.name) for f in fields(LaplacianSet)]
+    operators += [getattr(bundle, f.name) for f in fields(StructureBundle)[2:]]
+    for k, op in enumerate(operators):
+        for scale, chain in op.terms if isinstance(op, FactoredOperator) else [(None, (op,))]:
+            terms.append((k, *op.shape, -1 if scale is None else _put(floats, scale),
+                          len(chains), len(chain)))
+            chains += [matrix(mat) for mat in chain]
     with atomic_write(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, graph=_graph_array(bundle.hypergraph),
+                 ints=np.frombuffer(b"".join(ints), dtype=np.int64),
+                 floats=np.frombuffer(b"".join(floats), dtype=np.float64),
+                 matrices=np.array(matrices, dtype=np.int64).reshape(-1, 6),
+                 terms=np.array(terms, dtype=np.int64).reshape(-1, 6),
+                 chains=np.array(chains, dtype=np.int64))
 
 
-def load_structure(path: str | Path, hg: Hypergraph, key: str) -> StructureBundle:
+def load_structure(path: str | Path, hg: Hypergraph) -> StructureBundle:
     """Read the bundle that :func:`save_structure` wrote for ``hg``.
 
     The bundle's hypergraph is ``hg`` itself: the stored node count, edge
     sizes and edge members are only compared with it, never rebuilt.
 
     Raises:
-        ValueError: the file holds another hypergraph's edge arrays.
+        ValueError: the file holds another hypergraph's edge arrays, or a
+            span, id or table that does not fit the arrays it points into.
     """
-    # Read every member up front; the archive is closed before any parsing.
     with np.load(path) as npz:
-        blob = {name: npz[name] for name in npz.files}
-    stored = (blob["num_nodes"], blob["edge_sizes"], blob["edge_members"])
-    expected = ([hg.num_nodes], hg.edge_degrees, hg.members)
-    if not all(map(np.array_equal, stored, expected)):
+        graph, ints, floats, matrices, terms, chains = (npz[name] for name in _MEMBERS)
+    if not np.array_equal(graph, _graph_array(hg)):
         raise ValueError(f"{path} holds the structure of another hypergraph")
-    factors: dict[int, SparseMatrix] = {}
-    laps = LaplacianSet(
-        **{name: _unpack_operator(f"lap.{name}", blob, factors) for name in _LAPLACIAN_FIELDS}
-    )
-    fields = {name: _unpack_operator(name, blob, factors) for name in _SPARSE_FIELDS}
-    return StructureBundle(hypergraph=hg, laplacians=laps, key=key, **fields)
+    if not (ints.dtype == chains.dtype == matrices.dtype == terms.dtype == np.int64
+            and floats.dtype == np.float64 and ints.ndim == floats.ndim == chains.ndim == 1
+            and matrices.shape[1:] == terms.shape[1:] == (6,)):
+        raise ValueError(f"{path}: the tables do not have the stored layout")
+
+    def span(pool: np.ndarray, offset: int, length: int) -> np.ndarray:
+        if not 0 <= offset <= offset + length <= len(pool):
+            raise ValueError(f"{path}: span [{offset}, {offset + length}) is outside its pool")
+        return pool[offset:offset + length]
+
+    def matrix(rows, cols, nnz, indptr, indices, data) -> SparseMatrix:
+        indices = span(ints, indices, nnz)
+        values = np.ones(nnz) if data == -1 else span(floats, data, nnz)
+        return SparseMatrix(rows, cols, span(ints, indptr, rows + 1), indices, values)
+
+    mats = [matrix(*row) for row in matrices.tolist()]
+    n_laps = len(fields(LaplacianSet))
+    parts: list[list] = [[] for _ in range(n_laps + len(fields(StructureBundle)) - 2)]
+    for k, rows, cols, scale, start, length in terms.tolist():
+        ids = span(chains, start, length).tolist()
+        if not (0 <= k < len(parts) and all(0 <= i < len(mats) for i in ids)):
+            raise ValueError(f"{path}: a term names a missing operator or matrix")
+        scale = None if scale == -1 else span(floats, scale, rows)
+        parts[k].append(((rows, cols), scale, tuple(mats[i] for i in ids)))
+    ops = []
+    for op_terms in parts:
+        shapes = {shape for shape, _, _ in op_terms}
+        if len(shapes) != 1:
+            raise ValueError(f"{path}: an operator has no terms, or terms of two shapes")
+        op = FactoredOperator(shapes.pop(), [term[1:] for term in op_terms])
+        [(scale, chain), *rest] = op.terms
+        ops.append(chain[0] if not rest and scale is None and len(chain) == 1 else op)
+    return StructureBundle(hg, LaplacianSet(*ops[:n_laps]), *ops[n_laps:])
 
 
 def load_or_build(
@@ -304,14 +303,12 @@ def load_or_build(
     except OSError as exc:
         raise ParseError(f"cannot use {cache_dir} as a cache directory: {exc}") from exc
     features = as_features(features)
-    # Hashed once: the key names the file and is the bundle's key on a miss.
-    key = content_hash(hg, features)
-    path = cache_dir / f"structure-{key}.npz"
+    path = cache_dir / f"structure-{content_hash(hg, features)}.npz"
     if path.exists():
         try:
-            return load_structure(path, hg, key)
+            return load_structure(path, hg)
         except (BadZipFile, KeyError, ValueError, OSError, EOFError, DphgnnError):
             pass  # unreadable, incomplete or another hypergraph's: rebuild and overwrite it
-    bundle = _build(hg, features, key)
+    bundle = _build(hg, features)
     save_structure(bundle, path)
     return bundle

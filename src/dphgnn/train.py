@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import backward, cross_entropy, no_grad
 from .errors import DivergenceError, ParseError, ShapeMismatchError
-from .fileio import number_array
+from .fileio import atomic_write, number_array
 from .hypergraph import LabeledHypergraph, ensure_min_degree, load_dataset
 from .metrics import MetricsResult, metrics, predictions_from_logits
 from .model import (
@@ -342,10 +342,10 @@ def train(
         ckpt_path = out_dir / "checkpoint.json"
         save_checkpoint(named, ckpt_path, extra=_checkpoint_extra(config, data))
         report.checkpoint = str(ckpt_path)
-        with open(out_dir / "report.json", "w") as fh:
+        with atomic_write(out_dir / "report.json") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(out_dir / "loss.csv", "w") as fh:
+        with atomic_write(out_dir / "loss.csv") as fh:
             fh.write("epoch,loss\n")
             for i, value in enumerate(losses):
                 fh.write(f"{i},{value!r}\n")

@@ -76,6 +76,43 @@ def test_generate_pair_file(tmp_path, capsys):
     assert payload["isomorphic"] is False
 
 
+def _pair_run(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "non_iso_pair", "cycle_a": 3, "cycle_b": 3}))
+    return ["generate", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "pair.json")]
+
+
+def _train_run(tmp_path):
+    return ["train", "--config", str(write_config(tmp_path, epochs=2)), "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "argv, written, payload_key",
+    [(_pair_run, "pair.json", "isomorphic"), (_train_run, "report.json", "losses")],
+    ids=["generate_pair", "train_report"],
+)
+def test_a_write_that_raises_leaves_the_previous_file(
+    tmp_path, capsys, monkeypatch, argv, written, payload_key
+):
+    argv = argv(tmp_path)
+    assert run_cli(capsys, *argv)[0] == 0
+    path = tmp_path / written
+    before = path.read_bytes()
+    dump = json.dump
+
+    def dump_part_then_fail(obj, fh, **kwargs):
+        if payload_key not in obj:
+            return dump(obj, fh, **kwargs)
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_part_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
 def test_train_eval_chain(tmp_path, capsys):
     config = write_config(tmp_path, epochs=6)
     run_dir = tmp_path / "run"

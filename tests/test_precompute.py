@@ -2,8 +2,6 @@
 
 import dataclasses
 import hashlib
-import io
-import re
 import zipfile
 
 import numpy as np
@@ -328,8 +326,22 @@ def operator_arrays(op) -> list[np.ndarray]:
     return out
 
 
+def distinct_matrices(bundle: StructureBundle) -> list[SparseMatrix]:
+    """Every matrix the bundle's operators are or hold as a factor, each object once."""
+    laps = bundle.laplacians
+    operators = [getattr(laps, f.name) for f in dataclasses.fields(LaplacianSet)] + [
+        bundle.prop_clique, bundle.prop_hypergcn, bundle.attention_pattern,
+        bundle.edge_from_node, bundle.node_from_edge,
+    ]
+    seen: dict[int, SparseMatrix] = {}
+    for op in operators:
+        chains = [chain for _, chain in op.terms] if isinstance(op, FactoredOperator) else [[op]]
+        for mat in (mat for chain in chains for mat in chain):
+            seen.setdefault(id(mat), mat)
+    return list(seen.values())
+
+
 def assert_bundles_equal(a: StructureBundle, b: StructureBundle):
-    assert a.key == b.key
     assert a.hypergraph.edges == b.hypergraph.edges
     for name in (
         "attention_pattern", "prop_clique", "prop_hypergcn", "edge_from_node", "node_from_edge",
@@ -348,7 +360,7 @@ def test_cache_round_trip(tmp_path, spec_example):
     first = load_or_build(spec_example, features, cache_dir=tmp_path)
     cached = list(tmp_path.glob("structure-*.npz"))
     assert len(cached) == 1
-    assert first.key in cached[0].name
+    assert cached[0].name == f"structure-{content_hash(spec_example, features)}.npz"
     second = load_or_build(spec_example, features, cache_dir=tmp_path)
     assert_bundles_equal(first, second)
 
@@ -359,9 +371,11 @@ def test_factored_bundle_cache_round_trip(tmp_path, monkeypatch):
     missed = load_or_build(hg, data.features, cache_dir=tmp_path)
     assert "FactoredOperator" in forms(missed).values()
     [path] = tmp_path.glob("structure-*.npz")
-    with np.load(path) as blob:  # factors shared between operators are stored once
-        assert sum(name.endswith(".indptr") and name.startswith("factor.")
-                   for name in blob.files) == 5
+    # Each distinct matrix is stored once, a factor shared between operators or
+    # also a field among them: the six CSR operators and the factors H, H^T, C.
+    assert len(distinct_matrices(missed)) == 9
+    with np.load(path) as blob:
+        assert len(blob["matrices"]) == 9
 
     def no_build(*args):
         raise AssertionError("a cache hit must not build")
@@ -385,22 +399,24 @@ def test_factored_bundle_cache_round_trip(tmp_path, monkeypatch):
 )
 def test_cache_file_holds_only_the_bundles_operators(tmp_path, make_data):
     data = make_data()
-    load_or_build(ensure_min_degree(data.hypergraph), data.features, cache_dir=tmp_path)
+    hg = ensure_min_degree(data.hypergraph)
+    bundle = load_or_build(hg, data.features, cache_dir=tmp_path)
     [path] = tmp_path.glob("structure-*.npz")
     with np.load(path) as blob:
-        names = blob.files
-    assert not [name for name in names if name.startswith(("graph.", "prop_star.", "super_gather."))]
-    assert not [name for name in names if name.startswith("lap.rw_plus_sym.")]
-    prefixes = {name.rsplit(".", 1)[0] for name in names}
-    factors = {p for p in prefixes if re.fullmatch(r"factor\.\d+", p)}
-    operators = {f.name for f in dataclasses.fields(StructureBundle)} - {
-        "hypergraph", "laplacians", "key"
-    }
-    assert prefixes - factors == {
-        "num_nodes", "edge_sizes", "edge_members",
-        *(f"lap.{f.name}" for f in dataclasses.fields(LaplacianSet)),
-        *operators,
-    }
+        arrays = {name: blob[name] for name in blob.files}
+    assert sorted(arrays) == sorted(precompute._MEMBERS)
+    graph = np.concatenate(([hg.num_nodes, hg.num_edges], hg.edge_degrees, hg.members))
+    np.testing.assert_array_equal(arrays["graph"], graph)
+    # One operator index for each of the bundle's nine operators, the four
+    # Laplacians and five other fields, with no expansion graph, prop_star,
+    # super_gather or rw_plus_sym among them.
+    fields = (dataclasses.fields(LaplacianSet), dataclasses.fields(StructureBundle)[2:])
+    assert sum(map(len, fields)) == 9
+    assert set(arrays["terms"][:, 0].tolist()) == set(range(9))
+    # The matrix table holds exactly the matrices those operators are made of.
+    assert sorted(map(tuple, arrays["matrices"][:, :3].tolist())) == sorted(
+        (mat.rows, mat.cols, mat.nnz) for mat in distinct_matrices(bundle)
+    )
 
 
 def test_unusable_cache_dir_raises_before_building(tmp_path, spec_example, monkeypatch):
@@ -415,13 +431,13 @@ def test_unusable_cache_dir_raises_before_building(tmp_path, spec_example, monke
             load_or_build(spec_example, np.ones((4, 2)), cache_dir=cache_dir)
 
 
-def test_cache_file_of_format_v7_is_a_miss(tmp_path, spec_example, monkeypatch):
+def test_cache_file_of_format_v8_is_a_miss(tmp_path, spec_example, monkeypatch):
     features = np.ones((4, 2))
-    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 7)
+    monkeypatch.setattr(precompute, "CACHE_FORMAT_VERSION", 8)
     load_or_build(spec_example, features, cache_dir=tmp_path)
     [old] = tmp_path.glob("structure-*.npz")
     monkeypatch.undo()
-    assert precompute.CACHE_FORMAT_VERSION == 8
+    assert precompute.CACHE_FORMAT_VERSION == 9
     built, build = [], precompute._build
     monkeypatch.setattr(precompute, "_build", lambda *args: built.append(1) or build(*args))
     load_or_build(spec_example, features, cache_dir=tmp_path)
@@ -441,12 +457,11 @@ def test_load_or_build_hashes_once_on_a_miss_and_on_a_hit(tmp_path, spec_example
     missed = load_or_build(spec_example, features, cache_dir=tmp_path)
     assert len(calls) == 1
     [path] = tmp_path.glob("structure-*.npz")
-    assert path.name == f"structure-{missed.key}.npz"
-    assert missed.key == content_hash(spec_example, features)
+    assert path.name == f"structure-{content_hash(spec_example, features)}.npz"
     calls.clear()
     hit = load_or_build(spec_example, features, cache_dir=tmp_path)
     assert len(calls) == 1
-    assert hit.key == missed.key
+    assert_bundles_equal(hit, missed)
 
 
 def test_cached_bundle_gives_identical_logits(tmp_path):
@@ -474,6 +489,49 @@ def test_cache_hit_reuses_the_callers_hypergraph(tmp_path, monkeypatch):
     assert hit.hypergraph is hg
     # every operator, byte for byte
     assert bundle_digest(hit, data.features) == bundle_digest(fresh, data.features)
+    # Operators with one pattern share its index arrays after a load.
+    assert np.array_equal(hit.attention_pattern.indices, hit.laplacians.clique.indices)
+    assert np.shares_memory(hit.attention_pattern.indices, hit.laplacians.clique.indices)
+    params = init_dphgnn(np.random.default_rng(2), data.num_features, 8, data.num_classes)
+    data = dataclasses.replace(data, hypergraph=hg)
+    np.testing.assert_array_equal(
+        dphgnn_forward(data, params, structure=hit).logits.value,
+        dphgnn_forward(data, params, structure=fresh).logits.value,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_data",
+    [
+        lambda: build_iso_pool(IsoPoolSpec(num_pairs=200), 0)[0],
+        lambda: generate_synthetic(
+            TwoCommunitySpec(num_nodes=2000, num_edges=1000, edge_size=8), 0
+        ),
+    ],
+    ids=["iso_pool_train", "wide_edges_train"],
+)
+def test_cache_file_stores_each_distinct_array_once(tmp_path, make_data):
+    data = make_data()
+    bundle = load_or_build(ensure_min_degree(data.hypergraph), data.features, cache_dir=tmp_path)
+    [path] = tmp_path.glob("structure-*.npz")
+    with np.load(path) as blob:
+        ints, floats, matrices, terms = (blob[k] for k in ("ints", "floats", "matrices", "terms"))
+    # (offset, length) of every stored index array, and of every value or scale array.
+    int_spans = {(off, rows + 1) for rows, off in matrices[:, [0, 3]].tolist()}
+    int_spans |= {(off, nnz) for nnz, off in matrices[:, [2, 4]].tolist()}
+    float_spans = {(off, nnz) for nnz, off in matrices[:, [2, 5]].tolist() if off != -1}
+    float_spans |= {(off, rows) for rows, off in terms[:, [1, 3]].tolist() if off != -1}
+    for pool, spans in ((ints, int_spans), (floats, float_spans)):
+        stored = [pool[off:off + k] for off, k in spans]
+        assert len({a.tobytes() for a in stored}) == len(stored)   # no two are equal
+        assert len(pool) == sum(map(len, stored))   # and the pool holds nothing else
+    assert not any(len(v) and np.all(v == 1.0) for v in (floats[o:o + k] for o, k in float_spans))
+    # H D_e^{-1} is a field and, on wide edges, a factor of the smoothing operator: stored once.
+    nfe = bundle.node_from_edge
+    same = [row for row in matrices.tolist()
+            if row[:3] == [nfe.rows, nfe.cols, nfe.nnz]
+            and np.array_equal(floats[row[5]:row[5] + nfe.nnz], nfe.data)]
+    assert len(same) == 1
 
 
 def test_no_cache_dir_builds_directly(spec_example):
@@ -519,18 +577,29 @@ def _rewrite_members(path, edit):
             zf.writestr(name, blob)
 
 
+def _edit_arrays(edit):
+    """A corruption that rewrites the cache file with ``edit`` applied to its arrays."""
+    def corrupt(path):
+        with np.load(path) as npz:
+            arrays = {name: npz[name].copy() for name in npz.files}
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return corrupt
+
+
 def _drop_member(path):
-    _rewrite_members(path, lambda members: members.pop("lap.star.data.npy"))
-
-
-def _bad_indices(path):
-    buf = io.BytesIO()
-    np.save(buf, np.array([99, 100], dtype=np.int64))
-    _rewrite_members(path, lambda members: members.update({"lap.star.indices.npy": buf.getvalue()}))
+    _rewrite_members(path, lambda members: members.pop("floats.npy"))
 
 
 def _drop_pattern_member(path):
-    _rewrite_members(path, lambda members: members.pop("attention_pattern.indices.npy"))
+    # The attention pattern's index arrays live in the int pool; its values are not stored.
+    _rewrite_members(path, lambda members: members.pop("ints.npy"))
+
+
+def _bad_indices(arrays):
+    # A column index past the first matrix's column count.
+    arrays["ints"][arrays["matrices"][0, 4]] = 10**6
 
 
 def _other_hypergraphs_bundle(path):
@@ -539,10 +608,20 @@ def _other_hypergraphs_bundle(path):
     save_structure(build_structure(other, np.ones((4, 2))), path)
 
 
-def _other_node_count(path):
-    buf = io.BytesIO()
-    np.save(buf, np.array([5], dtype=np.int64))
-    _rewrite_members(path, lambda members: members.update({"num_nodes.npy": buf.getvalue()}))
+def _other_node_count(arrays):
+    arrays["graph"][0] = 5
+
+
+def _span_outside_pool(arrays):
+    arrays["matrices"][0, 3] = len(arrays["ints"]) - 1   # indptr runs past the int pool
+
+
+def _matrix_id_out_of_range(arrays):
+    arrays["chains"][0] = len(arrays["matrices"])
+
+
+def _operator_without_terms(arrays):
+    arrays["terms"] = arrays["terms"][arrays["terms"][:, 0] != 6]   # the attention pattern
 
 
 @pytest.mark.parametrize(
@@ -553,13 +632,16 @@ def _other_node_count(path):
         _truncate,
         _drop_member,
         _drop_pattern_member,
-        _bad_indices,
+        _edit_arrays(_bad_indices),
         _other_hypergraphs_bundle,
-        _other_node_count,
+        _edit_arrays(_other_node_count),
+        _edit_arrays(_span_outside_pool),
+        _edit_arrays(_matrix_id_out_of_range),
+        _edit_arrays(_operator_without_terms),
     ],
     ids=["empty", "garbage", "truncated", "missing_member", "missing_pattern_member",
-         "inconsistent_arrays",
-         "other_hypergraphs_edges", "other_node_count"],
+         "inconsistent_arrays", "other_hypergraphs_edges", "other_node_count",
+         "span_outside_pool", "matrix_id_out_of_range", "operator_without_terms"],
 )
 def test_unreadable_cache_file_is_a_miss(tmp_path, spec_example, corrupt):
     features = np.ones((4, 2))
@@ -573,21 +655,32 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, spec_example, corrupt):
     assert_bundles_equal(fresh, load_or_build(spec_example, features, cache_dir=tmp_path))
 
 
-def _npy(array) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.asarray(array))
-    return buf.getvalue()
+# On _wide_edges every clique-pattern operator is factored, and the first term
+# stored is the smoothing operator's diag(D_v^{-1/2}) (H D_e^{-1}) (H^T D_v^{-1/2}).
+def _drop_first_factor(arrays):
+    arrays["matrices"] = np.delete(arrays["matrices"], arrays["chains"][0], axis=0)
+
+
+def _longer_chain(arrays):
+    arrays["terms"][0, 5] = 3
+
+
+def _unknown_factor(arrays):
+    arrays["chains"][1] = 99
+
+
+def _swapped_factors(arrays):
+    arrays["chains"][[0, 1]] = arrays["chains"][[1, 0]]
+
+
+def _short_scale(arrays):
+    # The clique Laplacian's diagonal term claims 119 of its 120 rows, so 119 scale values.
+    arrays["terms"][1, 1:3] -= 1
 
 
 @pytest.mark.parametrize(
     "edit",
-    [
-        lambda members: members.pop("factor.0.data.npy"),
-        lambda members: members.update({"prop_clique.chain_lengths.npy": _npy([0, 3, 1])}),
-        lambda members: members.update({"lap.smoothing.factors.npy": _npy([0, 99])}),
-        lambda members: members.update({"lap.smoothing.factors.npy": _npy([1, 0])}),
-        lambda members: members.update({"lap.clique.scales.npy": _npy(np.ones((1, 120)))}),
-    ],
+    [_drop_first_factor, _longer_chain, _unknown_factor, _swapped_factors, _short_scale],
     ids=["missing_factor", "bad_chain_lengths", "unknown_factor", "factors_do_not_chain",
          "scales_count"],
 )
@@ -597,7 +690,7 @@ def test_unreadable_factored_operator_is_a_miss(tmp_path, edit):
     fresh = load_or_build(hg, data.features, cache_dir=tmp_path)
     (path,) = tmp_path.glob("structure-*.npz")
     good = path.read_bytes()
-    _rewrite_members(path, edit)
+    _edit_arrays(edit)(path)
     assert_bundles_equal(fresh, load_or_build(hg, data.features, cache_dir=tmp_path))
     assert path.read_bytes() == good
 
