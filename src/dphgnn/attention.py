@@ -22,6 +22,12 @@ as its values and multiplies that head's columns of the projected
 values, written into the same columns of the output, so no
 (pairs x head width) array is formed.
 
+The star view's node rows, ReLU(x theta_star), are formed once by the
+model's forward pass (:func:`~dphgnn.model.dphgnn_forward`), which hands
+the same tensor to the spatial query here and to the fusion layers. Only
+the spectral path reads the supernode rows, which :func:`star_update`
+appends below them.
+
 Every operator a forward pass reads comes from the dataset's structure
 bundle (:mod:`dphgnn.precompute`), which is built once;
 :func:`propagation_matrix` builds the propagation operators for it.
@@ -129,14 +135,15 @@ def single_layer_update(
     return relu(matmul(matmul(prop, x), theta))
 
 
-def star_update(x: Tensor, edge_mean: Tensor, theta: Tensor) -> Tensor:
+def star_update(star_nodes: Tensor, edge_mean: Tensor, theta: Tensor) -> Tensor:
     """The star view's one-step features on all n + m star vertices.
 
     Supernode rows of the star input start at zero, so the residual step
-    leaves each node row as it is and gives a supernode the mean of its
-    member features, ``edge_mean`` = D_e^{-1} H^T x: ReLU([x ; edge_mean] theta).
+    leaves each node row as it is, giving ``star_nodes`` = ReLU(x theta),
+    and gives a supernode the mean of its member features, ``edge_mean`` =
+    D_e^{-1} H^T x: the supernode rows are ReLU(edge_mean theta).
     """
-    return relu(matmul(concat_rows(x, edge_mean), theta))
+    return concat_rows(star_nodes, relu(matmul(edge_mean, theta)))
 
 
 def _head_slices(width: int, num_heads: int) -> list[slice]:
@@ -217,20 +224,19 @@ def cross_attention(
 def taa_forward(
     x: Tensor | np.ndarray,
     edge_mean: Tensor | np.ndarray,
+    star_nodes: Tensor,
     params: TaaParams,
     structure: "StructureBundle",
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, Tensor]:
     """Run both attention paths over the bundle's views.
 
-    Returns (spatial attention, spectral attention, star node features):
-    the n node rows of the star view (:func:`star_update`), which are the
-    spatial query and feed the fusion layer. The spectral path reads all
-    n + m star rows, the supernode rows from ``edge_mean`` = D_e^{-1} H^T x.
+    Returns (spatial attention, spectral attention). ``star_nodes`` =
+    ReLU(x theta_star) are the star view's n node rows, the spatial query.
+    The spectral path reads all n + m star rows (:func:`star_update`), the
+    supernode rows from ``edge_mean`` = D_e^{-1} H^T x.
     """
-    star_feats = star_update(x, edge_mean, params.theta_star)
-    star_nodes = select_rows(star_feats, np.arange(structure.hypergraph.num_nodes))
     clique_feats = single_layer_update(structure.prop_clique, x, params.theta_clique)
     hyper_feats = single_layer_update(structure.prop_hypergcn, x, params.theta_hypergcn)
 
@@ -245,7 +251,7 @@ def taa_forward(
     )
     # The bundle's star Laplacian holds only its n node rows.
     spectral = cross_attention(
-        matmul(structure.laplacians.star, star_feats),
+        matmul(structure.laplacians.star, star_update(star_nodes, edge_mean, params.theta_star)),
         matmul(structure.laplacians.clique, clique_feats),
         matmul(structure.laplacians.hypergcn, hyper_feats),
         structure.attention_pattern,
@@ -253,4 +259,4 @@ def taa_forward(
         attn_dropout=attn_dropout,
         rng=rng,
     )
-    return spatial, spectral, star_nodes
+    return spatial, spectral

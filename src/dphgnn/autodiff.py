@@ -475,16 +475,16 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
     return _make(val, (*heads, values), bwd)
 
 
-def dropout(a, p: float, rng: np.random.Generator | int | None = None, train: bool = True) -> Tensor:
+def dropout(a, p: float, rng: np.random.Generator | int | None = None) -> Tensor:
     """Inverted dropout: kept entries are scaled by 1 / (1 - p).
 
-    With ``train=False`` or ``p == 0`` the input tensor is returned
-    unchanged. Backward keeps the bool mask and rebuilds the factor.
+    With ``p == 0`` the input tensor is returned unchanged. Backward keeps
+    the bool mask and rebuilds the factor.
     """
     a = as_tensor(a)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if p == 0.0:
         return a
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
@@ -512,22 +512,11 @@ def _scatter_rows(index: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
 def select_rows(a, index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
-    an, shape, k = a._node, a.value.shape, index.size
-    # arange(k): checked last element first, so a gather of pairs costs no pass.
-    prefix = (index.ndim == 1 and k <= shape[0] and (k == 0 or index[-1] == k - 1)
-              and np.array_equal(index, np.arange(k)))
-    val = a.value[:k].copy() if prefix else a.value[index]
+    val = a.value[index]
+    an, rows = a._node, a.value.shape[0]
 
     def bwd(g):
-        if prefix:
-            # Each row written once into zeros; adding 0.0 sums each entry
-            # from 0.0 as the scatter-add does (-0.0 becomes 0.0).
-            grad = np.zeros(shape)
-            grad[:k] = g
-            grad += 0.0
-            _accum(an, grad)
-        else:
-            _accum(an, _scatter_rows(index, g, shape[0]))
+        _accum(an, _scatter_rows(index, g, rows))
 
     return _make(val, (a,), bwd)
 

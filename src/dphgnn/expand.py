@@ -15,8 +15,10 @@ The structure bundle (:mod:`dphgnn.precompute`) builds its propagation
 operators, Laplacians and attention pattern from these graphs and keeps
 none of them. The star graph is a plain :class:`Graph`: its first n
 vertices are the hypergraph's nodes and the other ``adjacency.rows - n``
-its supernodes. Only the star Laplacian is built from it; the star view's
-one-step update reads H directly (:func:`~dphgnn.attention.star_update`).
+its supernodes. Only the star Laplacian is built from it. The star view's
+one-step update needs no star operator: its node rows are ReLU(x theta)
+and its supernode rows ReLU(D_e^{-1} H^T x theta), which
+:func:`~dphgnn.attention.star_update` stacks for the spectral path.
 """
 
 from __future__ import annotations

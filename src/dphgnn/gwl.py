@@ -113,13 +113,11 @@ def color_refine_step(hg: Hypergraph, state: ColoringState) -> ColoringState:
     return ColoringState(new, state.round + 1)
 
 
-def refine_to_stable(hg: Hypergraph, max_rounds: int | None = None) -> ColoringState:
+def refine_to_stable(hg: Hypergraph) -> ColoringState:
     """Iterate until the partition stops splitting (at most n rounds)."""
-    if max_rounds is None:
-        max_rounds = max(hg.num_nodes, 1)
     state = initial_coloring(hg)
     incident = _incident_lists(hg)
-    for _ in range(max_rounds):
+    for _ in range(max(hg.num_nodes, 1)):
         (new,) = _intern([_signatures(hg, state.colors, incident)])
         nxt = ColoringState(new, state.round + 1)
         if nxt.num_colors == state.num_colors:
@@ -128,7 +126,7 @@ def refine_to_stable(hg: Hypergraph, max_rounds: int | None = None) -> ColoringS
     return state
 
 
-def gwl_test(hg1: Hypergraph, hg2: Hypergraph, max_rounds: int | None = None) -> GwlVerdict:
+def gwl_test(hg1: Hypergraph, hg2: Hypergraph) -> GwlVerdict:
     """Joint refinement of two hypergraphs in one color namespace.
 
     Returns DISTINGUISHED as soon as the color histograms split, or
@@ -136,8 +134,7 @@ def gwl_test(hg1: Hypergraph, hg2: Hypergraph, max_rounds: int | None = None) ->
     """
     if hg1.num_nodes != hg2.num_nodes:
         return GwlVerdict(Verdict.DISTINGUISHED, 0)
-    if max_rounds is None:
-        max_rounds = max(hg1.num_nodes + hg2.num_nodes, 1)
+    max_rounds = max(hg1.num_nodes + hg2.num_nodes, 1)
     colors1 = initial_coloring(hg1).colors
     colors2 = initial_coloring(hg2).colors
     incident1 = _incident_lists(hg1)

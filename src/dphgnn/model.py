@@ -304,7 +304,7 @@ def dphgnn_forward(
 
     projected = params.proj(data.features)
     if train and rates.gnn:
-        projected = dropout(projected, rates.gnn, rng=rng, train=True)
+        projected = dropout(projected, rates.gnn, rng=rng)
 
     # The hyperedge mean D_e^{-1} H^T x that the SIB and the star view share.
     if flags.use_sib or flags.use_taa:
@@ -313,34 +313,35 @@ def dphgnn_forward(
     if flags.use_sib:
         spectral = sib_update(projected, edge_mean, params.sib_lambda, params.sib_theta, structure)
         if train and rates.sib:
-            spectral = dropout(spectral, rates.sib, rng=rng, train=True)
+            spectral = dropout(spectral, rates.sib, rng=rng)
     else:
         spectral = concat_cols(projected, projected)
 
+    # The star view's node rows ReLU(x theta_star): the spatial query, the
+    # node block of the spectral query and the fusion layers' star term.
+    fuse = flags.use_dff and bool(params.fusion_weights)
+    if flags.use_taa or fuse:
+        star_nodes = relu(matmul(projected, params.taa.theta_star))
+
     if flags.use_taa:
-        attn_spatial, attn_spectral, star_nodes = taa_forward(
-            projected, edge_mean, params.taa, structure,
+        attn_spatial, attn_spectral = taa_forward(
+            projected, edge_mean, star_nodes, params.taa, structure,
             attn_dropout=rates.taa if train else 0.0,
             rng=rng,
         )
     else:
         attn_spatial = attn_spectral = projected
-        star_nodes = None
 
     static = feature_mix(attn_spatial, attn_spectral, spectral, projected, params)
 
-    star_edges = None
-    if flags.use_dff and params.fusion_weights:
-        if star_nodes is None:  # attention ablated: the star step's node rows alone
-            star_nodes = relu(matmul(projected, params.taa.theta_star))
-        star_edges = matmul(structure.node_from_edge.T, star_nodes)
+    star_edges = matmul(structure.node_from_edge.T, star_nodes) if fuse else None
 
     current = static
     sink: dict = {}
     for theta in params.fusion_weights:
         current = dff_forward(current, star_edges, theta, structure, trace_sink=sink)
         if train and rates.dff:
-            current = dropout(current, rates.dff, rng=rng, train=True)
+            current = dropout(current, rates.dff, rng=rng)
 
     logits = predict_layer(current, params.head_weight, structure)
     return ForwardTrace(
@@ -374,5 +375,5 @@ def hgnn_baseline_forward(
     train = mode is Mode.TRAIN
     hidden = relu(matmul(smoothing, matmul(data.features, params.theta1)))
     if train and dropout_rate:
-        hidden = dropout(hidden, dropout_rate, rng=rng, train=True)
+        hidden = dropout(hidden, dropout_rate, rng=rng)
     return matmul(smoothing, matmul(hidden, params.theta2))

@@ -23,9 +23,10 @@ its stored terms are at most ``FACTORED_SHARE`` of nnz(H H^T), a property
 of the input alone; a factored operator's CSR is never built. Wide edges
 factor; size-2 edges store more terms factored and stay CSR. Only the star
 Laplacian's n node rows are kept, the rows the spectral attention path
-reads. The star step and the identifier block read the hyperedge mean
-D_e^{-1} H^T x through ``node_from_edge``, not a star propagation operator
-or the random-walk and symmetric Laplacians.
+reads. The star view needs no propagation operator: its node rows are
+ReLU(x theta), and its supernode rows and the identifier block read the
+hyperedge mean D_e^{-1} H^T x through ``node_from_edge``, not the
+random-walk and symmetric Laplacians.
 
 The npz holds six arrays and one storage form: every operator is a list
 of terms diag(scale) M1 ... Mk, and a CSR operator is one unscaled term of

@@ -24,11 +24,12 @@ row still unfinished then adds its remaining terms to its level sum by one
 in-place cumsum, which adds in sequence, and the sums are put in
 place at the end. The plan (the sorted rows, their starts and the level
 sizes) depends on the pattern alone, and a product may put other values
-on it (``data=``), zeros included. The gathered terms, the accumulator
-and a contiguous copy of a strided input live in one grow-only scratch
-buffer per thread, which no result ever aliases, so a product allocates
-only its output. The transposed product
-:meth:`SparseMatrix.transpose_matmul_dense` is the product of the
+on it (``data=``), zeros included. A level's gathered terms, the
+accumulator and a contiguous copy of a strided input live in one
+grow-only scratch buffer per thread, at most twice the output's size
+plus the copy, which no result ever aliases. Besides its output a
+product allocates only a run for each row finished alone. The transposed
+product :meth:`SparseMatrix.transpose_matmul_dense` is the product of the
 transpose with the values reordered by the transpose's column sort, so
 output row c adds column c's entries in stored order.
 
@@ -302,18 +303,16 @@ class SparseMatrix:
             out[...] = 0.0
         rows, starts, sizes = self._levels()
         depth = len(sizes)
-        # One scratch block holds the terms (a level's, or an unfinished row's
-        # behind its level sum), the accumulator and a contiguous copy of a
-        # strided ``other``, which take would otherwise copy once per level.
+        # One scratch block holds a level's terms, the accumulator and a
+        # contiguous copy of a strided ``other``, which take would otherwise
+        # copy once per level.
         block = len(rows) * width
-        longest = int(self.indptr[rows[0] + 1] - starts[0]) - depth + 1 if rows.size else 0
-        head = max(block, longest * width)
         copied = 0 if other.flags.c_contiguous else other.size
-        scratch = _scratch(head + block + copied)
+        scratch = _scratch(2 * block + copied)
         if copied:
-            strided, other = other, scratch[scratch.size - copied :].reshape(other.shape)
+            strided, other = other, scratch[2 * block :].reshape(other.shape)
             other[...] = strided
-        acc = scratch[head : head + block].reshape(len(rows), width)
+        acc = scratch[block : 2 * block].reshape(len(rows), width)
         acc[...] = 0.0
         for k, size in enumerate(sizes):
             pos = starts[:size] + k
@@ -325,12 +324,13 @@ class SparseMatrix:
             acc[:size] += terms
         # Each row the levels left unfinished: its level sum, then its
         # remaining terms, summed in sequence by one in-place cumsum
-        # (``np.add.accumulate``, without ``np.cumsum``'s wrapper).
+        # (``np.add.accumulate``, without ``np.cumsum``'s wrapper) over a run
+        # of its own, so a long row never grows the scratch buffer.
         for j in range(min(len(rows), _MIN_LEVEL_ROWS)):
             first, end = int(starts[j]) + depth, int(self.indptr[rows[j] + 1])
             if first >= end:
                 break
-            run = scratch[: (end - first + 1) * width].reshape(end - first + 1, width)
+            run = np.empty((end - first + 1, width))
             run[0] = acc[j]
             np.take(other, self.indices[first:end], axis=0, out=run[1:], mode="clip")
             run[1:] *= data[first:end, None]

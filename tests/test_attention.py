@@ -32,10 +32,18 @@ def edge_mean(x, structure):
     return autodiff.matmul(structure.node_from_edge.T, x)
 
 
+def star_nodes_of(x, theta):
+    """ReLU(x theta), the star view's node rows the forward pass forms."""
+    return autodiff.relu(autodiff.matmul(x, theta))
+
+
 def taa(x, params, structure):
-    """taa_forward on ``x`` with the hyperedge mean the forward pass forms."""
+    """taa_forward on ``x`` with the hyperedge mean and star node rows the
+    forward pass forms; returns them after the two attention paths."""
     x = Tensor(x)
-    return taa_forward(x, edge_mean(x, structure), params, structure)
+    mean, nodes = edge_mean(x, structure), star_nodes_of(x, params.theta_star)
+    spatial, spectral = taa_forward(x, mean, nodes, params, structure)
+    return spatial, spectral, nodes
 
 
 def make_params(rng, width, heads=1):
@@ -183,7 +191,8 @@ def test_taa_forward_shapes_and_star_content(spec_example):
     stacked = np.vstack([x, np.zeros((2, width))])
     expected = np.maximum(prop.to_dense() @ stacked @ params.theta_star.value, 0.0)
     np.testing.assert_allclose(star_nodes.value, expected[:4], atol=1e-10)
-    star_feats = star_update(Tensor(x), edge_mean(x, structure), params.theta_star)
+    star_feats = star_update(star_nodes, edge_mean(x, structure), params.theta_star)
+    assert star_feats.value[:4].tobytes() == star_nodes.value.tobytes()
     np.testing.assert_allclose(star_feats.value, expected, atol=1e-10)
     members = x[[0, 1, 2]].mean(axis=0)
     np.testing.assert_allclose(
@@ -208,7 +217,7 @@ def test_star_update_matches_the_dense_and_star_propagation_oracles(edge_size):
     rng = np.random.default_rng(edge_size)
     hg, x, theta = star_step_inputs(rng, edge_size)
     structure = build_structure(hg, x)
-    got = star_update(Tensor(x), edge_mean(x, structure), Tensor(theta)).value
+    got = star_update(star_nodes_of(x, theta), edge_mean(x, structure), Tensor(theta)).value
 
     H = np.zeros((hg.num_nodes, hg.num_edges))
     for j, e in enumerate(hg.edges):
@@ -233,7 +242,8 @@ def test_star_update_gradient():
     tt = Tensor(theta, requires_grad=True)
     weight = Tensor(rng.standard_normal((hg.num_nodes + hg.num_edges, 3)))
     err = grad_check(
-        lambda: sum_all(mul(star_update(xt, edge_mean(xt, structure), tt), weight)),
+        lambda: sum_all(mul(star_update(star_nodes_of(xt, tt), edge_mean(xt, structure), tt),
+                            weight)),
         {"x": xt, "theta": tt},
     )
     assert err < 1e-6

@@ -161,9 +161,8 @@ def test_sparse_const_matmul_matches_dense():
 def test_dropout_semantics():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((50, 20)))
-    assert dropout(x, 0.0, rng=0, train=True) is x
-    assert dropout(x, 0.5, rng=0, train=False) is x
-    out = dropout(x, 0.5, rng=np.random.default_rng(0), train=True)
+    assert dropout(x, 0.0, rng=0) is x
+    out = dropout(x, 0.5, rng=np.random.default_rng(0))
     kept = out.value != 0.0
     # survivors are scaled by 1/(1-p)
     np.testing.assert_allclose(out.value[kept], x.value[kept] * 2.0, atol=1e-12)
@@ -173,8 +172,8 @@ def test_dropout_semantics():
 
 def test_dropout_deterministic_by_seed():
     x = Tensor(np.ones((10, 10)))
-    a = dropout(x, 0.3, rng=np.random.default_rng(7), train=True)
-    b = dropout(x, 0.3, rng=np.random.default_rng(7), train=True)
+    a = dropout(x, 0.3, rng=np.random.default_rng(7))
+    b = dropout(x, 0.3, rng=np.random.default_rng(7))
     np.testing.assert_array_equal(a.value, b.value)
 
 

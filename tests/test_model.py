@@ -13,7 +13,8 @@ from conftest import (
     random_covering_hypergraph,
 )
 import dphgnn.autodiff as autodiff
-from dphgnn.attention import star_update, taa_forward
+from dphgnn import attention
+from dphgnn.attention import star_update
 from dphgnn.autodiff import Tensor, backward, cross_entropy
 from dphgnn.errors import ShapeMismatchError
 from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
@@ -119,16 +120,18 @@ def test_dff_off_drops_star_term(small_instance):
     np.testing.assert_allclose(trace.fused.value, expected_fused, atol=1e-12)
 
 
-def test_taa_off_fusion_reads_the_star_features_taa_forward_returns(small_instance):
+def test_taa_off_fusion_reads_the_star_node_rows(small_instance):
     params = init_dphgnn(
         np.random.default_rng(5), 4, 8, 3, flags=AblationFlags(use_taa=False)
     )
     structure = build_structure(small_instance.hypergraph, small_instance.features)
     trace = dphgnn_forward(small_instance, params, structure=structure)
     edge_mean = autodiff.matmul(structure.node_from_edge.T, trace.projected)
-    _, _, star_nodes = taa_forward(trace.projected, edge_mean, params.taa, structure)
-    # With attention off the forward forms only the star step's node rows.
-    star_feats = star_update(trace.projected, edge_mean, params.taa.theta_star)
+    star_nodes = autodiff.relu(autodiff.matmul(trace.projected, params.taa.theta_star))
+    # With attention off the forward forms the same node rows as the star
+    # view that the spectral path reads with attention on.
+    star_feats = star_update(star_nodes, edge_mean, params.taa.theta_star)
+    assert star_feats.value.shape == (6 + 3, 8)
     assert star_nodes.value.tobytes() == star_feats.value[:6].tobytes()
     expected = autodiff.add(
         autodiff.matmul(structure.edge_from_node, trace.static),
@@ -144,23 +147,33 @@ def test_forward_forms_each_edge_mean_once(small_instance, monkeypatch, num_laye
     params = init_dphgnn(np.random.default_rng(6), 4, 8, 3, num_layers=num_layers)
     structure = build_structure(small_instance.hypergraph, small_instance.features)
     gather = structure.node_from_edge.T
-    operands = []
+    operands, queries = [], []
     product = SparseMatrix.matmul_dense
+    attend = attention.cross_attention
 
     def recording_product(self, other, data=None, out=None):
         if self is gather:
             operands.append(other)
         return product(self, other, data, out)
 
+    def recording_attention(query, *args, **kwargs):
+        queries.append(query)
+        return attend(query, *args, **kwargs)
+
     monkeypatch.setattr(SparseMatrix, "matmul_dense", recording_product)
+    monkeypatch.setattr(attention, "cross_attention", recording_attention)
     with autodiff.no_grad():
         trace = dphgnn_forward(small_instance, params, Mode.EVAL, structure=structure)
     monkeypatch.undo()
     assert len(operands) == 2
     assert operands[0] is trace.projected.value
-    edge_mean = autodiff.matmul(gather, trace.projected)
-    _, _, star_nodes = taa_forward(trace.projected, edge_mean, params.taa, structure)
-    np.testing.assert_array_equal(operands[1], star_nodes.value)
+    # The star node rows are formed once: the spatial query is the operand
+    # of the fusion layers' edge mean.
+    assert len(queries) == 2
+    assert operands[1] is queries[0].value
+    np.testing.assert_array_equal(
+        operands[1], np.maximum(trace.projected.value @ params.taa.theta_star.value, 0.0)
+    )
 
 
 def other_edges(data, num_nodes, edges):
@@ -514,12 +527,12 @@ def _train_step(data, seed):
 # to an op's arithmetic, its summation order or the sweep order shows here.
 TRAIN_STEP_DIGESTS = {
     "logits": "73af7f65298a91d9",
-    "proj.weight": "bf46a0aed28917ad",
-    "proj.bias": "190e9d786714dbcd",
+    "proj.weight": "eb0216b7d59948ce",
+    "proj.bias": "4e0993d9431fdd46",
     "taa.delta": "1dcee2e28336e7bf",
     "taa.weight": "c67dac2ec298d06f",
     "taa.theta_clique": "2b873ca54599d83a",
-    "taa.theta_star": "f66916a810c176e9",
+    "taa.theta_star": "dddb097d776991ad",
     "taa.theta_hypergcn": "300b025d7add496f",
     "sib.theta": "6e28151b7ffbe866",
     "mix.attended.weight": "33097e8109d8c1ab",

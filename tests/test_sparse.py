@@ -278,7 +278,7 @@ def test_hub_row_takes_at_most_nnz_over_min_level_rows_plus_min_level_rows_steps
     assert len(sizes) + alone <= m.nnz / _MIN_LEVEL_ROWS + _MIN_LEVEL_ROWS
 
 
-def test_matmul_dense_allocates_only_its_output_beyond_the_scratch_growth():
+def test_matmul_dense_allocates_only_its_output_and_its_row_runs_beyond_the_scratch_growth():
     import tracemalloc
 
     from dphgnn import sparse
@@ -287,6 +287,9 @@ def test_matmul_dense_allocates_only_its_output_beyond_the_scratch_growth():
     # Rows of 300 entries, two of them longer than every level.
     m = with_row_lengths(rng, rng.permutation([300] * 20 + [350, 390]), 400)
     other = wide_range(rng, 400, 32)
+    # The two rows finished alone each sum their level sum and their
+    # remaining terms in a run of their own: (51 + 91) rows of 32 values.
+    runs = (350 - 300 + 1 + 390 - 300 + 1) * 32 * 8
     for _ in range(2):
         before = sparse._SCRATCH.buffer
         tracemalloc.start()
@@ -296,10 +299,25 @@ def test_matmul_dense_allocates_only_its_output_beyond_the_scratch_growth():
         finally:
             tracemalloc.stop()
         grown = 0 if sparse._SCRATCH.buffer is before else sparse._SCRATCH.buffer.nbytes
+        assert grown <= 2 * got.nbytes
         # Index temporaries of one level or one row are a few KB; the terms
         # of all entries would be m.nnz * 32 * 8 bytes (1.7 MB).
-        assert peak - grown <= got.nbytes + 32 * 1024
+        assert peak - grown <= got.nbytes + runs + 32 * 1024
         assert_same_bits(got, add_at_product(m, other))
+
+
+def test_a_row_finished_alone_leaves_the_scratch_buffer_at_two_outputs(monkeypatch):
+    from dphgnn import sparse
+
+    rng = np.random.default_rng(84)
+    # One 100,000-entry hub row among 99 rows of 3 to 10 entries.
+    m = with_row_lengths(rng, [100_000, *rng.integers(3, 11, 99)], 100_000)
+    other = wide_range(rng, 100_000, 32)
+    monkeypatch.setattr(sparse._SCRATCH, "buffer", np.empty(0))
+    got = m @ other
+    # A level's terms and the accumulator; the hub row's run is its own.
+    assert sparse._SCRATCH.buffer.size <= 2 * m.rows * 32
+    assert_same_bits(got, add_at_product(m, other))
 
 
 def test_matmul_dense_matches_dense_laplacian_oracle():
