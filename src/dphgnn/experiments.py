@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import no_grad
 from .errors import InfeasibleSpecError
-from .gwl import Verdict, brute_force_isomorphic, gwl_test
+from .gwl import BRUTE_FORCE_MAX_NODES, Verdict, brute_force_isomorphic, gwl_test
 from .hypergraph import Hypergraph, LabeledHypergraph, build_hypergraph
 from .model import AblationFlags, Mode, dphgnn_forward, init_dphgnn
 from .precompute import build_structure
@@ -123,6 +124,16 @@ def _pooled_hypergraph(sides: list[Hypergraph]) -> Hypergraph:
     return Hypergraph(int(counts.sum()), edges, degrees, sizes, members)
 
 
+def _certifies(base: Hypergraph, copy: Hypergraph, perm: np.ndarray) -> bool:
+    """Whether ``perm`` is a permutation of the base's nodes that maps its
+    edge multiset onto the copy's, node v to perm[v]."""
+    image = np.asarray(perm).tolist()
+    if copy.num_nodes != base.num_nodes or sorted(image) != list(range(base.num_nodes)):
+        return False
+    mapped = sorted(tuple(sorted(image[v] for v in e)) for e in base.edges)
+    return mapped == sorted(copy.edges)
+
+
 def build_iso_pool(
     spec: IsoPoolSpec, seed: int
 ) -> tuple[LabeledHypergraph, list[IsoPair]]:
@@ -135,9 +146,14 @@ def build_iso_pool(
     Splits are per pair: ``train_per_pair`` random nodes train, the
     rest alternate val/test.
 
-    Every non-iso pair is the same two hypergraph objects, so its
-    brute-force check and refinement verdict run once per call, at pair
-    1; each iso pair is checked and refined on its own.
+    With ``verify_ground_truth`` each iso pair is checked, at any node
+    count, by its certificate: the permutation that made the copy must
+    map the base's edge multiset onto the copy's. The non-iso pair, the
+    same two objects at every odd index, is searched by brute force once
+    when its sides have at most ``BRUTE_FORCE_MAX_NODES`` nodes. Without
+    it nothing is checked. Refinement is invariant under relabelling one
+    side, so ``gwl_test`` runs once per base family for the iso pairs and
+    once for the non-iso pair.
     """
     if spec.num_pairs < 2:
         raise InfeasibleSpecError("iso pool needs at least 2 pairs")
@@ -148,30 +164,35 @@ def build_iso_pool(
     sides: list[Hypergraph] = []
     labels = []
     offset = 0
-    non_iso_verdict = None
+    # one refinement verdict per class, keyed by kind and base object
+    verdicts: dict[tuple[str, int], Verdict] = {}
     for i in range(spec.num_pairs):
         if i % 2 == 0:
             # isomorphic pair; alternate joined/split families so that
             # small-cycle components occur under both labels
             base = joined if i % 4 == 0 else split
-            other, _ = permuted_copy(base, rng)
+            other, perm = permuted_copy(base, rng)
             label = 1
             kind = "iso"
+            if spec.verify_ground_truth and not _certifies(base, other, perm):
+                raise InfeasibleSpecError(
+                    f"pair {i} (iso) failed its permutation certificate"
+                )
         else:
             base, other = split, joined
             label = 0
             kind = "non_iso"
-        if kind == "non_iso" and non_iso_verdict is not None:
-            verdict = non_iso_verdict
-        else:
-            if spec.verify_ground_truth and base.num_nodes <= 10:
-                if brute_force_isomorphic(base, other) != (label == 1):
-                    raise InfeasibleSpecError(
-                        f"pair {i} ({kind}) failed its brute-force isomorphism check"
-                    )
-            verdict = gwl_test(base, other).verdict
-            if kind == "non_iso":
-                non_iso_verdict = verdict
+            # the same pair at every odd index: search it once, at pair 1
+            if (spec.verify_ground_truth and i == 1
+                    and base.num_nodes <= BRUTE_FORCE_MAX_NODES
+                    and brute_force_isomorphic(base, other)):
+                raise InfeasibleSpecError(
+                    f"pair {i} (non_iso) failed its brute-force isomorphism check"
+                )
+        key = (kind, id(base))
+        if key not in verdicts:
+            verdicts[key] = gwl_test(base, other).verdict
+        verdict = verdicts[key]
         pair_nodes = base.num_nodes + other.num_nodes
         pairs.append(
             IsoPair(
@@ -298,10 +319,12 @@ def time_forward(
         structure = build_structure(hg, features)
         params = init_dphgnn(np.random.default_rng(seed), feature_dim, hidden, 2)
         samples = []
-        dphgnn_forward(data, params, mode=Mode.EVAL, structure=structure)
-        for _ in range(repeats):
-            start = time.perf_counter()
+        # EVAL forwards record no tape, as in ``train`` and ``evaluate``.
+        with no_grad():
             dphgnn_forward(data, params, mode=Mode.EVAL, structure=structure)
-            samples.append(time.perf_counter() - start)
+            for _ in range(repeats):
+                start = time.perf_counter()
+                dphgnn_forward(data, params, mode=Mode.EVAL, structure=structure)
+                samples.append(time.perf_counter() - start)
         timings[m] = float(np.median(samples))
     return timings

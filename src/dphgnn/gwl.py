@@ -8,6 +8,10 @@ across runs. Two hypergraphs are compared by refining them jointly in a
 shared namespace; differing color histograms certify non-isomorphism,
 while agreement is only ever "possibly isomorphic" (the classic failure
 pair, two triangles against a six-cycle, stays indistinguishable).
+A signature reads colors, never node ids, so relabelling either side
+leaves the joint verdict and its round count unchanged:
+``gwl_test(a, copy)`` equals ``gwl_test(a, a)`` for every relabelled
+copy of ``a``.
 
 The exact search rules pairs out on three cheap invariants before it
 backtracks: the sorted node profiles (degree and incident edge sizes),

@@ -335,6 +335,8 @@ class SparseMatrix:
             np.take(other, self.indices[first:end], axis=0, out=run[1:], mode="clip")
             run[1:] *= data[first:end, None]
             acc[j] = np.add.accumulate(run, axis=0, out=run)[-1]
+            # Free this run before the next row's is allocated.
+            del run
         out[rows] = acc
         return out
 

@@ -1,6 +1,7 @@
 """Ablation grid, isomorphism pool assembly, and forward timing."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -115,19 +116,42 @@ def test_iso_pool_rejects_tiny():
         build_iso_pool(IsoPoolSpec(num_pairs=1), seed=0)
 
 
+def _with_wrong_permutation(monkeypatch):
+    real = experiments.permuted_copy
+
+    def wrong(hg, rng):
+        copy, perm = real(hg, rng)
+        # Swapping two nodes' images is no automorphism of the cycle families.
+        perm = perm.copy()
+        perm[[0, 1]] = perm[[1, 0]]
+        return copy, perm
+
+    monkeypatch.setattr(experiments, "permuted_copy", wrong)
+
+
 def test_iso_pool_ground_truth_failure_raises(monkeypatch):
-    # an oracle that contradicts every label must stop the pool build, also under -O
-    monkeypatch.setattr(experiments, "brute_force_isomorphic", lambda a, b: False)
-    with pytest.raises(InfeasibleSpecError, match=r"pair 0 \(iso\)"):
-        build_iso_pool(IsoPoolSpec(num_pairs=4, feature_dim=4), seed=0)
+    # A certificate that does not map the base onto its copy must stop the
+    # pool build, also under -O.
+    spec = IsoPoolSpec(num_pairs=4, feature_dim=4)
+    with monkeypatch.context() as patched:
+        _with_wrong_permutation(patched)
+        with pytest.raises(InfeasibleSpecError, match=r"pair 0 \(iso\)"):
+            build_iso_pool(spec, seed=0)
     # calling every pair isomorphic fails only the non-iso pairs
     monkeypatch.setattr(experiments, "brute_force_isomorphic", lambda a, b: True)
     with pytest.raises(InfeasibleSpecError, match=r"pair 1 \(non_iso\)"):
-        build_iso_pool(IsoPoolSpec(num_pairs=4, feature_dim=4), seed=0)
-    data, _ = build_iso_pool(
-        IsoPoolSpec(num_pairs=4, feature_dim=4, verify_ground_truth=False), seed=0
-    )
+        build_iso_pool(spec, seed=0)
+    data, _ = build_iso_pool(dataclasses.replace(spec, verify_ground_truth=False), seed=0)
     assert data.num_nodes == 80
+
+
+def test_iso_pairs_above_the_brute_force_cap_are_certified(monkeypatch):
+    spec = IsoPoolSpec(num_pairs=4, split_a=6, split_b=6, feature_dim=4)
+    _with_wrong_permutation(monkeypatch)
+    with pytest.raises(InfeasibleSpecError, match=r"pair 0 \(iso\)"):
+        build_iso_pool(spec, seed=0)
+    data, _ = build_iso_pool(dataclasses.replace(spec, verify_ground_truth=False), seed=0)
+    assert data.num_nodes == 96
 
 
 def test_iso_pool_checks_the_non_iso_pair_once_per_call(monkeypatch):
@@ -147,10 +171,49 @@ def test_iso_pool_checks_the_non_iso_pair_once_per_call(monkeypatch):
     spec = IsoPoolSpec(num_pairs=8, feature_dim=4)
     for _ in range(2):
         _, pairs = build_iso_pool(spec, seed=0)
-        # 4 iso pairs, each on its own, plus the non-iso pair once
-        assert calls == {"brute_force_isomorphic": 5, "gwl_test": 5}
+        # iso pairs are certified by their permutations and refined once per
+        # base family; the non-iso pair is searched and refined once
+        assert calls == {"brute_force_isomorphic": 1, "gwl_test": 3}
         assert all(p.verdict is Verdict.POSSIBLY_ISOMORPHIC for p in pairs)
         calls.update(brute_force_isomorphic=0, gwl_test=0)
+
+
+# sha256 of each array's bytes for build_iso_pool(IsoPoolSpec(num_pairs=200), seed),
+# the pool the benchmark trains on.
+ISO_POOL_DIGESTS = {
+    0: {
+        "members": "a395c311f98b4dc22c7dac0dde2bde0476dff57ad864ac4f438b557d6f3fab63",
+        "features": "3787af02494a0c4f2adf0c354f5ca852e44672384a8ffb44ee5a9691f1b96bc2",
+        "labels": "5248a3c45060b228e1ef3d82ad163211ad9f113d269d9993f7174cd1c6cd83e5",
+        "train_mask": "f87a01d0e62f4b9092f67585f497ffd3d119389f2c446e078493a1b8182fd58f",
+        "val_mask": "1d2120fc8c03ccd2df798a28e62b25d113b76f8b2611c374cd0b898fe333f083",
+        "test_mask": "c187e1dd696b7b01954825a15bb4a4bfd557bdc32bdd3c924974e69bfdbe1b4e",
+    },
+    1: {
+        "members": "e19b3186d4a3f9b1dc1e3cced4ec83b2f72f1bc3451d85d5e49e118cfaca246e",
+        "features": "a4f9d8b3cec8a4b036a141fd7fde23aa06f81c008d8cb756c8dbb27365f39cf7",
+        "labels": "5248a3c45060b228e1ef3d82ad163211ad9f113d269d9993f7174cd1c6cd83e5",
+        "train_mask": "864b3e5c92dded86b0167d15efe1b6213ea8758a8412beaa11af1573ec598b8c",
+        "val_mask": "e99a74c1c3e6657b3b8ec6334dc66262e26473731474100ba59f1aed09923003",
+        "test_mask": "2b7f1ed964ffcd860c4807b64ea9f95b0c2fcc3813ee36ef4cef65b9ed90719d",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ISO_POOL_DIGESTS))
+def test_benchmark_iso_pool_matches_its_frozen_digests(seed):
+    data, pairs = build_iso_pool(IsoPoolSpec(num_pairs=200), seed)
+    arrays = {
+        "members": data.hypergraph.members,
+        "features": data.features,
+        "labels": data.labels,
+        "train_mask": data.train_mask,
+        "val_mask": data.val_mask,
+        "test_mask": data.test_mask,
+    }
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    assert got == ISO_POOL_DIGESTS[seed]
+    assert all(p.verdict is Verdict.POSSIBLY_ISOMORPHIC for p in pairs)
 
 
 def test_iso_experiment_summary_keys():

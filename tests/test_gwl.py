@@ -152,6 +152,23 @@ def test_permuted_copy_possibly_isomorphic():
         assert verdict.verdict is Verdict.POSSIBLY_ISOMORPHIC
 
 
+@pytest.mark.parametrize(
+    "hg",
+    [
+        cycle_union([10]),
+        cycle_union([5, 5]),
+        build_hypergraph(7, [(0, 1, 2), (2, 3), (3, 4), (4, 5, 6), (0, 6), (1, 5)]),
+    ],
+    ids=["C10", "C5+C5", "mixed_sizes"],
+)
+def test_joint_refinement_is_invariant_under_relabelling_one_side(hg):
+    # The iso pool refines one copy per class on this invariance.
+    want = gwl_test(hg, hg)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        assert gwl_test(hg, relabel_nodes(hg, rng.permutation(hg.num_nodes))) == want
+
+
 def test_size_histogram_distinguished_first_round():
     a = build_hypergraph(3, [(0, 1, 2)])
     b = build_hypergraph(3, [(0, 1), (1, 2)])

@@ -306,6 +306,32 @@ def test_matmul_dense_allocates_only_its_output_and_its_row_runs_beyond_the_scra
         assert_same_bits(got, add_at_product(m, other))
 
 
+def test_rows_finished_alone_hold_one_run_at_a_time():
+    import tracemalloc
+
+    from dphgnn import sparse
+
+    rng = np.random.default_rng(85)
+    # Two long rows among 40 short ones: each is finished alone in a run
+    # of its own, 1.5 MB and 2.0 MB at width 32.
+    m = with_row_lengths(rng, rng.permutation([6000, 8000, *rng.integers(3, 11, 40)]), 10_000)
+    other = wide_range(rng, 10_000, 32)
+    longest = (8000 - 10 + 1) * 32 * 8
+    for _ in range(2):
+        before = sparse._SCRATCH.buffer
+        tracemalloc.start()
+        try:
+            got = m @ other
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown = 0 if sparse._SCRATCH.buffer is before else sparse._SCRATCH.buffer.nbytes
+        # Index temporaries of the long row are 64 KB; a second live run
+        # would add 1.5 MB.
+        assert peak - grown <= got.nbytes + longest + 8000 * 8 + 32 * 1024
+        assert_same_bits(got, add_at_product(m, other))
+
+
 def test_a_row_finished_alone_leaves_the_scratch_buffer_at_two_outputs(monkeypatch):
     from dphgnn import sparse
 
