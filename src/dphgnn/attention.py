@@ -191,13 +191,14 @@ def cross_attention(
     if neighborhoods.shape != (n, n):
         raise ShapeMismatchError("neighborhoods must be square")
     # Scores exist only for admissible (i, j) pairs, laid out row-major so
-    # each node's candidates form one contiguous segment.
+    # each node's candidates form one contiguous segment. The pattern keeps
+    # its pair rows and its diagonal count from the first call on.
     indptr = neighborhoods.indptr
     pair_cols = neighborhoods.indices
-    pair_rows = np.repeat(np.arange(n), np.diff(indptr))
+    pair_rows, diagonal = neighborhoods._pattern_index()
     # Columns increase strictly within a row, so a row holds at most one
     # diagonal entry and n of them means every node attends to itself.
-    if np.count_nonzero(pair_rows == pair_cols) != n:
+    if diagonal != n:
         raise ShapeMismatchError("every row of neighborhoods must hold its own diagonal entry")
 
     width = params.weight.value.shape[1]

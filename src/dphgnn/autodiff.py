@@ -458,7 +458,7 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
         # g[row] . v[col] per pair and head, _WEIGHT_GRAD_PAIRS pairs at a
         # time. Summed over the head's width by a product with ones, so the
         # result matches the broadcast-and-multiply formulation bit for bit.
-        row_of = pattern._row_of()
+        row_of, _ = pattern._pattern_index()
         ones = np.ones((1, step)).T
         grads = [None if wn is None else np.empty((pattern.nnz, 1)) for wn in wns]
         for lo in range(0, pattern.nnz, _WEIGHT_GRAD_PAIRS):

@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import no_grad
 from .errors import InfeasibleSpecError
 from .gwl import BRUTE_FORCE_MAX_NODES, Verdict, brute_force_isomorphic, gwl_test
-from .hypergraph import Hypergraph, LabeledHypergraph, build_hypergraph
+from .hypergraph import Hypergraph, LabeledHypergraph, _from_arrays, build_hypergraph
 from .model import AblationFlags, Mode, dphgnn_forward, init_dphgnn
 from .precompute import build_structure
 from .synthetic import cycle_hypergraph, permuted_copy
@@ -115,23 +115,42 @@ def _pooled_hypergraph(sides: list[Hypergraph]) -> Hypergraph:
     the sides before it: what ``build_hypergraph`` makes of the shifted
     edges, built from the sides' validated arrays without checking them again."""
     counts = np.array([side.num_nodes for side in sides], dtype=np.int64)
-    offsets = (np.cumsum(counts) - counts).tolist()
-    members = np.concatenate([side.members + off for side, off in zip(sides, offsets)])
+    offsets = np.cumsum(counts) - counts
+    members = np.concatenate([side.members for side in sides])
+    members += np.repeat(offsets, [side.members.size for side in sides])
     sizes = np.concatenate([side.edge_degrees for side in sides])
-    flat, bounds = members.tolist(), np.concatenate(([0], np.cumsum(sizes))).tolist()
-    edges = tuple(map(tuple, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
-    degrees = np.concatenate([side.node_degrees for side in sides])
-    return Hypergraph(int(counts.sum()), edges, degrees, sizes, members)
+    return _from_arrays(int(counts.sum()), sizes, members)
 
 
-def _certifies(base: Hypergraph, copy: Hypergraph, perm: np.ndarray) -> bool:
-    """Whether ``perm`` is a permutation of the base's nodes that maps its
-    edge multiset onto the copy's, node v to perm[v]."""
-    image = np.asarray(perm).tolist()
-    if copy.num_nodes != base.num_nodes or sorted(image) != list(range(base.num_nodes)):
-        return False
-    mapped = sorted(tuple(sorted(image[v] for v in e)) for e in base.edges)
-    return mapped == sorted(copy.edges)
+def _uncertified(bases: list[Hypergraph], copies: list[Hypergraph], perms: list) -> np.ndarray:
+    """Per (base, copy, perm), whether ``perm`` fails to be a permutation of
+    the base's nodes that maps its edge multiset onto the copy's, node v to
+    perm[v].
+
+    The bases are the pool's two cycle families: uniform edges, one node
+    count, one edge count. So the pairs stack into arrays, and all are
+    compared at once: each side's edges become rows of sorted members, in
+    lexicographic order within each pair.
+    """
+    n, m = bases[0].num_nodes, bases[0].num_edges
+    perm = np.stack(perms)
+    mapped = np.take_along_axis(perm, np.stack([base.members for base in bases]), axis=1)
+    got = np.stack([copy.members for copy in copies])
+    ok = (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
+    ok &= np.array([copy.num_nodes == n for copy in copies])
+    ok &= (np.stack([copy.edge_degrees for copy in copies])
+           == np.stack([base.edge_degrees for base in bases])).all(axis=1)
+    ok &= (_edge_rows(mapped, m) == _edge_rows(got, m)).all(axis=(1, 2))
+    return ~ok
+
+
+def _edge_rows(members: np.ndarray, num_edges: int) -> np.ndarray:
+    # (pairs, edges, width) rows of each pair's uniform edges: members sorted
+    # within each edge, edges in lexicographic order within each pair.
+    rows = np.sort(members.reshape(len(members), num_edges, -1), axis=2)
+    flat = rows.reshape(-1, rows.shape[2])
+    pair = np.repeat(np.arange(len(members)), num_edges)
+    return flat[np.lexsort((*flat.T[::-1], pair))].reshape(rows.shape)
 
 
 def build_iso_pool(
@@ -144,26 +163,29 @@ def build_iso_pool(
     cycle: same node count, same degree sequence, not isomorphic).
     Features are seeded unit normals acting as near-unique node ids.
     Splits are per pair: ``train_per_pair`` random nodes train, the
-    rest alternate val/test.
+    rest alternate val/test. Every pair has 2 (split_a + split_b) nodes,
+    so one ``rng.permuted`` call shuffles every pair's node ids, row by
+    row, as one ``rng.shuffle`` per pair would.
 
     With ``verify_ground_truth`` each iso pair is checked, at any node
     count, by its certificate: the permutation that made the copy must
-    map the base's edge multiset onto the copy's. The non-iso pair, the
+    map the base's edge multiset onto the copy's. All certificates are
+    checked at once after the pairs are made. The non-iso pair, the
     same two objects at every odd index, is searched by brute force once
-    when its sides have at most ``BRUTE_FORCE_MAX_NODES`` nodes. Without
-    it nothing is checked. Refinement is invariant under relabelling one
-    side, so ``gwl_test`` runs once per base family for the iso pairs and
-    once for the non-iso pair.
+    when its sides have at most ``BRUTE_FORCE_MAX_NODES`` nodes. The first
+    failing pair raises. Without it nothing is checked. Refinement is
+    invariant under relabelling one side, so ``gwl_test`` runs once per
+    base family for the iso pairs and once for the non-iso pair.
     """
     if spec.num_pairs < 2:
         raise InfeasibleSpecError("iso pool needs at least 2 pairs")
     split = cycle_hypergraph(spec.split_a, spec.split_b)
     joined = cycle_hypergraph(spec.split_a + spec.split_b)
+    width = split.num_nodes + joined.num_nodes
     rng = np.random.default_rng(seed)
     pairs: list[IsoPair] = []
     sides: list[Hypergraph] = []
-    labels = []
-    offset = 0
+    iso: list[tuple[Hypergraph, Hypergraph, np.ndarray]] = []   # (base, copy, perm)
     # one refinement verdict per class, keyed by kind and base object
     verdicts: dict[tuple[str, int], Verdict] = {}
     for i in range(spec.num_pairs):
@@ -172,59 +194,41 @@ def build_iso_pool(
             # small-cycle components occur under both labels
             base = joined if i % 4 == 0 else split
             other, perm = permuted_copy(base, rng)
-            label = 1
-            kind = "iso"
-            if spec.verify_ground_truth and not _certifies(base, other, perm):
-                raise InfeasibleSpecError(
-                    f"pair {i} (iso) failed its permutation certificate"
-                )
+            iso.append((base, other, perm))
+            label, kind = 1, "iso"
         else:
             base, other = split, joined
-            label = 0
-            kind = "non_iso"
-            # the same pair at every odd index: search it once, at pair 1
-            if (spec.verify_ground_truth and i == 1
-                    and base.num_nodes <= BRUTE_FORCE_MAX_NODES
-                    and brute_force_isomorphic(base, other)):
-                raise InfeasibleSpecError(
-                    f"pair {i} (non_iso) failed its brute-force isomorphism check"
-                )
+            label, kind = 0, "non_iso"
         key = (kind, id(base))
         if key not in verdicts:
             verdicts[key] = gwl_test(base, other).verdict
-        verdict = verdicts[key]
-        pair_nodes = base.num_nodes + other.num_nodes
-        pairs.append(
-            IsoPair(
-                index=i,
-                kind=kind,
-                label=label,
-                left=base,
-                right=other,
-                node_offset=offset,
-                num_nodes=pair_nodes,
-                verdict=verdict,
-            )
-        )
+        pairs.append(IsoPair(i, kind, label, base, other, i * width, width, verdicts[key]))
         sides += [base, other]
-        labels.extend([label] * pair_nodes)
-        offset += pair_nodes
+
+    if spec.verify_ground_truth:
+        bad = np.flatnonzero(_uncertified(*zip(*iso)))
+        # iso pairs sit at the even indices
+        failures = [(2 * int(j), "iso", "failed its permutation certificate") for j in bad[:1]]
+        if split.num_nodes <= BRUTE_FORCE_MAX_NODES and brute_force_isomorphic(split, joined):
+            failures.append((1, "non_iso", "failed its brute-force isomorphism check"))
+        if failures:
+            i, kind, what = min(failures)
+            raise InfeasibleSpecError(f"pair {i} ({kind}) {what}")
 
     hg = _pooled_hypergraph(sides)
-    labels = np.asarray(labels, dtype=np.int64)
-    features = rng.standard_normal((offset, spec.feature_dim))
+    num_nodes = spec.num_pairs * width
+    labels = np.repeat(np.array([pair.label for pair in pairs], dtype=np.int64), width)
+    features = rng.standard_normal((num_nodes, spec.feature_dim))
 
-    train_mask = np.zeros(offset, dtype=bool)
-    val_mask = np.zeros(offset, dtype=bool)
-    test_mask = np.zeros(offset, dtype=bool)
-    for pair in pairs:
-        ids = np.arange(pair.node_offset, pair.node_offset + pair.num_nodes)
-        rng.shuffle(ids)
-        k = min(spec.train_per_pair, pair.num_nodes - 2)
-        train_mask[ids[:k]] = True
-        rest = ids[k:]
-        val_mask[rest[::2]] = True
-        test_mask[rest[1::2]] = True
+    ids = rng.permuted(np.arange(num_nodes).reshape(spec.num_pairs, width), axis=1)
+    k = min(spec.train_per_pair, width - 2)
+    rest = ids[:, k:]
+    train_mask = np.zeros(num_nodes, dtype=bool)
+    val_mask = np.zeros(num_nodes, dtype=bool)
+    test_mask = np.zeros(num_nodes, dtype=bool)
+    train_mask[ids[:, :k]] = True
+    val_mask[rest[:, ::2]] = True
+    test_mask[rest[:, 1::2]] = True
 
     data = LabeledHypergraph(
         hypergraph=hg,

@@ -1,7 +1,11 @@
 """Hypergraph data model, incidence structure, and dataset I/O.
 
 A hypergraph is a node count plus a list of hyperedges, each a set of node
-ids. Edges keep their input order; members are stored sorted. A labeled
+ids, stored as flat arrays: the edge sizes in input order and every edge's
+members, sorted inside the edge, edge after edge. Every constructor here
+makes those arrays with numpy and sorts members inside each edge with one
+sort; the per-edge member tuples (``Hypergraph.edges``) are formed from
+them on first read only. A labeled
 hypergraph adds per-node float64 features (a dense array or a CSR
 matrix), integer class labels, and disjoint train/val/test masks, and
 round-trips through a JSON format.
@@ -47,26 +51,34 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Immutable hypergraph structure.
+    """Immutable hypergraph structure, stored as flat arrays.
 
     Attributes:
         num_nodes: node count n; ids are 0..n-1.
-        edges: per-edge sorted member tuples, in input order.
         node_degrees: number of incident edges per node.
-        edge_degrees: cardinality of each edge.
+        edge_degrees: cardinality of each edge, in input order.
         members: every edge's sorted members, edge after edge, as one int64
             array.
+
+    ``edges``, the per-edge sorted member tuples in input order, is derived
+    from ``members`` on first read and kept.
     """
 
     num_nodes: int
-    edges: tuple[tuple[int, ...], ...]
     node_degrees: np.ndarray = field(repr=False)
     edge_degrees: np.ndarray = field(repr=False)
     members: np.ndarray = field(repr=False)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_degrees)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Per-edge sorted member tuples of Python ints, in input order."""
+        flat = self.members.tolist()
+        bounds = np.concatenate(([0], np.cumsum(self.edge_degrees))).tolist()
+        return tuple(map(tuple, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
 
     def edge_multiset(self) -> tuple[tuple[int, ...], ...]:
         """Canonical edge multiset: sorted tuple of member tuples."""
@@ -88,6 +100,17 @@ class Hypergraph:
         return h @ h.transpose()
 
 
+def _from_arrays(num_nodes: int, sizes: np.ndarray, members: np.ndarray) -> Hypergraph:
+    """The hypergraph whose edges have ``sizes`` and hold ``members``, edge
+    after edge, each edge's members sorted here. Nothing is checked: every
+    member must lie in [0, num_nodes) and no edge may repeat one."""
+    offset = np.repeat(np.arange(len(sizes), dtype=np.int64) * num_nodes, sizes)
+    # One sort of the keys edge * n + member orders each edge's members and
+    # keeps the edges in place.
+    members = np.sort(members + offset) - offset
+    return Hypergraph(num_nodes, np.bincount(members, minlength=num_nodes), sizes, members)
+
+
 def _flat(edges: list[tuple[int, ...]]) -> np.ndarray:
     # A member beyond int64 is out of range for any node count; an object
     # array keeps it exact, so the checks below still find and name it.
@@ -102,10 +125,11 @@ def build_hypergraph(num_nodes: int, edges: Iterable[Iterable[int]]) -> Hypergra
 
     Every member goes through ``int`` first, so a member that ``int``
     rejects raises its TypeError or ValueError before any check below. The
-    checks then run on the flat member array. The error names the first
-    bad edge in input order. Inside that edge the checks run empty, then
-    duplicate, then range, and a range error names the edge's first bad
-    member in input order.
+    checks then run on the flat member array; only when one fails are the
+    edges scanned to name it. The error names the first bad edge in input
+    order. Inside that edge the checks run empty, then duplicate, then
+    range, and a range error names the edge's first bad member in input
+    order.
 
     Raises:
         EmptyEdgeError: an edge has no members.
@@ -116,27 +140,29 @@ def build_hypergraph(num_nodes: int, edges: Iterable[Iterable[int]]) -> Hypergra
     if num_nodes < 0:
         raise NodeIdOutOfRangeError("num_nodes must be non-negative")
     given = [tuple(map(int, e)) for e in edges]
-    clean = [tuple(sorted(e)) for e in given]
-    sizes = np.fromiter(map(len, clean), dtype=np.int64, count=len(clean))
-    members = _flat(clean)
-    # A sorted edge repeats a member iff two neighbours inside it are equal.
-    edge_of = np.arange(len(clean)).repeat(sizes)
-    twins = members[1:] == members[:-1]
-    twins &= edge_of[1:] == edge_of[:-1]
+    sizes = np.fromiter(map(len, given), dtype=np.int64, count=len(given))
+    members = _flat(given)
     outside = (members < 0) | (members >= num_nodes)
     # count_nonzero is the cheapest reduction on the many tiny hypergraphs callers build.
-    if np.count_nonzero(twins) or np.count_nonzero(outside) or np.count_nonzero(sizes) < len(sizes):
-        empty, repeats, strays = np.flatnonzero(sizes == 0), edge_of[1:][twins], edge_of[outside]
-        pos = int(min(found[0] for found in (empty, repeats, strays) if found.size))
-        if sizes[pos] == 0:
+    if not (np.count_nonzero(outside) or np.count_nonzero(sizes) < len(sizes)):
+        hg = _from_arrays(num_nodes, sizes, members)
+        # A sorted edge repeats a member iff two neighbours inside it are equal.
+        edge_of = np.repeat(np.arange(len(sizes)), sizes)
+        twins = hg.members[1:] == hg.members[:-1]
+        twins &= edge_of[1:] == edge_of[:-1]
+        if not np.count_nonzero(twins):
+            return hg
+    # Some edge fails a check: name the first, by the first check it fails.
+    for pos, edge in enumerate(given):
+        if not edge:
             raise EmptyEdgeError(f"edge {pos} is empty")
-        if repeats.size and repeats[0] == pos:
+        if len(set(edge)) < len(edge):
             raise DuplicateMemberError(f"edge {pos} repeats a member")
-        bad = next(v for v in given[pos] if not 0 <= v < num_nodes)
-        raise NodeIdOutOfRangeError(f"edge {pos} refers to node {bad}, but num_nodes={num_nodes}")
-    return Hypergraph(
-        num_nodes, tuple(clean), np.bincount(members, minlength=num_nodes), sizes, members
-    )
+        bad = [v for v in edge if not 0 <= v < num_nodes]
+        if bad:
+            raise NodeIdOutOfRangeError(
+                f"edge {pos} refers to node {bad[0]}, but num_nodes={num_nodes}"
+            )
 
 
 def incidence(hg: Hypergraph) -> SparseMatrix:
@@ -178,11 +204,9 @@ def density_stats(hg: Hypergraph) -> tuple[float, float]:
 def relabel_nodes(hg: Hypergraph, perm: Sequence[int]) -> Hypergraph:
     """Apply a node permutation: node v becomes perm[v]."""
     perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (hg.num_nodes,) or sorted(perm.tolist()) != list(range(hg.num_nodes)):
+    if perm.shape != (hg.num_nodes,) or not np.array_equal(np.sort(perm), np.arange(hg.num_nodes)):
         raise ShapeMismatchError("perm must be a permutation of 0..n-1")
-    return build_hypergraph(
-        hg.num_nodes, [tuple(int(perm[v]) for v in e) for e in hg.edges]
-    )
+    return _from_arrays(hg.num_nodes, hg.edge_degrees, perm[hg.members])
 
 
 def ensure_min_degree(hg: Hypergraph) -> Hypergraph:
@@ -194,8 +218,10 @@ def ensure_min_degree(hg: Hypergraph) -> Hypergraph:
     isolated = np.flatnonzero(hg.node_degrees == 0)
     if isolated.size == 0:
         return hg
-    return build_hypergraph(
-        hg.num_nodes, list(hg.edges) + [(int(v),) for v in isolated]
+    return _from_arrays(
+        hg.num_nodes,
+        np.concatenate((hg.edge_degrees, np.ones(isolated.size, dtype=np.int64))),
+        np.concatenate((hg.members, isolated)),
     )
 
 

@@ -21,9 +21,16 @@ products through H (see :func:`_factored_operators`), whose factors store
 O(nnz(H)) terms. The build picks the factored form for an operator when
 its stored terms are at most ``FACTORED_SHARE`` of nnz(H H^T), a property
 of the input alone; a factored operator's CSR is never built. Wide edges
-factor; size-2 edges store more terms factored and stay CSR. Only the star
-Laplacian's n node rows are kept, the rows the spectral attention path
-reads. The star view needs no propagation operator: its node rows are
+factor; size-2 edges store more terms factored and stay CSR. Every node
+lies in an edge, so H H^T's pattern is the clique adjacency's plus I: the
+attention pattern and the CSR forms of the clique Laplacian and
+``prop_clique`` are values on that pattern, sharing its index arrays,
+where :func:`~dphgnn.spectral.build_laplacians` and
+:func:`~dphgnn.attention.propagation_matrix` would merge patterns to the
+same bits. Only the star Laplacian's n node rows are kept, the rows the
+spectral attention path reads; they are formed from the star adjacency's
+node rows, never as the n + m rows of D - A. The star view needs no
+propagation operator: its node rows are
 ReLU(x theta), and its supernode rows and the identifier block read the
 hyperedge mean D_e^{-1} H^T x through ``node_from_edge``, not the
 random-walk and symmetric Laplacians.
@@ -50,13 +57,13 @@ as a miss, like one that cannot be read: it is rebuilt and overwritten.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from zipfile import BadZipFile
 
 import numpy as np
 
-from .attention import UpdateVariant, attention_pattern, propagation_matrix
+from .attention import UpdateVariant, propagation_matrix
 from .errors import DphgnnError, ParseError
 from .expand import Graph, clique_expand, hypergcn_expand, star_expand
 from .fileio import atomic_write
@@ -128,29 +135,63 @@ def _build(hg: Hypergraph, features: np.ndarray | SparseMatrix) -> StructureBund
     n = hg.num_nodes
     node_from_edge = h.scale_cols(inv_edge)
     edge_from_node = h.transpose().scale_cols(inv_sqrt_node)
-    factored = _factored_operators(hg, clique, node_from_edge, edge_from_node)
+    inv_clique = np.zeros(n)
+    joined = clique.degrees > 0
+    inv_clique[joined] = 1.0 / clique.degrees[joined]
+    factored = _factored_operators(hg, clique, inv_clique, node_from_edge, edge_from_node)
     # Every candidate's CSR form has about the nnz of H H^T, whose pattern it shares.
-    budget = FACTORED_SHARE * cooccurrence(hg).nnz
+    co = cooccurrence(hg)
+    budget = FACTORED_SHARE * co.nnz
     chosen = {name: op for name, op in factored.items() if op.stored_terms <= budget}
 
-    laps = build_laplacians(hg, clique, star, hyper, chosen)
-    # Only the star Laplacian's node rows are read, by the spectral attention path.
-    laps = replace(laps, star=laps.star.take_row_range(0, n))
+    # Every node lies in an edge, so H H^T stores its whole diagonal and its
+    # pattern is the clique adjacency's plus I. _rescaled drops a zero
+    # diagonal value, as D - A drops a clique-isolated node's zero degree.
+    rows = co._row_of()
+    diag = np.flatnonzero(rows == co.indices)
 
+    def on_pattern(values: np.ndarray, diagonal) -> SparseMatrix:
+        values[diag] = diagonal
+        return co._rescaled(values)
+
+    given = {"star": _star_node_rows(star, n), **chosen}
+    if "clique" not in chosen:
+        given["clique"] = on_pattern(np.full(co.nnz, -1.0), clique.degrees)
     return StructureBundle(
         hypergraph=hg,
-        laplacians=laps,
-        prop_clique=(chosen.get("prop_clique")
-                     or propagation_matrix(clique, UpdateVariant.RESIDUAL_RW)),
+        laplacians=build_laplacians(hg, clique, star, hyper, given),
+        prop_clique=chosen.get("prop_clique") or on_pattern(inv_clique[rows], 1.0),
         prop_hypergcn=propagation_matrix(hyper, UpdateVariant.SYM_NORM),
-        attention_pattern=attention_pattern(clique.adjacency),
+        attention_pattern=co._rescaled(np.ones(co.nnz)),
         edge_from_node=edge_from_node,
         node_from_edge=node_from_edge,
     )
 
 
+def _star_node_rows(star: Graph, n: int) -> SparseMatrix:
+    """Rows 0..n-1 of the star Laplacian D - A, formed from the star
+    adjacency's node rows: row v holds d_v at column v, then -1 at the
+    supernode n + e of each edge e of v, in edge order. Every d_v is at
+    least 1, so no value is zero."""
+    adj = star.adjacency
+    ptr = adj.indptr[: n + 1]
+    nnz = ptr[-1]
+    return SparseMatrix(
+        n,
+        adj.cols,
+        ptr + np.arange(n + 1),
+        np.insert(adj.indices[:nnz], ptr[:-1], np.arange(n)),
+        np.insert(-adj.data[:nnz], ptr[:-1], star.degrees[:n]),
+        validate=False,
+    )
+
+
 def _factored_operators(
-    hg: Hypergraph, clique: Graph, node_from_edge: SparseMatrix, edge_from_node: SparseMatrix
+    hg: Hypergraph,
+    clique: Graph,
+    inv_clique: np.ndarray,
+    node_from_edge: SparseMatrix,
+    edge_from_node: SparseMatrix,
 ) -> dict[str, FactoredOperator]:
     """The three clique-pattern operators as products through H.
 
@@ -161,8 +202,8 @@ def _factored_operators(
         clique      = diag(D_c + d_v) - H H^T + C
         prop_clique = diag(1 - D_c^{-1} d_v) + D_c^{-1} H H^T - D_c^{-1} C
 
-    with D_c the clique degrees and D_c^{-1} taken as 0 on isolated rows,
-    as :func:`~dphgnn.attention.propagation_matrix` does.
+    with D_c the clique degrees and ``inv_clique`` = D_c^{-1} taken as 0 on
+    isolated rows, as :func:`~dphgnn.attention.propagation_matrix` does.
     """
     n = hg.num_nodes
     h = incidence(hg)
@@ -172,9 +213,6 @@ def _factored_operators(
     rows, cols, counts = cooccurrence(hg).to_coo()
     shared = (rows != cols) & (counts > 1)
     multi = SparseMatrix.from_coo(n, n, rows[shared], cols[shared], counts[shared] - 1.0)
-    inv_clique = np.zeros(n)
-    joined = clique.degrees > 0
-    inv_clique[joined] = 1.0 / clique.degrees[joined]
 
     return {
         "smoothing": FactoredOperator((n, n), [(inv_sqrt, (node_from_edge, edge_from_node))]),

@@ -34,8 +34,10 @@ transpose with the values reordered by the transpose's column sort, so
 output row c adds column c's entries in stored order.
 
 A matrix is immutable once built: its transpose and the plan of its
-products are cached on the instance, each built on first use. The column
-sort that maps its entries onto the transpose's is kept only once a
+products are cached on the instance, each built on first use. So are the
+row of each stored entry and the count of diagonal entries, once a caller
+that reads them on every use (attention) asks for them. The column sort
+that maps its entries onto the transpose's is kept only once a
 transposed product asks for it, and a transpose with the same pattern as
 its matrix (a symmetric pattern) shares its ``indptr`` and ``indices``.
 
@@ -91,7 +93,8 @@ class SparseMatrix:
     value is exactly zero.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_transpose", "_order", "_plan")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data",
+                 "_transpose", "_order", "_plan", "_index")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -102,6 +105,7 @@ class SparseMatrix:
         self._transpose: SparseMatrix | None = None
         self._order: np.ndarray | None = None
         self._plan: tuple[np.ndarray, ...] | None = None
+        self._index: tuple[np.ndarray, int] | None = None
         if validate:
             self._check()
 
@@ -201,6 +205,16 @@ class SparseMatrix:
     def _row_of(self) -> np.ndarray:
         # Row index of every stored entry.
         return np.repeat(np.arange(self.rows, dtype=np.int64), self.indptr[1:] - self.indptr[:-1])
+
+    def _pattern_index(self) -> tuple[np.ndarray, int]:
+        # For a pattern read again and again: the row of every stored entry,
+        # read-only, and the number of stored diagonal entries. Kept after
+        # the first call.
+        if self._index is None:
+            rows = self._row_of()
+            rows.flags.writeable = False
+            self._index = (rows, int(np.count_nonzero(rows == self.indices)))
+        return self._index
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))

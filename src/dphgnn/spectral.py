@@ -107,20 +107,22 @@ def build_laplacians(
     clique: Graph,
     star_graph: Graph,
     hyper: Graph,
-    factored: Mapping[str, FactoredOperator] | None = None,
+    given: Mapping[str, SparseMatrix | FactoredOperator] | None = None,
 ) -> LaplacianSet:
-    """Every operator as one CSR matrix, except those given in ``factored``.
+    """Every operator as one CSR matrix, except those given in ``given``.
 
-    ``factored`` may map ``smoothing`` and ``clique`` to a factored form of
-    that operator, which is used as given and whose CSR is never built;
-    other keys are ignored. Without it, this is the CSR reference for every
-    operator. The star Laplacian has all n + m rows.
+    ``given`` may map ``smoothing``, ``clique`` and ``star`` to another form
+    of that operator, which is used as given and whose CSR reference is
+    never built; other keys are ignored. The structure bundle gives the
+    factored forms it chose, the clique Laplacian valued on H H^T's pattern
+    and the star Laplacian's n node rows. Without it, this is the CSR
+    reference for every operator, and the star Laplacian has all n + m rows.
     """
-    factored = factored or {}
+    given = given or {}
     return LaplacianSet(
-        smoothing=factored.get("smoothing") or laplacian_hgnn(hg),
-        clique=factored.get("clique") or graph_laplacian(clique),
-        star=graph_laplacian(star_graph),
+        smoothing=given.get("smoothing") or laplacian_hgnn(hg),
+        clique=given.get("clique") or graph_laplacian(clique),
+        star=given.get("star") or graph_laplacian(star_graph),
         hypergcn=graph_laplacian(hyper),
     )
 

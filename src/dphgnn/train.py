@@ -138,6 +138,8 @@ class RunConfig:
         for name in ("gnn", "taa", "sib", "dff"):
             if name in known:
                 block = known.pop(name)
+                if not isinstance(block, dict):
+                    raise ParseError(f"{name} block must be an object")
                 base = asdict(getattr(cls(), name))
                 unknown = set(block) - set(base)
                 if unknown:

@@ -370,6 +370,21 @@ def test_pattern_missing_diagonal_rejected():
         cross_attention(x, x, x, partial, params)
 
 
+def test_pattern_keeps_its_pair_rows_and_diagonal_count_across_calls():
+    rng = np.random.default_rng(14)
+    params = make_params(rng, 2)
+    x = Tensor(rng.standard_normal((3, 2)))
+    path = SparseMatrix.from_dense(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    pattern = attention_pattern(path)
+    first = cross_attention(x, x, x, pattern, params).value
+    index = pattern._pattern_index()
+    rows, diagonal = index
+    np.testing.assert_array_equal(rows, [0, 0, 1, 1, 1, 2, 2])
+    assert diagonal == 3 and not rows.flags.writeable
+    np.testing.assert_array_equal(cross_attention(x, x, x, pattern, params).value, first)
+    assert pattern._pattern_index() is index
+
+
 def test_pattern_must_be_square():
     rng = np.random.default_rng(13)
     params = make_params(rng, 2)

@@ -365,6 +365,19 @@ def test_train_with_a_non_finite_sib_lambda_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("name, block", [("gnn", 1), ("sib", [[1]]), ("taa", "x")],
+                         ids=["gnn_int", "sib_nested_list", "taa_string"])
+def test_train_with_a_module_block_that_is_not_an_object_exits_two(tmp_path, capsys, name, block):
+    config = write_config(tmp_path)
+    payload = json.loads(config.read_text())
+    config.write_text(json.dumps({**payload, name: block}))
+    code, stdout, err = run_cli(capsys, "train", "--config", str(config),
+                                "--out", str(tmp_path / "run"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and f"{name} block" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("seed", ["a", -1, 2.7, None, [3]], ids=["text", "negative", "fraction", "null", "list"])
 def test_train_with_a_bad_dataset_seed_exits_two(tmp_path, capsys, seed):
     config = write_config(tmp_path, dataset={**SMALL, "seed": seed})

@@ -216,6 +216,48 @@ def test_benchmark_iso_pool_matches_its_frozen_digests(seed):
     assert all(p.verdict is Verdict.POSSIBLY_ISOMORPHIC for p in pairs)
 
 
+# The same digests for a pool whose cycle families have 7 nodes (3 + 4), at
+# an odd pair count, as the pair-by-pair shuffles of earlier code gave them.
+ODD_POOL_DIGESTS = {
+    0: {
+        "members": "a0222862117da9acc9eeaab21e8ed25b74c9966d20590af8f51543224e3f1289",
+        "features": "5aae30e1518f4244976066613d56904f95757a02e3990f73bd8d5f72843c0e1d",
+        "labels": "1977430289de9ec36bf9c838bd3e0e17d769dbbb4db4b42b33f20d811853d65d",
+        "train_mask": "fd2059b972281b6250fcedee0bf2d16c03bb85cd51dac3b8b4c7d9b37303d500",
+        "val_mask": "a6a5ebbc768516ad7ab2fe16e8d48b3d4609c574630d2b9d937cc5db83d9b9e8",
+        "test_mask": "78efb2c4049a235a01719d443f3346eb58b412959dcce18f9a714786639b30bb",
+    },
+    1: {
+        "members": "34bcad7901a37d60db1fec4f942f588aa10c89027cdcbcc900a9a34725bf9b21",
+        "features": "bfd7b258ccca8a93482b648b4cd5f72ada5aa9124329e31ffe42fcf296654c43",
+        "labels": "1977430289de9ec36bf9c838bd3e0e17d769dbbb4db4b42b33f20d811853d65d",
+        "train_mask": "62e5e5529afcd6dbbce0519ed459433ae4ff984abd88391d11166b8765bdf578",
+        "val_mask": "75458002b981aade5613a38bb325a587f063e8c90a982e562e3d24d3e1b4c73d",
+        "test_mask": "082d4a216fa4e0ef41961a0d2ee63b94f5a532a70fa510d04447bc61d95a46a0",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ODD_POOL_DIGESTS))
+def test_odd_sized_iso_pool_matches_its_frozen_digests(seed):
+    data, _ = build_iso_pool(IsoPoolSpec(num_pairs=7, split_a=3, split_b=4), seed)
+    arrays = {
+        "members": data.hypergraph.members,
+        "features": data.features,
+        "labels": data.labels,
+        "train_mask": data.train_mask,
+        "val_mask": data.val_mask,
+        "test_mask": data.test_mask,
+    }
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    assert got == ODD_POOL_DIGESTS[seed]
+
+
+def test_iso_pool_forms_no_edge_tuples():
+    data, _ = build_iso_pool(IsoPoolSpec(num_pairs=6, feature_dim=4), 0)
+    assert "edges" not in data.hypergraph.__dict__
+
+
 def test_iso_experiment_summary_keys():
     spec = IsoPoolSpec(num_pairs=4, feature_dim=4)
     result = iso_experiment(spec, seed=1, base_config=tiny_config(dataset=None))

@@ -194,6 +194,52 @@ def test_ensure_min_degree():
     assert ensure_min_degree(patched) is patched
 
 
+def _edge_lists(rng, num_nodes: int) -> list[tuple[int, ...]]:
+    """Random edges in random member order over all but the last two nodes,
+    singletons included, with one edge repeated (members reordered) later on."""
+    core = num_nodes - 2
+    edges = [tuple(rng.choice(core, size=int(rng.integers(1, 6)), replace=False).tolist())
+             for _ in range(int(rng.integers(5, 30)))]
+    edges.insert(int(rng.integers(1, len(edges) + 1)), edges[0][::-1])
+    return edges
+
+
+def assert_same_hypergraph(got, want):
+    assert got.num_nodes == want.num_nodes and got.edges == want.edges
+    for name in ("node_degrees", "edge_degrees", "members"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        assert a.dtype == b.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edges_are_the_sorted_member_tuples_formed_on_first_read(seed):
+    rng = np.random.default_rng(seed)
+    edges = _edge_lists(rng, 25)
+    hg = build_hypergraph(25, edges)
+    assert hg.num_edges == len(edges)
+    assert "edges" not in hg.__dict__  # the counts read the arrays alone
+    assert hg.edges == tuple(tuple(sorted(e)) for e in edges)
+    assert all(type(v) is int for e in hg.edges for v in e)
+    assert hg.edges is hg.edges
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relabel_and_min_degree_equal_the_built_tuple_form(seed):
+    rng = np.random.default_rng(seed)
+    edges = _edge_lists(rng, 25)
+    hg = build_hypergraph(25, edges)
+    perm = rng.permutation(25)
+    assert_same_hypergraph(
+        relabel_nodes(hg, perm), build_hypergraph(25, [[perm[v] for v in e] for e in edges])
+    )
+    isolated = [v for v in range(25) if v not in set().union(*edges)]
+    assert isolated[-2:] == [23, 24]
+    assert_same_hypergraph(
+        ensure_min_degree(hg), build_hypergraph(25, edges + [(v,) for v in isolated])
+    )
+
+
 def _tiny_dataset() -> LabeledHypergraph:
     return LabeledHypergraph(
         hypergraph=build_hypergraph(2, [(0, 1)]),

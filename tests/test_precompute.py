@@ -15,7 +15,7 @@ from conftest import (
     dense_prop_clique,
     dense_smoothing,
 )
-from dphgnn.attention import UpdateVariant, propagation_matrix
+from dphgnn.attention import UpdateVariant, attention_pattern, propagation_matrix
 from dphgnn.errors import IsolatedNodeError, ParseError
 from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
 from dphgnn.experiments import IsoPoolSpec, build_iso_pool, time_forward
@@ -29,7 +29,13 @@ from dphgnn.precompute import (
     save_structure,
 )
 from dphgnn.sparse import FactoredOperator, SparseMatrix
-from dphgnn.spectral import LaplacianSet, build_laplacians, laplacian_rw, laplacian_sym
+from dphgnn.spectral import (
+    LaplacianSet,
+    build_laplacians,
+    graph_laplacian,
+    laplacian_rw,
+    laplacian_sym,
+)
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 # The operators a bundle may hold in factored form, by their attribute path.
@@ -281,6 +287,33 @@ def test_factored_operators_match_the_dense_oracles(seed, monkeypatch):
         assert isinstance(op, FactoredOperator), path
         assert_close_relative(op.matmul_dense(x), dense @ x)
         assert_close_relative(op.transpose().matmul_dense(x), dense.T @ x)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_csr_clique_pattern_operators_and_star_rows_equal_their_references(seed, monkeypatch):
+    monkeypatch.setattr(precompute, "FACTORED_SHARE", 0.0)  # keep all three as CSR
+    rng = np.random.default_rng(seed)
+    hg = hypergraph_with_shared_pairs(rng, 30)
+    features = rng.standard_normal((30, 3))
+    bundle = build_structure(hg, features)
+    clique, star, hyper = clique_expand(hg), star_expand(hg), hypergcn_expand(hg, features)
+    assert np.count_nonzero(clique.degrees == 0) >= 3  # nodes in singleton edges only
+    references = {
+        "laplacians.clique": graph_laplacian(clique),
+        "prop_clique": propagation_matrix(clique, UpdateVariant.RESIDUAL_RW),
+        "attention_pattern": attention_pattern(clique.adjacency),
+        "laplacians.star": build_laplacians(hg, clique, star, hyper).star.take_row_range(0, 30),
+    }
+    for path, want in references.items():
+        got = getattr_path(bundle, path)
+        assert isinstance(got, SparseMatrix), path
+        for a, b in zip(operator_arrays(got), operator_arrays(want), strict=True):
+            np.testing.assert_array_equal(a, b, err_msg=path)
+            assert a.dtype == b.dtype, path
+    # The attention pattern is H H^T's own pattern, index arrays and all.
+    co = cooccurrence(hg)
+    assert bundle.attention_pattern.indptr is co.indptr
+    assert bundle.attention_pattern.indices is co.indices
 
 
 def test_isolated_node_is_rejected_before_factoring():

@@ -66,6 +66,16 @@ def test_config_rejects_unknown_keys():
             RunConfig.from_dict({**small_config().to_dict(), "ablation": ablation})
 
 
+@pytest.mark.parametrize(
+    "name, block",
+    [("gnn", 1), ("sib", [[1]]), ("taa", "x")],
+    ids=["gnn_int", "sib_nested_list", "taa_string"],
+)
+def test_config_rejects_a_module_block_that_is_not_an_object(name, block):
+    with pytest.raises(ParseError, match=f"{name} block must be an object"):
+        RunConfig.from_dict({**small_config().to_dict(), name: block})
+
+
 def test_config_validation():
     with pytest.raises(ParseError):
         RunConfig(model="transformer")
