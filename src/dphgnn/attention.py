@@ -12,15 +12,21 @@ restricted to j in N(i) or j = i, normalized row-wise by softmax. Heads
 split the hidden width into equal slices that attend independently. The
 score is additive, so a head's query half is q_i . (W_h delta_q,h), where
 W_h holds the head's columns of W: each head folds W into one score
-vector per side, an (h x 1) product, and the projected queries and keys
-are never formed. The admissible pairs come from a CSR pattern of the
-clique adjacency plus the identity (see :func:`attention_pattern`), so
-scores and softmax cost O(nnz), never O(n^2). The weighted sums of all
-heads are one op (:func:`~dphgnn.autodiff.segment_sums`) with one
-weights tensor per head: the pattern carries a head's attention weights
-as its values and multiplies that head's columns of the projected
-values, written into the same columns of the output, so no
-(pairs x head width) array is formed.
+vector per side, and :func:`score_vectors` stacks them into an (h x heads)
+matrix per side, formed once per forward for both paths. A view X enters
+the scores only as X @ wq or X @ wk, an (n x heads) matrix of per-node
+terms (GAT, Velickovic et al., arXiv:1710.10903), and the values only as
+X @ W. Products associate, so the spectral path's (L X) @ wq equals
+L @ (X @ wq), and (L X) @ W equals L @ (X @ W): each Laplacian multiplies
+the view's score matrix, heads columns wide, or the projected values the
+spatial path already formed, never the h-wide view itself. The
+admissible pairs come from a CSR pattern of the clique adjacency plus the
+identity (see :func:`attention_pattern`), so scores and softmax cost
+O(nnz), never O(n^2). The weighted sums of all heads are one op
+(:func:`~dphgnn.autodiff.segment_sums`) with one weights tensor per head:
+the pattern carries a head's attention weights as its values and
+multiplies that head's columns of the projected values, written into the
+same columns of the output, so no (pairs x head width) array is formed.
 
 The star view's node rows, ReLU(x theta_star), are formed once by the
 model's forward pass (:func:`~dphgnn.model.dphgnn_forward`), which hands
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +51,7 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
+    concat_cols,
     concat_rows,
     dropout,
     leaky_relu,
@@ -68,6 +76,7 @@ __all__ = [
     "single_layer_update",
     "star_update",
     "attention_pattern",
+    "score_vectors",
     "cross_attention",
     "taa_forward",
 ]
@@ -141,7 +150,9 @@ def star_update(star_nodes: Tensor, edge_mean: Tensor, theta: Tensor) -> Tensor:
     Supernode rows of the star input start at zero, so the residual step
     leaves each node row as it is, giving ``star_nodes`` = ReLU(x theta),
     and gives a supernode the mean of its member features, ``edge_mean`` =
-    D_e^{-1} H^T x: the supernode rows are ReLU(edge_mean theta).
+    D_e^{-1} H^T x: the supernode rows are ReLU(edge_mean theta). The
+    spectral path reads these rows only through their query scores,
+    ``star_update(...) @ wq``, which the star Laplacian then multiplies.
     """
     return concat_rows(star_nodes, relu(matmul(edge_mean, theta)))
 
@@ -169,23 +180,49 @@ def attention_pattern(adjacency: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(n, n, merged.indptr, merged.indices, np.ones(merged.nnz), validate=False)
 
 
+def score_vectors(params: TaaParams) -> tuple[Tensor, Tensor]:
+    """The (h x heads) query and key score matrices ``(wq, wk)``.
+
+    Column k of ``wq`` is W[:, head k] @ delta_q[head k], and of ``wk``
+    W[:, head k] @ delta_k[head k], where delta_q and delta_k are the two
+    halves of ``delta``. So column k of X @ wq is head k's query score
+    (X W)[:, head k] @ delta_q[head k] of each row of the features X.
+
+    Raises:
+        ShapeMismatchError: ``num_heads`` does not divide the hidden width.
+    """
+    width = params.weight.value.shape[1]
+    query, key = [], []
+    for sl in _head_slices(width, params.num_heads):
+        head_cols = np.arange(sl.start, sl.stop)
+        head_weight = select_cols(params.weight, head_cols)
+        query.append(matmul(head_weight, select_rows(params.delta, head_cols)))
+        key.append(matmul(head_weight, select_rows(params.delta, width + head_cols)))
+    return reduce(concat_cols, query), reduce(concat_cols, key)
+
+
 def cross_attention(
-    query: Tensor,
-    key: Tensor,
-    value: Tensor,
+    q_scores: Tensor | np.ndarray,
+    k_scores: Tensor | np.ndarray,
+    v_proj: Tensor | np.ndarray,
     neighborhoods: SparseMatrix,
-    params: TaaParams,
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Neighborhood-restricted additive attention.
 
+    ``q_scores`` and ``k_scores`` are (n x heads): column k holds head k's
+    query and key score terms of each node, as X @ wq and X @ wk of
+    :func:`score_vectors` give them. ``v_proj`` is the (n x h) projected
+    values, whose columns split into one equal block per head. Pair (i, j)
+    of head k scores LeakyReLU(q_scores[i, k] + k_scores[j, k]).
+
     ``neighborhoods`` is an n x n CSR pattern, as built by
     :func:`attention_pattern`, whose row i lists node i's neighbors and i
-    itself; only its sparsity structure is read. With a zero score vector
-    the output row i is the plain mean of projected values over that set.
-    A non-zero ``attn_dropout`` drops attention weights at that rate, so
-    an EVAL caller passes 0.0.
+    itself; only its sparsity structure is read. With zero scores the
+    output row i is the plain mean of projected values over that set.
+    A non-zero ``attn_dropout`` drops attention weights at that rate, head
+    by head, so an EVAL caller passes 0.0.
     """
     n = neighborhoods.rows
     if neighborhoods.shape != (n, n):
@@ -200,19 +237,18 @@ def cross_attention(
     # diagonal entry and n of them means every node attends to itself.
     if diagonal != n:
         raise ShapeMismatchError("every row of neighborhoods must hold its own diagonal entry")
-
-    width = params.weight.value.shape[1]
-    v_proj = matmul(value, params.weight)
+    shape = q_scores.shape
+    if shape != k_scores.shape or len(shape) != 2 or shape[0] != n:
+        raise ShapeMismatchError(
+            f"cross_attention needs ({n}, heads) query and key scores, "
+            f"got {shape} and {k_scores.shape}"
+        )
 
     head_weights = []
-    for sl in _head_slices(width, params.num_heads):
-        head_cols = np.arange(sl.start, sl.stop)
-        # (W q_i)[head] . delta_q[head] = q_i . (W[:, head] delta_q[head]).
-        head_weight = select_cols(params.weight, head_cols)
-        q_score = matmul(query, matmul(head_weight, select_rows(params.delta, head_cols)))
-        k_score = matmul(key, matmul(head_weight, select_rows(params.delta, width + head_cols)))
+    for head in range(shape[1]):
         scores = leaky_relu(
-            add(select_rows(q_score, pair_rows), select_rows(k_score, pair_cols)),
+            add(select_rows(select_cols(q_scores, [head]), pair_rows),
+                select_rows(select_cols(k_scores, [head]), pair_cols)),
             LEAKY_SLOPE,
         )
         weights = segment_softmax(scores, indptr)
@@ -237,26 +273,34 @@ def taa_forward(
     ReLU(x theta_star) are the star view's n node rows, the spatial query.
     The spectral path reads all n + m star rows (:func:`star_update`), the
     supernode rows from ``edge_mean`` = D_e^{-1} H^T x.
+
+    The score matrices and the projected values V = hyper_feats @ W are
+    formed once. The spectral path applies each Laplacian after the
+    projection (see the module docstring): L_star @ (star_update @ wq),
+    L_clique @ (clique_feats @ wk) and L_hypergcn @ V, so the star and
+    clique Laplacians multiply heads columns, forward and backward.
     """
     clique_feats = single_layer_update(structure.prop_clique, x, params.theta_clique)
     hyper_feats = single_layer_update(structure.prop_hypergcn, x, params.theta_hypergcn)
+    wq, wk = score_vectors(params)
+    k_scores = matmul(clique_feats, wk)
+    v_proj = matmul(hyper_feats, params.weight)
+    laplacians = structure.laplacians
 
     spatial = cross_attention(
-        star_nodes,
-        clique_feats,
-        hyper_feats,
+        matmul(star_nodes, wq),
+        k_scores,
+        v_proj,
         structure.attention_pattern,
-        params,
         attn_dropout=attn_dropout,
         rng=rng,
     )
     # The bundle's star Laplacian holds only its n node rows.
     spectral = cross_attention(
-        matmul(structure.laplacians.star, star_update(star_nodes, edge_mean, params.theta_star)),
-        matmul(structure.laplacians.clique, clique_feats),
-        matmul(structure.laplacians.hypergcn, hyper_feats),
+        matmul(laplacians.star, matmul(star_update(star_nodes, edge_mean, params.theta_star), wq)),
+        matmul(laplacians.clique, k_scores),
+        matmul(laplacians.hypergcn, v_proj),
         structure.attention_pattern,
-        params,
         attn_dropout=attn_dropout,
         rng=rng,
     )

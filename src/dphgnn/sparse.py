@@ -433,19 +433,6 @@ class SparseMatrix:
             raise ShapeMismatchError("column scaling vector has wrong length")
         return self._rescaled(self.data * factors[self.indices])
 
-    def take_row_range(self, lo: int, hi: int) -> SparseMatrix:
-        """Contiguous row slice [lo, hi) as a new matrix."""
-        if not (0 <= lo <= hi <= self.rows):
-            raise ShapeMismatchError("row range out of bounds")
-        a, b = self.indptr[lo], self.indptr[hi]
-        return SparseMatrix(
-            hi - lo,
-            self.cols,
-            self.indptr[lo : hi + 1] - a,
-            self.indices[a:b],
-            self.data[a:b],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 

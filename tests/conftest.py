@@ -26,6 +26,12 @@ def spec_example() -> Hypergraph:
     return build_hypergraph(4, [(0, 1, 2), (2, 3)])
 
 
+def row_slice(m: SparseMatrix, lo: int, hi: int) -> SparseMatrix:
+    """Rows [lo, hi) of ``m`` as a new CSR matrix, each entry as stored."""
+    a, b = m.indptr[lo], m.indptr[hi]
+    return SparseMatrix(hi - lo, m.cols, m.indptr[lo : hi + 1] - a, m.indices[a:b], m.data[a:b])
+
+
 def dense_incidence(hg: Hypergraph) -> np.ndarray:
     H = np.zeros((hg.num_nodes, hg.num_edges))
     for j, edge in enumerate(hg.edges):

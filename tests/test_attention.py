@@ -12,17 +12,20 @@ from dphgnn.attention import (
     attention_pattern,
     cross_attention,
     propagation_matrix,
+    score_vectors,
     single_layer_update,
     star_update,
     taa_forward,
 )
 from dphgnn import autodiff
-from dphgnn.autodiff import Tensor, backward, grad_check, mul, sum_all
+from dphgnn import precompute
+from dphgnn.autodiff import Tensor, add, backward, cross_entropy, grad_check, mul, sum_all
 from dphgnn.errors import ShapeMismatchError
-from dphgnn.expand import clique_expand, star_expand
-from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
+from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
+from dphgnn.hypergraph import LabeledHypergraph, build_hypergraph, ensure_min_degree
+from dphgnn.model import DropoutRates, Mode, dphgnn_forward, init_dphgnn
 from dphgnn.precompute import build_structure
-from dphgnn.sparse import SparseMatrix
+from dphgnn.sparse import FactoredOperator, SparseMatrix
 from dphgnn.spectral import graph_laplacian
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
@@ -60,6 +63,14 @@ def make_params(rng, width, heads=1):
 def pattern_of(mask):
     """CSR attention pattern (neighbors plus self) of a dense boolean mask."""
     return attention_pattern(SparseMatrix.from_dense(mask))
+
+
+def attend(q, k, v, pattern, params, **kwargs):
+    """cross_attention on query, key and value features: their score
+    matrices and projected values, formed from ``score_vectors(params)``."""
+    wq, wk = score_vectors(params)
+    return cross_attention(autodiff.matmul(q, wq), autodiff.matmul(k, wk),
+                           autodiff.matmul(v, params.weight), pattern, **kwargs)
 
 
 def leaky(x):
@@ -149,7 +160,7 @@ def test_zero_delta_gives_neighborhood_mean():
     mask = mask | mask.T
     params = make_params(rng, width)
     params.delta.value[:] = 0.0
-    got = cross_attention(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params)
+    got = attend(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params)
     vp = v @ params.weight.value
     full = mask | np.eye(n, dtype=bool)
     expected = np.vstack([vp[np.flatnonzero(full[i])].mean(axis=0) for i in range(n)])
@@ -162,7 +173,7 @@ def test_isolated_node_attends_to_itself():
     v = rng.standard_normal((n, width))
     mask = np.zeros((n, n), dtype=bool)  # no neighbors anywhere
     params = make_params(rng, width)
-    got = cross_attention(Tensor(v), Tensor(v), Tensor(v), pattern_of(mask), params)
+    got = attend(Tensor(v), Tensor(v), Tensor(v), pattern_of(mask), params)
     np.testing.assert_allclose(got.value, v @ params.weight.value, atol=1e-10)
 
 
@@ -171,7 +182,7 @@ def test_heads_must_divide_width():
     params = make_params(rng, 4, heads=3)
     x = Tensor(rng.standard_normal((3, 4)))
     with pytest.raises(ShapeMismatchError):
-        cross_attention(x, x, x, pattern_of(np.zeros((3, 3), dtype=bool)), params)
+        attend(x, x, x, pattern_of(np.zeros((3, 3), dtype=bool)), params)
 
 
 def test_taa_forward_shapes_and_star_content(spec_example):
@@ -299,12 +310,12 @@ def test_cross_attention_permutation_equivariance():
     mask = rng.random((n, n)) < 0.5
     mask = mask | mask.T
     params = make_params(rng, width, heads=2)
-    base = cross_attention(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params).value
+    base = attend(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params).value
 
     perm = rng.permutation(n)
     inv = np.empty(n, dtype=int)
     inv[perm] = np.arange(n)
-    permuted = cross_attention(
+    permuted = attend(
         Tensor(q[inv]), Tensor(k[inv]), Tensor(v[inv]), pattern_of(mask[np.ix_(inv, inv)]),
         params,
     ).value
@@ -349,7 +360,7 @@ def test_cross_attention_matches_oracle():
         width = 4
         q, k, v = (rng.standard_normal((n, width)) for _ in range(3))
         params = make_params(rng, width, heads)
-        got = cross_attention(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params)
+        got = attend(Tensor(q), Tensor(k), Tensor(v), pattern_of(mask), params)
         expected = attention_oracle(
             q, k, v, mask, params.delta.value, params.weight.value, heads
         )
@@ -363,11 +374,11 @@ def test_pattern_missing_diagonal_rejected():
     # a path 0-1-2 without self entries: every row lacks its diagonal
     path = SparseMatrix.from_dense(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     with pytest.raises(ShapeMismatchError):
-        cross_attention(x, x, x, path, params)
+        attend(x, x, x, path, params)
     # only row 2 lacks its diagonal
     partial = SparseMatrix.from_dense(np.array([[1, 1, 0], [1, 1, 1], [0, 1, 0]]))
     with pytest.raises(ShapeMismatchError):
-        cross_attention(x, x, x, partial, params)
+        attend(x, x, x, partial, params)
 
 
 def test_pattern_keeps_its_pair_rows_and_diagonal_count_across_calls():
@@ -376,12 +387,12 @@ def test_pattern_keeps_its_pair_rows_and_diagonal_count_across_calls():
     x = Tensor(rng.standard_normal((3, 2)))
     path = SparseMatrix.from_dense(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     pattern = attention_pattern(path)
-    first = cross_attention(x, x, x, pattern, params).value
+    first = attend(x, x, x, pattern, params).value
     index = pattern._pattern_index()
     rows, diagonal = index
     np.testing.assert_array_equal(rows, [0, 0, 1, 1, 1, 2, 2])
     assert diagonal == 3 and not rows.flags.writeable
-    np.testing.assert_array_equal(cross_attention(x, x, x, pattern, params).value, first)
+    np.testing.assert_array_equal(attend(x, x, x, pattern, params).value, first)
     assert pattern._pattern_index() is index
 
 
@@ -391,7 +402,16 @@ def test_pattern_must_be_square():
     x = Tensor(rng.standard_normal((3, 2)))
     wide = SparseMatrix.from_dense(np.eye(3, 4))
     with pytest.raises(ShapeMismatchError):
-        cross_attention(x, x, x, wide, params)
+        attend(x, x, x, wide, params)
+
+
+def test_scores_of_another_shape_are_rejected():
+    rng = np.random.default_rng(16)
+    pattern = pattern_of(np.zeros((3, 3), dtype=bool))
+    v = rng.standard_normal((3, 4))
+    for q, k in [((3, 2), (3, 1)), ((2, 1), (2, 1)), ((3,), (3,))]:
+        with pytest.raises(ShapeMismatchError):
+            cross_attention(rng.standard_normal(q), rng.standard_normal(k), v, pattern)
 
 
 def test_cross_attention_gradients_with_attention_dropout():
@@ -404,7 +424,7 @@ def test_cross_attention_gradients_with_attention_dropout():
 
     def loss():
         # A fresh generator per call keeps the dropout mask fixed.
-        out = cross_attention(q, k, v, pattern, params, attn_dropout=0.4,
+        out = attend(q, k, v, pattern, params, attn_dropout=0.4,
                               rng=np.random.default_rng(3))
         return sum_all(mul(out, upstream))
 
@@ -417,7 +437,7 @@ def test_forward_only_cross_attention_builds_no_backward_plan():
     pattern = pattern_of(random_mask(rng, 9, 0.4))
     q, k, v = (Tensor(rng.standard_normal((9, 4)), requires_grad=True) for _ in range(3))
     params = make_params(rng, 4, heads=2)
-    out = cross_attention(q, k, v, pattern, params)
+    out = attend(q, k, v, pattern, params)
     assert out.requires_grad and pattern._transpose is None
     backward(sum_all(out))
     assert pattern._transpose is not None and pattern.T._plan is not None and v.grad is not None
@@ -454,7 +474,7 @@ def test_cross_attention_ops_are_o_nnz_and_scale_linearly_in_nodes(monkeypatch):
         sizes = []
         with monkeypatch.context() as patched:
             record_op_sizes(patched, sizes)
-            out = cross_attention(q, k, v, pattern, params, attn_dropout=0.2,
+            out = attend(q, k, v, pattern, params, attn_dropout=0.2,
                                   rng=np.random.default_rng(0))
             backward(sum_all(out))
         assert v.grad is not None and params.delta.grad is not None
@@ -483,3 +503,97 @@ def test_star_laplacian_node_rows_give_the_masked_product_bit_for_bit():
     backward(sum_all(mul(sliced, weights)))
     assert a.grad.tobytes() == b.grad.tobytes()
 
+
+
+def labeled(hg, x, num_classes=2):
+    """``hg`` and ``x`` with seeded labels and half the nodes for training."""
+    n = hg.num_nodes
+    train = np.arange(n) < n // 2
+    return LabeledHypergraph(
+        hypergraph=hg, features=x, labels=np.arange(n) % num_classes, train_mask=train,
+        val_mask=np.zeros(n, dtype=bool), test_mask=~train, num_classes=num_classes,
+    )
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("share, form", [(0.0, SparseMatrix), (np.inf, FactoredOperator)])
+def test_star_and_clique_laplacians_multiply_only_score_columns(monkeypatch, heads, share, form):
+    monkeypatch.setattr(precompute, "FACTORED_SHARE", share)
+    rng = np.random.default_rng(40)
+    hg, x, _ = star_step_inputs(rng, 8, width=6)
+    data = labeled(hg, x)
+    structure = build_structure(hg, x)
+    laplacians = structure.laplacians
+    assert isinstance(laplacians.clique, form)
+    watched = {
+        id(laplacians.star): "star", id(laplacians.star.transpose()): "star.T",
+        id(laplacians.clique): "clique", id(laplacians.clique.transpose()): "clique.T",
+    }
+    widths = {}
+
+    def recording(product):
+        def record(self, other, *args, **kwargs):
+            if id(self) in watched:
+                widths.setdefault(watched[id(self)], []).append(np.shape(other)[1])
+            return product(self, other, *args, **kwargs)
+        return record
+
+    for cls in (SparseMatrix, FactoredOperator):
+        monkeypatch.setattr(cls, "matmul_dense", recording(cls.matmul_dense))
+    params = init_dphgnn(np.random.default_rng(41), 6, 8, 2, num_heads=heads)
+    trace = dphgnn_forward(data, params, Mode.TRAIN, rates=DropoutRates(0.1, 0.1, 0.1, 0.1),
+                           rng=np.random.default_rng(42), structure=structure)
+    backward(cross_entropy(trace.logits, data.labels, data.train_mask))
+    # One forward product each, and one transposed product in backward.
+    assert widths == {"star": [heads], "star.T": [heads],
+                      "clique": [heads], "clique.T": [heads]}
+
+
+@pytest.mark.parametrize("share", [0.0, np.inf])
+def test_spectral_attention_matches_the_dense_premultiplied_views(monkeypatch, share):
+    # Attention on L_star star_update, L_clique clique_feats and
+    # L_hypergcn hyper_feats, each formed densely, with dropout off.
+    monkeypatch.setattr(precompute, "FACTORED_SHARE", share)
+    rng = np.random.default_rng(43)
+    hg, x, _ = star_step_inputs(rng, 8, width=6)
+    n, width, heads = hg.num_nodes, 6, 2
+    structure = build_structure(hg, x)
+    params = make_params(rng, width, heads)
+    _, spectral, _ = taa(x, params, structure)
+
+    clique, star, hyper = clique_expand(hg), star_expand(hg), hypergcn_expand(hg, x)
+    clique_prop = propagation_matrix(clique, UpdateVariant.RESIDUAL_RW).to_dense()
+    hyper_prop = propagation_matrix(hyper, UpdateVariant.SYM_NORM).to_dense()
+    clique_feats = np.maximum(clique_prop @ x @ params.theta_clique.value, 0.0)
+    hyper_feats = np.maximum(hyper_prop @ x @ params.theta_hypergcn.value, 0.0)
+    H = np.zeros((n, hg.num_edges))
+    for j, e in enumerate(hg.edges):
+        H[list(e), j] = 1.0
+    star_feats = np.maximum(np.vstack([x, (H / H.sum(axis=0)).T @ x]) @ params.theta_star.value,
+                            0.0)
+    expected = attention_oracle(
+        graph_laplacian(star).to_dense()[:n] @ star_feats,
+        graph_laplacian(clique).to_dense() @ clique_feats,
+        graph_laplacian(hyper).to_dense() @ hyper_feats,
+        clique.adjacency.to_dense() != 0, params.delta.value, params.weight.value, heads,
+    )
+    assert np.abs(spectral.value - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_taa_forward_gradients_at_two_heads():
+    rng = np.random.default_rng(44)
+    hg, x, _ = star_step_inputs(rng, 3, width=4)
+    structure = build_structure(hg, x)
+    params = make_params(rng, 4, heads=2)
+    xt = Tensor(x, requires_grad=True)
+    upstream = [Tensor(rng.standard_normal((hg.num_nodes, 4))) for _ in range(2)]
+
+    def loss():
+        mean = edge_mean(xt, structure)
+        nodes = star_nodes_of(xt, params.theta_star)
+        spatial, spectral = taa_forward(xt, mean, nodes, params, structure, attn_dropout=0.3,
+                                        rng=np.random.default_rng(5))
+        return add(sum_all(mul(spatial, upstream[0])), sum_all(mul(spectral, upstream[1])))
+
+    tensors = {"x": xt, **params.parameters()}
+    assert grad_check(loss, tensors) < 1e-6

@@ -147,30 +147,41 @@ def test_forward_forms_each_edge_mean_once(small_instance, monkeypatch, num_laye
     params = init_dphgnn(np.random.default_rng(6), 4, 8, 3, num_layers=num_layers)
     structure = build_structure(small_instance.hypergraph, small_instance.features)
     gather = structure.node_from_edge.T
-    operands, queries = [], []
+    operands, query_scores, score_products = [], [], []
     product = SparseMatrix.matmul_dense
-    attend = attention.cross_attention
+    scores = attention.score_vectors
+    dense_product = attention.matmul
 
     def recording_product(self, other, data=None, out=None):
         if self is gather:
             operands.append(other)
         return product(self, other, data, out)
 
-    def recording_attention(query, *args, **kwargs):
-        queries.append(query)
-        return attend(query, *args, **kwargs)
+    def recording_scores(taa):
+        wq, wk = scores(taa)
+        query_scores.append(wq)
+        return wq, wk
+
+    def recording_dense_product(a, b):
+        if query_scores and b is query_scores[0]:
+            score_products.append(a)
+        return dense_product(a, b)
 
     monkeypatch.setattr(SparseMatrix, "matmul_dense", recording_product)
-    monkeypatch.setattr(attention, "cross_attention", recording_attention)
+    monkeypatch.setattr(attention, "score_vectors", recording_scores)
+    monkeypatch.setattr(attention, "matmul", recording_dense_product)
     with autodiff.no_grad():
         trace = dphgnn_forward(small_instance, params, Mode.EVAL, structure=structure)
     monkeypatch.undo()
     assert len(operands) == 2
     assert operands[0] is trace.projected.value
-    # The star node rows are formed once: the spatial query is the operand
-    # of the fusion layers' edge mean.
-    assert len(queries) == 2
-    assert operands[1] is queries[0].value
+    # The star node rows are formed once: the operand of the spatial query's
+    # score product is the operand of the fusion layers' edge mean. The
+    # spectral query's is the star view's n + m rows.
+    assert len(query_scores) == 1 and len(score_products) == 2
+    assert operands[1] is score_products[0].value
+    assert score_products[1].value.shape[0] == small_instance.hypergraph.num_nodes + \
+        small_instance.hypergraph.num_edges
     np.testing.assert_array_equal(
         operands[1], np.maximum(trace.projected.value @ params.taa.theta_star.value, 0.0)
     )
@@ -526,23 +537,23 @@ def _train_step(data, seed):
 # from _train_step(<two_community n=60, m=40, size 4, seed 2>, 3). Any change
 # to an op's arithmetic, its summation order or the sweep order shows here.
 TRAIN_STEP_DIGESTS = {
-    "logits": "73af7f65298a91d9",
-    "proj.weight": "eb0216b7d59948ce",
-    "proj.bias": "4e0993d9431fdd46",
-    "taa.delta": "1dcee2e28336e7bf",
-    "taa.weight": "c67dac2ec298d06f",
-    "taa.theta_clique": "2b873ca54599d83a",
-    "taa.theta_star": "dddb097d776991ad",
-    "taa.theta_hypergcn": "300b025d7add496f",
-    "sib.theta": "6e28151b7ffbe866",
-    "mix.attended.weight": "33097e8109d8c1ab",
+    "logits": "58ef75eb1c302479",
+    "proj.weight": "1c8ecdb610b9cb05",
+    "proj.bias": "094fd6e442afd67b",
+    "taa.delta": "c52380cfd2eb98c8",
+    "taa.weight": "e0bf44e38d78fb0c",
+    "taa.theta_clique": "b01480fe18c23a5a",
+    "taa.theta_star": "b2958998804f84b3",
+    "taa.theta_hypergcn": "32e16432898e2f15",
+    "sib.theta": "8bef73c0cf4975c4",
+    "mix.attended.weight": "779c4560d4bf00a7",
     "mix.attended.bias": "28d4f0ef43daa2a2",
-    "mix.gate.weight": "4782c41f05b8791a",
-    "mix.gate.bias": "1d0f52b1f143d656",
+    "mix.gate.weight": "5ea5ac2cc44f46ed",
+    "mix.gate.bias": "0f1238c4837ca9eb",
     "mix.skip.weight": "1c5fb0486e968b3f",
     "mix.skip.bias": "a525a848fc0d2067",
-    "fusion.0.theta": "d4c6d4fb1aa55f6e",
-    "head.theta": "9407cbc18ab8296d",
+    "fusion.0.theta": "a5de5ed892fc0031",
+    "head.theta": "03e0ded0eb58c560",
 }
 
 

@@ -14,6 +14,7 @@ from conftest import (
     dense_incidence,
     dense_prop_clique,
     dense_smoothing,
+    row_slice,
 )
 from dphgnn.attention import UpdateVariant, attention_pattern, propagation_matrix
 from dphgnn.errors import IsolatedNodeError, ParseError
@@ -141,7 +142,7 @@ def reference_operators(bundle: StructureBundle, features) -> dict[str, SparseMa
     hg = bundle.hypergraph
     clique, star, hyper = expansions(bundle, features)
     laps = build_laplacians(hg, clique, star, hyper)
-    super_rows = star.adjacency.take_row_range(hg.num_nodes, hg.num_nodes + hg.num_edges)
+    super_rows = row_slice(star.adjacency, hg.num_nodes, hg.num_nodes + hg.num_edges)
     return {
         "laplacians.smoothing": laps.smoothing,
         "laplacians.rw_plus_sym": laplacian_rw(hg).add(laplacian_sym(hg)),
@@ -243,7 +244,7 @@ def test_bundle_operators_match_their_csr_reference(make_data):
         else:
             assert_close_relative(op.matmul_dense(x), csr.matmul_dense(x))
             assert_close_relative(op.transpose().matmul_dense(x), csr.transpose().matmul_dense(x))
-    node_rows = reference["laplacians.star"].take_row_range(0, data.num_nodes)
+    node_rows = row_slice(reference["laplacians.star"], 0, data.num_nodes)
     for got, want in zip(
         operator_arrays(bundle.laplacians.star), operator_arrays(node_rows), strict=True
     ):
@@ -302,7 +303,7 @@ def test_csr_clique_pattern_operators_and_star_rows_equal_their_references(seed,
         "laplacians.clique": graph_laplacian(clique),
         "prop_clique": propagation_matrix(clique, UpdateVariant.RESIDUAL_RW),
         "attention_pattern": attention_pattern(clique.adjacency),
-        "laplacians.star": build_laplacians(hg, clique, star, hyper).star.take_row_range(0, 30),
+        "laplacians.star": row_slice(build_laplacians(hg, clique, star, hyper).star, 0, 30),
     }
     for path, want in references.items():
         got = getattr_path(bundle, path)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import dense_sym
+from conftest import dense_sym, row_slice
 
 from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
 from dphgnn.errors import ShapeMismatchError
@@ -403,12 +403,12 @@ def test_row_sums_and_diagonal():
     np.testing.assert_allclose(m.diagonal(), np.diag(dense), atol=1e-12)
 
 
-def test_take_row_range():
+def test_row_slice():
     rng = np.random.default_rng(7)
     dense = random_dense(rng, 8, 3)
     m = SparseMatrix.from_dense(dense)
-    np.testing.assert_array_equal(m.take_row_range(2, 6).to_dense(), dense[2:6])
-    assert m.take_row_range(3, 3).shape == (0, 3)
+    np.testing.assert_array_equal(row_slice(m, 2, 6).to_dense(), dense[2:6])
+    assert row_slice(m, 3, 3).shape == (0, 3)
 
 
 def test_invalid_structure_rejected():
