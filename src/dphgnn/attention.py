@@ -28,6 +28,16 @@ the pattern carries a head's attention weights as its values and
 multiplies that head's columns of the projected values, written into the
 same columns of the output, so no (pairs x head width) array is formed.
 
+That pattern is exactly the union of the hyperedges' cliques. Where edges
+are wide, the bundle also holds it as edge blocks
+(:class:`~dphgnn.sparse.EdgeBlocks`, ``attention_blocks``), and the sums
+and both their gradients run on those: one batched (|e| x |e|) @ (|e| x
+step) product per edge, which gathers a node's value row once per
+incidence instead of once per pair, the dense-tile idea of FlashAttention
+(Dao et al., arXiv:2205.14135) on the hypergraph's own blocks. The scores,
+the softmax and the dropout stream stay on the CSR pattern either way, and
+the block sums agree with the CSR ones up to rounding.
+
 The star view's node rows, ReLU(x theta_star), are formed once by the
 model's forward pass (:func:`~dphgnn.model.dphgnn_forward`), which hands
 the same tensor to the spatial query here and to the fusion layers. Only
@@ -64,7 +74,7 @@ from .autodiff import (
 )
 from .errors import ShapeMismatchError
 from .expand import Graph
-from .sparse import SparseMatrix
+from .sparse import EdgeBlocks, SparseMatrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .precompute import StructureBundle
@@ -208,6 +218,7 @@ def cross_attention(
     neighborhoods: SparseMatrix,
     attn_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    blocks: EdgeBlocks | None = None,
 ) -> Tensor:
     """Neighborhood-restricted additive attention.
 
@@ -222,7 +233,9 @@ def cross_attention(
     itself; only its sparsity structure is read. With zero scores the
     output row i is the plain mean of projected values over that set.
     A non-zero ``attn_dropout`` drops attention weights at that rate, head
-    by head, so an EVAL caller passes 0.0.
+    by head, so an EVAL caller passes 0.0. ``blocks``, the layout of
+    ``neighborhoods`` as edge blocks, runs the weighted sums on it instead
+    of on the CSR pattern; the scores are formed on the pattern either way.
     """
     n = neighborhoods.rows
     if neighborhoods.shape != (n, n):
@@ -237,6 +250,8 @@ def cross_attention(
     # diagonal entry and n of them means every node attends to itself.
     if diagonal != n:
         raise ShapeMismatchError("every row of neighborhoods must hold its own diagonal entry")
+    if blocks is not None and blocks.pattern is not neighborhoods:
+        raise ShapeMismatchError("blocks must be the edge-block layout of neighborhoods")
     shape = q_scores.shape
     if shape != k_scores.shape or len(shape) != 2 or shape[0] != n:
         raise ShapeMismatchError(
@@ -255,7 +270,7 @@ def cross_attention(
         if attn_dropout:
             weights = dropout(weights, attn_dropout, rng=rng)
         head_weights.append(weights)
-    return segment_sums(head_weights, v_proj, neighborhoods)
+    return segment_sums(head_weights, v_proj, neighborhoods if blocks is None else blocks)
 
 
 def taa_forward(
@@ -294,6 +309,7 @@ def taa_forward(
         structure.attention_pattern,
         attn_dropout=attn_dropout,
         rng=rng,
+        blocks=structure.attention_blocks,
     )
     # The bundle's star Laplacian holds only its n node rows.
     spectral = cross_attention(
@@ -303,5 +319,6 @@ def taa_forward(
         structure.attention_pattern,
         attn_dropout=attn_dropout,
         rng=rng,
+        blocks=structure.attention_blocks,
     )
     return spatial, spectral

@@ -8,7 +8,9 @@ a tensor, so the tape pins only what the closures save:
 - ``mul``, dense ``matmul`` and ``segment_sums``: the operands their
   gradients read (the other operand of each operand that requires grad);
   ``segment_sums`` takes one weights tensor per attention head, each a
-  parent of its one node, and reads the values' column blocks in place;
+  parent of its one node, and reads the values' column blocks in place,
+  over a CSR pattern or over that pattern's edge-block layout
+  (:class:`~dphgnn.sparse.EdgeBlocks`);
 - ``sigmoid`` and ``segment_softmax``: their output;
   ``cross_entropy``: the masked logits, their row maxima, labels and rows;
 - ``relu``, ``leaky_relu`` and ``dropout``: a bool mask; dropout rebuilds
@@ -39,11 +41,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import EmptyMaskError, GraphConsumedError, NonScalarLossError, ShapeMismatchError
-from .sparse import FactoredOperator, SparseMatrix
-
-# Pairs per slice of the segment_sums weights gradient, which holds two
-# (slice x values width) arrays at a time instead of two (pairs x width) ones.
-_WEIGHT_GRAD_PAIRS = 4096
+from .sparse import EdgeBlocks, FactoredOperator, SparseMatrix
 
 __all__ = [
     "Tensor",
@@ -407,20 +405,33 @@ def segment_softmax(a, indptr: np.ndarray) -> Tensor:
     return _make(val, (a,), bwd)
 
 
-def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
+def segment_sums(weights, values, pattern: SparseMatrix | EdgeBlocks) -> Tensor:
     """Weighted neighbor sums over the stored entries of a CSR pattern.
 
     ``weights`` is a list of (nnz, 1) tensors, one per head; the values'
     columns split into that many equal blocks, and block h is summed
     with head h's weights: output row i, block h, is the sum over the
     entries p of row i of ``pattern`` of ``weights[h][p] * values[pattern.indices[p], block h]``.
-    Each block is one sparse @ dense product with the weights as the
-    pattern's values, written into its columns of the one output. Only the
-    pattern's structure is read; an empty row sums to zero. The values
-    gradient is the transposed product with the same weights
-    (:meth:`SparseMatrix.transpose_matmul_dense`): the product of
-    ``pattern``'s transpose, which the first backward builds and caches;
-    a forward alone builds none.
+    Each block is one product of the pattern, with the weights as its
+    values, by that block of the values, written into its columns of the
+    one output. Only the pattern's structure is read; an empty row sums to
+    zero. The values gradient is the transposed product with the same
+    weights, and a head's weights gradient at stored entry (i, j) is the
+    dot product of output gradient row i and values row j, in that head's
+    columns (``pattern.pair_dots``).
+
+    ``pattern`` is either kind of operand, as ``matmul`` takes a
+    :class:`~dphgnn.sparse.FactoredOperator` beside a CSR matrix:
+
+    - a :class:`~dphgnn.sparse.SparseMatrix` runs the level-loop products
+      (:meth:`~dphgnn.sparse.SparseMatrix.transpose_matmul_dense` reads the
+      transpose, which the first backward builds and caches; a forward
+      alone builds none);
+    - an :class:`~dphgnn.sparse.EdgeBlocks` layout of H H^T's pattern runs
+      batched dense products over each hyperedge's block, one gathered row
+      per incidence instead of one per pair. Where pairs are many per
+      incidence (wide edges) this is faster; its sums agree with the CSR
+      ones up to rounding, not bit for bit.
     """
     heads = [as_tensor(w) for w in weights]
     values = as_tensor(values)
@@ -448,29 +459,15 @@ def segment_sums(weights, values, pattern: SparseMatrix) -> Tensor:
 
     def bwd(g):
         if vn is not None:
-            # Column sums in stored-entry order from 0.0, as np.add.at adds.
             gv = np.empty((pattern.cols, g.shape[1]))
             for w, cols in zip(ws, blocks):
                 pattern.transpose_matmul_dense(w, g[:, cols], out=gv[:, cols])
             _accum(vn, gv)
         if v is None:
             return
-        # g[row] . v[col] per pair and head, _WEIGHT_GRAD_PAIRS pairs at a
-        # time. Summed over the head's width by a product with ones, so the
-        # result matches the broadcast-and-multiply formulation bit for bit.
-        row_of, _ = pattern._pattern_index()
-        ones = np.ones((1, step)).T
-        grads = [None if wn is None else np.empty((pattern.nnz, 1)) for wn in wns]
-        for lo in range(0, pattern.nnz, _WEIGHT_GRAD_PAIRS):
-            at = slice(lo, lo + _WEIGHT_GRAD_PAIRS)
-            cols_at, rows_at = pattern.indices[at], row_of[at]
-            for grad, cols in zip(grads, blocks):
-                if grad is not None:
-                    terms = v[cols_at, cols]
-                    terms *= g[rows_at, cols]
-                    grad[at] = terms @ ones
-        for wn, grad in zip(wns, grads):
-            _accum(wn, grad)
+        for wn, cols in zip(wns, blocks):
+            if wn is not None:
+                _accum(wn, pattern.pair_dots(g[:, cols], v[:, cols])[:, None])
 
     return _make(val, (*heads, values), bwd)
 

@@ -15,7 +15,7 @@ from .errors import DphgnnError, ParseError
 from .experiments import IsoPoolSpec, iso_experiment, run_ablation
 from .fileio import atomic_write
 from .gwl import brute_force_isomorphic, gwl_test
-from .hypergraph import Hypergraph, LabeledHypergraph, build_hypergraph, load_dataset, save_dataset
+from .hypergraph import Hypergraph, LabeledHypergraph, hypergraph_from_json, load_dataset, save_dataset
 from .synthetic import generate_synthetic, parse_generator_spec
 from .train import RunConfig, evaluate, train
 
@@ -41,7 +41,7 @@ def _load_json(path: str) -> dict:
 def _hypergraph_from_payload(payload: dict, source: str) -> Hypergraph:
     if not isinstance(payload, dict) or "num_nodes" not in payload or "hyperedges" not in payload:
         raise ParseError(f"{source}: expected an object with num_nodes and hyperedges")
-    return build_hypergraph(payload["num_nodes"], payload["hyperedges"])
+    return hypergraph_from_json(payload["num_nodes"], payload["hyperedges"])
 
 
 def _load_hypergraph(path: str, member: str | None = None) -> Hypergraph:

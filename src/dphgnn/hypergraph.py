@@ -38,8 +38,10 @@ __all__ = [
     "Hypergraph",
     "LabeledHypergraph",
     "build_hypergraph",
+    "hypergraph_from_json",
     "incidence",
     "cooccurrence",
+    "clique_owners",
     "density_stats",
     "relabel_nodes",
     "ensure_min_degree",
@@ -92,12 +94,17 @@ class Hypergraph:
         by_edge = SparseMatrix(
             self.num_edges, self.num_nodes, indptr, self.members, np.ones(len(self.members))
         )
+        # Keep the member sort that orders H, which transpose() would drop:
+        # entry p of H is entry by_edge._to_transpose[p] of H^T, and the
+        # attention pattern's edge blocks (sparse.EdgeBlocks) read it.
+        by_edge._to_transpose
         return by_edge.transpose()
 
     @cached_property
-    def _cooccurrence(self) -> SparseMatrix:
+    def _clique_entries(self) -> tuple[SparseMatrix, np.ndarray]:
+        # H H^T and the product triplet summed first into each of its entries.
         h = self._incidence
-        return h @ h.transpose()
+        return h._matmul_sparse(h.transpose(), firsts=True)
 
 
 def _from_arrays(num_nodes: int, sizes: np.ndarray, members: np.ndarray) -> Hypergraph:
@@ -165,6 +172,26 @@ def build_hypergraph(num_nodes: int, edges: Iterable[Iterable[int]]) -> Hypergra
             )
 
 
+def hypergraph_from_json(num_nodes, hyperedges) -> Hypergraph:
+    """:func:`build_hypergraph` on a file's ``num_nodes`` and ``hyperedges``.
+
+    Only JSON integers pass: a bool, a fraction, a string or null, as the
+    node count or as a member, raises instead of being read through ``int``,
+    and so does ``hyperedges`` that is not a list of lists.
+
+    Raises:
+        ParseError: a value above is not a JSON integer or list.
+    """
+    if type(num_nodes) is not int:
+        raise ParseError(f"num_nodes must be an integer, got {num_nodes!r}")
+    if type(hyperedges) is not list or not all(type(e) is list for e in hyperedges):
+        raise ParseError("hyperedges must be a list of member lists")
+    others = set(map(type, chain.from_iterable(hyperedges))) - {int}
+    if others:
+        raise ParseError(f"hyperedge members must be integers, got {sorted(t.__name__ for t in others)}")
+    return build_hypergraph(num_nodes, hyperedges)
+
+
 def incidence(hg: Hypergraph) -> SparseMatrix:
     """n x m binary incidence matrix H with H[v, e] = 1 iff v in edge e.
 
@@ -181,7 +208,20 @@ def cooccurrence(hg: Hypergraph) -> SparseMatrix:
     hypergraph, like :func:`incidence`, so the clique expansion and the
     structure bundle share one product.
     """
-    return hg._cooccurrence
+    return hg._clique_entries[0]
+
+
+def clique_owners(hg: Hypergraph) -> np.ndarray:
+    """The term of H H^T that owns each of its stored entries, in stored order.
+
+    H H^T sums one unit term per entry (u, e) of H and member v of e: the
+    terms run over H's entries in stored order (node by node, each node's
+    edges in increasing order), and each entry's over the sorted members of
+    its edge. The owner of entry (u, v) is the first of its terms, the one
+    of the lowest-numbered edge that holds both u and v. Read off the sort
+    that builds H H^T (:func:`cooccurrence`), with no search of its own.
+    """
+    return hg._clique_entries[1]
 
 
 def density_stats(hg: Hypergraph) -> tuple[float, float]:
@@ -355,7 +395,8 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
     (``shape``, ``indptr``, ``indices``, ``data``).
 
     Raises:
-        ParseError: malformed JSON, missing keys, labels or ``num_classes``
+        ParseError: malformed JSON, missing keys, a ``num_nodes`` or an
+            edge member that is not a JSON integer, labels or ``num_classes``
             that are not integers, split masks that are not booleans,
             labels out of range, features that are
             not numbers (null included), a malformed base64 object, or a
@@ -386,7 +427,7 @@ def load_dataset(path: str | Path) -> LabeledHypergraph:
     if ("features" in payload) == ("features_csr" in payload):
         raise ParseError("dataset file must hold exactly one of features and features_csr")
     try:
-        hg = build_hypergraph(payload["num_nodes"], payload["hyperedges"])
+        hg = hypergraph_from_json(payload["num_nodes"], payload["hyperedges"])
         labels = number_array(payload["labels"], "labels", "iu").astype(np.int64)
         num_classes = payload.get("num_classes")
         if num_classes is None:

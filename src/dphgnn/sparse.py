@@ -46,6 +46,13 @@ matrices, applied factor by factor and never multiplied out. A product
 through it gathers the stored entries of its factors instead of those of
 their product: for the clique-pattern operators of a hypergraph, nnz(H)
 per factor rather than the O(sum |e|^2) entries of H H^T.
+
+An :class:`EdgeBlocks` layout holds the pattern of H H^T as one dense
+block per hyperedge. Its products with pair values, their transposed
+products and :meth:`~SparseMatrix.pair_dots` (the dot product of a row of
+one operand and a row of the other at every stored entry) run as batched
+dense products over the blocks, gathering one row per incidence of H
+rather than one per stored entry.
 """
 
 from __future__ import annotations
@@ -56,11 +63,20 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
-__all__ = ["FactoredOperator", "SparseMatrix"]
+__all__ = ["EdgeBlocks", "FactoredOperator", "SparseMatrix"]
 
 # Sparse @ dense runs a level while it holds at least this many rows and then sums
 # each unfinished row alone: at most nnz / _MIN_LEVEL_ROWS + _MIN_LEVEL_ROWS steps.
 _MIN_LEVEL_ROWS = 16
+
+
+# Entries per slice of pair_dots, which holds two (slice x width) arrays at a
+# time instead of two (nnz x width) ones.
+_PAIR_DOT_ENTRIES = 4096
+
+# Incidence rows per chunk of an edge-block product: the block kernels gather
+# this many member rows at a time, or one edge's if it is larger.
+_BLOCK_ROWS = 1024
 
 
 class _Scratch(threading.local):
@@ -144,6 +160,13 @@ class SparseMatrix:
         the order ``np.lexsort((c, r))`` gives. Either way duplicates sum in
         input order, as ``np.add.reduceat`` over each run adds them.
         """
+        return cls._from_coo(rows, cols, row_idx, col_idx, values)[0]
+
+    @classmethod
+    def _from_coo(cls, rows, cols, row_idx, col_idx, values, firsts: bool = False):
+        # from_coo, and with ``firsts`` also, for each stored entry, the input
+        # index of the first triplet summed into it: read off the sort and the
+        # runs that the build forms anyway.
         if rows < 0 or cols < 0:
             raise ShapeMismatchError("negative matrix dimensions")
         r = np.asarray(row_idx, dtype=np.int64).ravel()
@@ -151,9 +174,12 @@ class SparseMatrix:
         v = np.asarray(values, dtype=np.float64).ravel()
         if not (len(r) == len(c) == len(v)):
             raise ShapeMismatchError("COO triplet arrays differ in length")
+        if len(r) and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
+            raise ShapeMismatchError("COO index out of range")
+        order = starts = None
+        triplets = len(r)
+        keep = np.ones(triplets, dtype=bool)
         if len(r):
-            if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
-                raise ShapeMismatchError("COO index out of range")
             key = r * cols + c
             if np.any(key[1:] < key[:-1]):
                 order = np.argsort(key, kind="stable")
@@ -169,7 +195,13 @@ class SparseMatrix:
         indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=rows), out=indptr[1:])
         # Checked, sorted, summed and zero-free: valid by construction.
-        return cls(rows, cols, indptr, c, v, validate=False)
+        matrix = cls(rows, cols, indptr, c, v, validate=False)
+        if not firsts:
+            return matrix, None
+        first_of = np.arange(triplets) if order is None else order
+        if starts is not None:
+            first_of = first_of[starts]
+        return matrix, first_of[keep]
 
     @classmethod
     def from_dense(cls, dense) -> SparseMatrix:
@@ -269,7 +301,7 @@ class SparseMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
-            return self._matmul_sparse(other)
+            return self._matmul_sparse(other)[0]
         return self.matmul_dense(other)
 
     def _levels(self) -> tuple[np.ndarray, ...]:
@@ -321,11 +353,8 @@ class SparseMatrix:
         # contiguous copy of a strided ``other``, which take would otherwise
         # copy once per level.
         block = len(rows) * width
-        copied = 0 if other.flags.c_contiguous else other.size
-        scratch = _scratch(2 * block + copied)
-        if copied:
-            strided, other = other, scratch[2 * block :].reshape(other.shape)
-            other[...] = strided
+        scratch = _scratch(2 * block + (0 if other.flags.c_contiguous else other.size))
+        other = _contiguous(other, scratch[2 * block :])
         acc = scratch[block : 2 * block].reshape(len(rows), width)
         acc[...] = 0.0
         for k, size in enumerate(sizes):
@@ -371,20 +400,44 @@ class SparseMatrix:
         order = self._to_transpose
         return self.transpose().matmul_dense(other, data=data[order], out=out)
 
-    def _matmul_sparse(self, other: SparseMatrix) -> SparseMatrix:
+    def pair_dots(self, left, right) -> np.ndarray:
+        """``left[r] . right[c]`` for every stored entry (r, c), in entry order.
+
+        Computed ``_PAIR_DOT_ENTRIES`` entries at a time, each row of products
+        summed by a product with ones: the weights gradient of the pattern's
+        products, as the broadcast-and-multiply formulation forms it, bit for bit.
+        """
+        left = np.asarray(left, dtype=np.float64)
+        right = np.asarray(right, dtype=np.float64)
+        if left.shape != (self.rows, right.shape[1]) or right.shape[0] != self.cols:
+            raise ShapeMismatchError(f"pair_dots cannot pair {left.shape} with {right.shape}")
+        row_of, _ = self._pattern_index()
+        ones = np.ones((1, right.shape[1])).T
+        out = np.empty(self.nnz)
+        for lo in range(0, self.nnz, _PAIR_DOT_ENTRIES):
+            at = slice(lo, lo + _PAIR_DOT_ENTRIES)
+            terms = right[self.indices[at]]
+            terms *= left[row_of[at]]
+            out[at] = (terms @ ones)[:, 0]
+        return out
+
+    def _matmul_sparse(self, other: SparseMatrix, firsts: bool = False):
+        # The product and, with ``firsts``, the first triplet of each of its
+        # entries (see _from_coo). Triplets run over this matrix's entries in
+        # stored order, and entry a's run over row indices[a] of ``other``.
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         if self.nnz == 0 or other.nnz == 0:
-            return SparseMatrix.from_coo(self.rows, other.cols, [], [], [])
+            return SparseMatrix._from_coo(self.rows, other.cols, [], [], [], firsts)
         a_row = self._row_of()
         fan = np.diff(other.indptr)[self.indices]
         pos = np.repeat(other.indptr[self.indices], fan) + _ranges(fan)
         out_r = np.repeat(a_row, fan)
         out_c = other.indices[pos]
         out_v = np.repeat(self.data, fan) * other.data[pos]
-        return SparseMatrix.from_coo(self.rows, other.cols, out_r, out_c, out_v)
+        return SparseMatrix._from_coo(self.rows, other.cols, out_r, out_c, out_v, firsts)
 
     def add(self, other: SparseMatrix) -> SparseMatrix:
         """Elementwise sum; entries that cancel to zero are dropped.
@@ -518,3 +571,199 @@ class FactoredOperator:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FactoredOperator({self.shape[0]}x{self.shape[1]}, "
                 f"{len(self.terms)} terms, {self.stored_terms} stored)")
+
+
+class EdgeBlocks:
+    """The pattern of H H^T as one dense |e| x |e| block per hyperedge.
+
+    Entry (i, j) of edge e's block stands for the pair of e's i-th and j-th
+    sorted members, a stored entry of ``pattern``, and for the term of the
+    sparse product ``incidence @ incidence.T`` (H H^T) that pairs them. A
+    pair that several edges hold, and each node's diagonal, has a block
+    entry in each of them. ``owners`` names, for each stored entry in stored
+    order, the term that owns it, as
+    :func:`~dphgnn.hypergraph.clique_owners` gives them; the other block
+    entries are copies that read a zero. The product's terms run over H's
+    entries (u, e) in stored order, and each entry's over the sorted
+    members of e, so term t of entry a is entry (place of u, t - start[a])
+    of e's block.
+
+    Edges are grouped by size and each group is cut into chunks of about
+    ``_BLOCK_ROWS`` member rows. The products read the pattern's values
+    ``data`` per block and run as batched dense products:
+
+    - :meth:`matmul_dense` gathers each chunk's member rows once, one row per
+      incidence, multiplies them by the blocks in one ``np.matmul``, and sums
+      the incidence rows into node rows through ``scatter``, the unit
+      (n x incidences) CSR matrix whose row v lists v's incidence rows;
+    - :meth:`transpose_matmul_dense` does the same with the blocks transposed;
+    - :meth:`pair_dots` multiplies each chunk's two gathers into one
+      (|e| x |e|) block of dot products per edge and keeps the owned entries.
+
+    The sums run in another order than :class:`SparseMatrix`'s, so they agree
+    with its products up to rounding, not bit for bit. The gathers, the
+    blocks and the incidence rows live in the thread's scratch buffer. Every
+    array here is O(sum |e|^2) or O(n + nnz(H)) long.
+    """
+
+    __slots__ = ("pattern", "chunks", "scatter", "_rows", "_entries")
+
+    def __init__(self, pattern: SparseMatrix, incidence: SparseMatrix, owners):
+        owners = np.asarray(owners, dtype=np.int64)
+        n, nnz = pattern.rows, pattern.nnz
+        by_edge = incidence.transpose()
+        sizes = np.diff(by_edge.indptr)
+        fan = sizes[incidence.indices]
+        if not (pattern.cols == incidence.rows == n and owners.shape == (nnz,)):
+            raise ShapeMismatchError("edge blocks need a square pattern, its incidence matrix "
+                                     "and one owner per stored entry")
+        if nnz and not 0 <= owners.min() <= owners.max() < fan.sum():
+            raise ShapeMismatchError("an owner is not a term of H H^T")
+        # Edges sorted by size, stable; ``rows`` lists their incidences (entries
+        # of H^T) in that order, and each edge's block starts at block_at.
+        by_size = np.argsort(sizes, kind="stable")
+        ordered = sizes[by_size]
+        rows = np.repeat(by_edge.indptr[by_size], ordered) + _ranges(ordered) if len(ordered) else ordered
+        squares = ordered * ordered
+        block_start = np.cumsum(squares) - squares
+        block_at = np.empty(len(sizes), dtype=np.int64)
+        block_at[by_size] = block_start
+        # H's entry a = (u, e) is H^T's entry order[a], so u is e's place[a]-th
+        # member, and a's terms fill row place[a] of e's block: term t lands
+        # on block entry shift[a] + t.
+        order = by_edge._to_transpose
+        place = order - by_edge.indptr[incidence.indices]
+        shift = block_at[incidence.indices] + place * fan - (np.cumsum(fan) - fan)
+        blocks = np.full(int(squares.sum()), nnz, dtype=np.int64)
+        blocks[np.repeat(shift, fan)[owners] + owners] = np.arange(nnz)
+        if np.count_nonzero(blocks < nnz) != nnz:
+            raise ShapeMismatchError("a term owns two stored entries")
+        members = by_edge.indices[rows]
+        row_start = np.cumsum(ordered) - ordered
+        heads = np.flatnonzero(np.diff(ordered, prepend=0))
+        chunks = []
+        for lo, hi in zip(heads, [*heads[1:], len(ordered)]):
+            size, count = int(ordered[lo]), hi - lo
+            group = (members[row_start[lo]:row_start[lo] + count * size].reshape(count, size),
+                     blocks[block_start[lo]:block_start[lo] + count * size * size].reshape(count, size, size))
+            step = max(1, _BLOCK_ROWS // size)
+            chunks += [(group[0][k:k + step], group[1][k:k + step]) for k in range(0, count, step)]
+        self.pattern = pattern
+        self.chunks = tuple(chunks)
+        self._rows = max((m.size for m, _ in chunks), default=0)
+        self._entries = max((o.size for _, o in chunks), default=0)
+        # Row v of the scatter matrix lists v's incidence rows. H's entry p is
+        # H^T's entry order[p], so H's entries in stored order give them by
+        # node, in edge order; from_coo sorts them only if the size order
+        # breaks the edge order in some row.
+        at_row = np.empty(incidence.nnz, dtype=np.int64)
+        at_row[rows] = np.arange(len(rows))
+        self.scatter = SparseMatrix.from_coo(n, len(rows), incidence._row_of(), at_row[order],
+                                             np.ones(len(rows)))
+
+    @property
+    def rows(self) -> int:
+        return self.pattern.rows
+
+    @property
+    def cols(self) -> int:
+        return self.pattern.cols
+
+    @property
+    def nnz(self) -> int:
+        return self.pattern.nnz
+
+    def _operands(self, data, other, out=None):
+        data = np.asarray(data, dtype=np.float64)
+        other = np.asarray(other, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ShapeMismatchError(f"edge blocks need {self.nnz} values, got shape {data.shape}")
+        if other.ndim != 2 or other.shape[0] != self.cols:
+            raise ShapeMismatchError(f"cannot multiply {self.pattern.shape} by {other.shape}")
+        if out is not None and out.shape != (self.rows, other.shape[1]):
+            raise ShapeMismatchError(
+                f"edge blocks cannot write {(self.rows, other.shape[1])} into {out.shape}")
+        return data, other
+
+    def matmul_dense(self, other, data, out=None) -> np.ndarray:
+        """(``pattern`` with values ``data``) @ ``other``; ``out`` as for
+        :meth:`SparseMatrix.matmul_dense`."""
+        data, other = self._operands(data, other, out)
+        return self._sums(data, other, out, transposed=False)
+
+    def transpose_matmul_dense(self, data, other, out=None) -> np.ndarray:
+        """(``pattern`` with values ``data``)ᵀ @ ``other``."""
+        data, other = self._operands(data, other, out)
+        return self._sums(data, other, out, transposed=True)
+
+    def _sums(self, data, other, out, transposed: bool) -> np.ndarray:
+        width = other.shape[1]
+        incidences = self.scatter.cols
+        # The front of the scratch buffer holds the chunk loop's pieces: a
+        # contiguous copy of a strided ``other`` (rows gather several times
+        # faster from it), one chunk's gathered rows and its blocks. The
+        # scatter product then takes the first 2 * rows * width floats. The
+        # incidence rows and the values, with a trailing zero for the
+        # copies, lie behind the front.
+        copy = 0 if other.flags.c_contiguous else other.size
+        loop = copy + self._rows * width + self._entries
+        front = max(2 * self.rows * width, loop)
+        scratch = _scratch(front + incidences * width + self.nnz + 1)
+        contiguous, gathered, blocks, _ = _carve(scratch[:front], copy, self._rows * width, self._entries)
+        incident, values = _carve(scratch[front:], incidences * width)
+        values[:-1] = data
+        values[-1] = 0.0
+        other = _contiguous(other, contiguous)
+        incident = incident.reshape(incidences, width)
+        row = 0
+        for members, owners in self.chunks:
+            count, size = members.shape
+            shape = (count, size, width)
+            rows = np.take(other, members.ravel(), axis=0, mode="clip",
+                           out=gathered[: count * size * width].reshape(count * size, width))
+            weights = np.take(values, owners, mode="clip", out=blocks[: owners.size].reshape(owners.shape))
+            if transposed:
+                weights = weights.transpose(0, 2, 1)
+            np.matmul(weights, rows.reshape(shape), out=incident[row : row + count * size].reshape(shape))
+            row += count * size
+        return self.scatter.matmul_dense(incident, out=out)
+
+    def pair_dots(self, left, right) -> np.ndarray:
+        """``left[r] . right[c]`` for every stored entry (r, c) of ``pattern``."""
+        left = np.asarray(left, dtype=np.float64)
+        right = np.asarray(right, dtype=np.float64)
+        if left.shape != (self.rows, right.shape[1]) or right.shape[0] != self.cols:
+            raise ShapeMismatchError(f"pair_dots cannot pair {left.shape} with {right.shape}")
+        width = right.shape[1]
+        # The gathers and a contiguous copy of each strided operand share the scratch buffer.
+        copies = [0 if a.flags.c_contiguous else a.size for a in (left, right)]
+        row_side, col_side, blocks, left_copy, right_copy = _carve(
+            _scratch(2 * self._rows * width + self._entries + sum(copies)),
+            self._rows * width, self._rows * width, self._entries, copies[0])
+        left, right = _contiguous(left, left_copy), _contiguous(right, right_copy)
+        out = np.empty(self.nnz + 1)
+        for members, owners in self.chunks:
+            count, size = members.shape
+            index = members.ravel()
+            shape = (count * size, width)
+            lhs = np.take(left, index, axis=0, mode="clip", out=row_side[: shape[0] * width].reshape(shape))
+            rhs = np.take(right, index, axis=0, mode="clip", out=col_side[: shape[0] * width].reshape(shape))
+            dots = np.matmul(lhs.reshape(count, size, width), rhs.reshape(count, size, width).transpose(0, 2, 1),
+                             out=blocks[: owners.size].reshape(owners.shape))
+            # Every copy writes the trailing slot, which is dropped.
+            out[owners] = dots
+        return out[:-1]
+
+
+def _carve(buffer: np.ndarray, *sizes: int) -> list[np.ndarray]:
+    # Consecutive pieces of ``buffer`` of the given sizes, then the rest of it.
+    return np.split(buffer, np.cumsum(sizes))
+
+
+def _contiguous(array: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    # ``array`` if it is C-contiguous, else its copy in the front of ``buffer``.
+    if array.flags.c_contiguous:
+        return array
+    copy = buffer[: array.size].reshape(array.shape)
+    copy[...] = array
+    return copy

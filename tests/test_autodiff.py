@@ -760,3 +760,69 @@ def test_relu_keeps_its_mask_only_while_recording():
     # Both allocate the 512 KiB output; only the recording one adds the 64 KiB bool mask.
     assert peaks[True] - peaks[False] >= x.value.size
     assert peaks[False] < x.value.nbytes + x.value.size // 2
+
+
+def wide_edge_layout(seed):
+    """A wide-edge pattern of H H^T (unit values) and its edge-block layout.
+
+    Sizes 2 to 9 plus singletons, many pairs shared by two or more edges."""
+    from dphgnn.hypergraph import build_hypergraph, clique_owners, cooccurrence, incidence
+    from dphgnn.sparse import EdgeBlocks
+
+    rng = np.random.default_rng(seed)
+    n = 40
+    edges = [tuple(rng.choice(n, int(rng.integers(2, 10)), replace=False)) for _ in range(25)]
+    edges += [(v,) for v in range(0, n, 7)]
+    hg = build_hypergraph(n, edges)
+    co = cooccurrence(hg)
+    pattern = SparseMatrix(n, n, co.indptr, co.indices, np.ones(co.nnz))
+    return pattern, EdgeBlocks(pattern, incidence(hg), clique_owners(hg))
+
+
+def assert_close_to(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_segment_sums_on_edge_blocks_match_the_csr_pattern(heads):
+    from dphgnn.autodiff import segment_sums
+
+    rng = np.random.default_rng(90 + heads)
+    step = 3
+    pattern, blocks = wide_edge_layout(90 + heads)
+    # Every other column of a wider array: the values are a strided view.
+    values = rng.standard_normal((pattern.rows, 2 * heads * step))[:, ::2]
+    ws = head_weights(rng, pattern.nnz, heads)
+    g = rng.standard_normal((pattern.rows, heads * step))
+    results = []
+    for operand in (pattern, blocks):
+        wts, vt = [Tensor(w, requires_grad=True) for w in ws], Tensor(values, requires_grad=True)
+        out = segment_sums(wts, vt, operand)
+        backward(sum_all(mul(out, Tensor(g))))
+        results.append((out.value, vt.grad, *(wt.grad for wt in wts)))
+    for got, want in zip(*reversed(results), strict=True):
+        assert_close_to(got, want)
+
+
+def test_segment_sums_on_edge_blocks_pass_grad_check_and_the_shape_checks():
+    from dphgnn.autodiff import segment_sums
+
+    rng = np.random.default_rng(95)
+    pattern, blocks = wide_edge_layout(95)
+    wts = [Tensor(w, requires_grad=True) for w in head_weights(rng, pattern.nnz, 2)]
+    v = param(rng, pattern.rows, 4)
+    upstream = Tensor(rng.standard_normal((pattern.rows, 4)))
+
+    def loss():
+        return sum_all(mul(segment_sums(wts, v, blocks), upstream))
+
+    assert grad_check(loss, {"v": v, "w0": wts[0], "w1": wts[1]}, max_entries=60) < 1e-6
+    for bad in (np.ones(pattern.nnz), np.ones((pattern.nnz - 1, 1)), np.ones((pattern.nnz, 2))):
+        with pytest.raises(ShapeMismatchError):
+            segment_sums([Tensor(bad)], v, blocks)
+    for bad in (np.ones((pattern.rows - 1, 4)), np.ones(pattern.rows)):
+        with pytest.raises(ShapeMismatchError):
+            segment_sums([Tensor(np.ones((pattern.nnz, 1)))], Tensor(bad), blocks)
+    with pytest.raises(ShapeMismatchError):
+        segment_sums(wts * 3, v, blocks)  # 6 heads cannot split a width of 4

@@ -217,6 +217,17 @@ def test_iso_test_distinguishable(tmp_path, capsys):
     assert json.loads(stdout)["verdict"] == "DISTINGUISHED"
 
 
+def test_iso_test_rejects_a_string_member_without_a_traceback(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"num_nodes": 3, "hyperedges": [[0, "x"]]}))
+    b.write_text(json.dumps({"num_nodes": 3, "hyperedges": [[0, 1]]}))
+    code, stdout, stderr = run_cli(capsys, "iso-test", "--a", str(a), "--b", str(b))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "integers" in stderr and "Traceback" not in stderr
+
+
 def test_ablate_writes_rows(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "ablation.json"

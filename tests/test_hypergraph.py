@@ -297,9 +297,17 @@ def test_dataset_label_out_of_range(tmp_path):
         {"features": [[None], [1]]},    # null was read as NaN
         {"train_mask": [2, None]},      # was read as [True, False]
         {"test_mask": [0, 0.5]},        # was read as [False, True]
+        {"hyperedges": [[0, 1.5]]},     # was read as node 1
+        {"hyperedges": [[0, True]]},    # was read as node 1
+        {"hyperedges": [["0", 1]]},     # was read as node 0
+        {"hyperedges": [[0, None]]},    # raised a bare TypeError
+        {"hyperedges": [5]},            # an edge that is no list
+        {"num_nodes": 2.7},             # was truncated to 2
+        {"num_nodes": "2"},             # was read as 2
     ],
     ids=["fractional_label", "fractional_num_classes", "null_feature", "numeric_train_mask",
-         "fractional_test_mask"],
+         "fractional_test_mask", "fractional_member", "bool_member", "string_member",
+         "null_member", "scalar_edge", "fractional_num_nodes", "string_num_nodes"],
 )
 def test_dataset_numbers_are_not_coerced(tmp_path, patch):
     path = tmp_path / "bad.json"

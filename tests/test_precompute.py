@@ -2,11 +2,15 @@
 
 import dataclasses
 import hashlib
+import importlib.util
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dphgnn.autodiff as autodiff
 import dphgnn.experiments as experiments
 import dphgnn.precompute as precompute
 from conftest import (
@@ -20,7 +24,7 @@ from dphgnn.attention import UpdateVariant, attention_pattern, propagation_matri
 from dphgnn.errors import IsolatedNodeError, ParseError
 from dphgnn.expand import clique_expand, hypergcn_expand, star_expand
 from dphgnn.experiments import IsoPoolSpec, build_iso_pool, time_forward
-from dphgnn.hypergraph import build_hypergraph, cooccurrence, ensure_min_degree
+from dphgnn.hypergraph import build_hypergraph, cooccurrence, ensure_min_degree, relabel_nodes
 from dphgnn.model import dphgnn_forward, init_dphgnn
 from dphgnn.precompute import (
     StructureBundle,
@@ -29,7 +33,7 @@ from dphgnn.precompute import (
     load_or_build,
     save_structure,
 )
-from dphgnn.sparse import FactoredOperator, SparseMatrix
+from dphgnn.sparse import EdgeBlocks, FactoredOperator, SparseMatrix
 from dphgnn.spectral import (
     LaplacianSet,
     build_laplacians,
@@ -38,6 +42,7 @@ from dphgnn.spectral import (
     laplacian_sym,
 )
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
+from dphgnn.train import RunConfig, train
 
 # The operators a bundle may hold in factored form, by their attribute path.
 FACTORABLE = ("laplacians.smoothing", "laplacians.clique", "prop_clique")
@@ -443,9 +448,11 @@ def test_cache_file_holds_only_the_bundles_operators(tmp_path, make_data):
     np.testing.assert_array_equal(arrays["graph"], graph)
     # One operator index for each of the bundle's nine operators, the four
     # Laplacians and five other fields, with no expansion graph, prop_star,
-    # super_gather or rw_plus_sym among them.
-    fields = (dataclasses.fields(LaplacianSet), dataclasses.fields(StructureBundle)[2:])
-    assert sum(map(len, fields)) == 9
+    # super_gather or rw_plus_sym among them, and no edge-block layout: the
+    # load rebuilds it from the hypergraph.
+    assert len(dataclasses.fields(LaplacianSet)) + len(precompute._STORED) == 9
+    assert [f.name for f in dataclasses.fields(StructureBundle)[2:]] == [
+        *precompute._STORED, "attention_blocks"]
     assert set(arrays["terms"][:, 0].tolist()) == set(range(9))
     # The matrix table holds exactly the matrices those operators are made of.
     assert sorted(map(tuple, arrays["matrices"][:, :3].tolist())) == sorted(
@@ -761,3 +768,91 @@ def test_bundle_and_cache_hold_no_quadratic_array(tmp_path):
     (path,) = tmp_path.glob("structure-*.npz")
     with np.load(path) as blob:
         assert max(blob[name].size for name in blob.files) < n * n
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_generator(name: str) -> dict:
+    """The generator parameters of one of the benchmark's workloads, read from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are made.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {k: v for k, v in module.WORKLOADS[name].generator.items() if k != "kind"}
+
+
+def test_edge_blocks_are_built_from_four_pairs_per_incidence(monkeypatch):
+    def blocks_of(data):
+        hg = ensure_min_degree(data.hypergraph)
+        bundle = build_structure(hg, data.features)
+        ratio = bundle.attention_pattern.nnz / len(hg.members)
+        assert (bundle.attention_blocks is not None) == (ratio >= precompute.BLOCK_PAIRS)
+        return bundle.attention_blocks
+
+    # The iso pool (1.5 pairs per incidence) and the instance of the frozen
+    # train-step digests (3.07) stay on the CSR pattern.
+    assert blocks_of(build_iso_pool(IsoPoolSpec(num_pairs=10), 0)[0]) is None
+    assert blocks_of(generate_synthetic(TwoCommunitySpec(num_nodes=60, num_edges=40, edge_size=4), 2)) is None
+    # wide_edges_train's instance (7.1) runs on edge blocks of its own pattern.
+    data = generate_synthetic(TwoCommunitySpec(**benchmark_generator("wide_edges_train")), 1)
+    blocks = blocks_of(data)
+    assert isinstance(blocks, EdgeBlocks)
+    # The instances of acceptance check c10 (3.0, 2.5 and 2.2) stay on CSR.
+    built = []
+
+    def recording_build(hg, features):
+        built.append(build_structure(hg, features))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_structure", recording_build)
+    time_forward(300, [100, 200, 400], repeats=1)
+    assert [bundle.attention_blocks for bundle in built] == [None] * 3
+
+
+def test_a_cache_hit_rebuilds_the_edge_blocks_of_its_own_pattern(tmp_path):
+    data = _wide_edges()
+    hg = ensure_min_degree(data.hypergraph)
+    missed = load_or_build(hg, data.features, cache_dir=tmp_path)
+    hit = load_or_build(hg, data.features, cache_dir=tmp_path)
+    assert isinstance(hit.attention_blocks, EdgeBlocks)
+    assert hit.attention_blocks.pattern is hit.attention_pattern
+    rng = np.random.default_rng(5)
+    values, other = rng.random(missed.attention_pattern.nnz), rng.standard_normal((hg.num_nodes, 4))
+    np.testing.assert_array_equal(hit.attention_blocks.matmul_dense(other, data=values),
+                                  missed.attention_blocks.matmul_dense(other, data=values))
+
+
+def test_edge_blocks_refuse_a_pattern_other_than_h_ht():
+    # A loaded pattern with the right size but another structure (here a
+    # relabelled copy's) must not be laid out on this hypergraph's blocks.
+    hg = ensure_min_degree(_wide_edges().hypergraph)
+    other = relabel_nodes(hg, np.roll(np.arange(hg.num_nodes), 1))
+    pattern = build_structure(other, np.ones((hg.num_nodes, 1))).attention_pattern
+    assert pattern.nnz == cooccurrence(hg).nnz
+    with pytest.raises(ValueError, match="H H"):
+        precompute._attention_blocks(hg, pattern)
+
+
+def test_wide_edge_training_still_runs_the_traced_attention_ops(monkeypatch):
+    # The benchmark times these three by their module attributes; training on
+    # edge blocks must still call each of them, under every name it is held by.
+    calls = {"segment_sums": [], "segment_softmax": [], "select_rows": []}
+    for name, seen in calls.items():
+        original = getattr(autodiff, name)
+
+        def counted(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append(args)
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("dphgnn") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=200, num_edges=100, edge_size=8), 0)
+    train(RunConfig.from_dict({"epochs": 1, "seed": 0}), data=data)
+    assert all(calls.values())
+    assert {type(args[2]) for args in calls["segment_sums"]} == {EdgeBlocks}

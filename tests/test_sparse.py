@@ -1,12 +1,14 @@
 """CSR container checked against dense numpy equivalents."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import dense_sym, row_slice
 
-from dphgnn.hypergraph import build_hypergraph, ensure_min_degree
+from dphgnn.hypergraph import build_hypergraph, clique_owners, cooccurrence, ensure_min_degree, incidence
 from dphgnn.errors import ShapeMismatchError
-from dphgnn.sparse import FactoredOperator, SparseMatrix
+from dphgnn.sparse import EdgeBlocks, FactoredOperator, SparseMatrix
 from dphgnn.spectral import laplacian_sym
 
 
@@ -805,3 +807,99 @@ def test_transpose_keeps_its_column_sort_only_for_transposed_products():
     square = SparseMatrix.from_dense(np.triu(np.ones((4, 4))))
     assert square.T.indices is not square.indices
     np.testing.assert_array_equal(square.T.to_dense(), np.tril(np.ones((4, 4))))
+
+
+# Sizes 1 to 6; pairs {2, 3} and {0, 7, 8} lie in three edges, node 3 in five
+# (a singleton among them), and node 13 in none.
+MIXED_EDGES = [(0, 1, 2, 3), (1, 2, 3, 4, 5), (2, 3), (6,), (0, 7, 8), (0, 7, 8, 9, 10, 11),
+               (3,), (9, 10), (2, 3, 4), (12,)]
+
+
+def mixed_blocks():
+    hg = build_hypergraph(14, MIXED_EDGES)
+    co = cooccurrence(hg)
+    return hg, co, EdgeBlocks(co, incidence(hg), clique_owners(hg))
+
+
+def test_edge_blocks_own_every_pattern_pair_once_at_its_lowest_edge():
+    hg, co, blocks = mixed_blocks()
+    rows = co._row_of()
+    owned, copies = [], 0
+    for members, owners in blocks.chunks:
+        for edge_members, edge_owners in zip(members, owners):
+            size = len(edge_members)
+            for i, j in np.ndindex(size, size):
+                p = edge_owners[i, j]
+                if p == co.nnz:
+                    copies += 1
+                    continue
+                owned.append(p)
+                u, v = edge_members[i], edge_members[j]
+                assert (rows[p], co.indices[p]) == (u, v)
+                # The owner is the lowest-numbered edge holding both.
+                holder = min(e for e, edge in enumerate(hg.edges) if u in edge and v in edge)
+                assert hg.edges.index(tuple(edge_members)) == holder
+    assert sorted(owned) == list(range(co.nnz))
+    assert copies == sum(len(e) ** 2 for e in MIXED_EDGES) - co.nnz > 0
+    # Each edge's block sits in the chunks once, its members in sorted order.
+    listed = sorted(tuple(m) for members, _ in blocks.chunks for m in members.tolist())
+    assert listed == sorted(hg.edges)
+    assert blocks.scatter.shape == (14, len(hg.members))
+
+
+def test_edge_blocks_products_match_the_dense_pattern():
+    _, co, blocks = mixed_blocks()
+    rng = np.random.default_rng(80)
+    data = rng.standard_normal(co.nnz)
+    data[::5] = 0.0
+    dense = np.zeros((14, 14))
+    dense[co._row_of(), co.indices] = data
+    other = rng.standard_normal((14, 6))[:, ::2]
+    np.testing.assert_allclose(blocks.matmul_dense(other, data=data), dense @ other, rtol=1e-13, atol=1e-14)
+    out = np.full((14, 3), np.nan)
+    blocks.transpose_matmul_dense(data, other, out=out)
+    np.testing.assert_allclose(out, dense.T @ other, rtol=1e-13, atol=1e-14)
+    assert np.all(out[13] == 0.0)  # a node in no edge sums nothing
+    left = rng.standard_normal((14, 3))
+    want = (left[co._row_of()] * other[co.indices]).sum(axis=1)
+    np.testing.assert_allclose(blocks.pair_dots(left, other), want, rtol=1e-13, atol=1e-14)
+    np.testing.assert_array_equal(co.pair_dots(left, other), (left[co._row_of()] * other[co.indices]) @ np.ones(3))
+
+
+def test_edge_blocks_reject_bad_operands_and_owners():
+    hg, co, blocks = mixed_blocks()
+    for bad in (np.ones((13, 2)), np.ones(14)):
+        with pytest.raises(ShapeMismatchError):
+            blocks.matmul_dense(bad, data=np.ones(co.nnz))
+    with pytest.raises(ShapeMismatchError):
+        blocks.matmul_dense(np.ones((14, 2)), data=np.ones(co.nnz - 1))
+    with pytest.raises(ShapeMismatchError):
+        blocks.transpose_matmul_dense(np.ones(co.nnz), np.ones((14, 2)), out=np.empty((14, 3)))
+    with pytest.raises(ShapeMismatchError):
+        blocks.pair_dots(np.ones((14, 2)), np.ones((14, 3)))
+    owners = clique_owners(hg)
+    terms = sum(len(e) ** 2 for e in MIXED_EDGES)
+    twice = owners.copy()
+    twice[1] = twice[0]
+    for bad in (owners[1:], owners - owners.min() - 1, owners + terms, twice):
+        with pytest.raises(ShapeMismatchError):
+            EdgeBlocks(co, incidence(hg), bad)
+
+
+def test_edge_blocks_build_nothing_quadratic_in_the_node_count():
+    rng = np.random.default_rng(81)
+    n = 50_000
+    hg = build_hypergraph(n, [tuple(rng.choice(n, 8, replace=False)) for _ in range(100)])
+    co, owners, h = cooccurrence(hg), clique_owners(hg), incidence(hg)
+    tracemalloc.start()
+    blocks = EdgeBlocks(co, h, owners)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    squares = 100 * 8 * 8
+    assert len(owners) <= squares
+    for members, block_owners in blocks.chunks:
+        assert members.size <= squares and block_owners.size <= squares
+    # The scatter matrix holds one entry per incidence; only its row offsets are n + 1 long.
+    assert blocks.scatter.nnz == len(hg.members) == 800
+    # Linear in n + sum |e|^2 (n^2 float64s would be 20 GB).
+    assert peak < 64 * (n + squares)
