@@ -352,9 +352,10 @@ def load_structure(path: str | Path, hg: Hypergraph) -> StructureBundle:
         return pool[offset:offset + length]
 
     def matrix(rows, cols, nnz, indptr, indices, data) -> SparseMatrix:
-        indices = span(ints, indices, nnz)
-        values = np.ones(nnz) if data == -1 else span(floats, data, nnz)
-        return SparseMatrix(rows, cols, span(ints, indptr, rows + 1), indices, values)
+        indptr, indices = span(ints, indptr, rows + 1), span(ints, indices, nnz)
+        if data == -1:
+            return SparseMatrix.ones(rows, cols, indptr, indices)
+        return SparseMatrix(rows, cols, indptr, indices, span(floats, data, nnz))
 
     mats = [matrix(*row) for row in matrices.tolist()]
     n_laps = len(fields(LaplacianSet))

@@ -19,16 +19,34 @@ order, starting from 0.0: the order of ``np.add.at`` and of
 ``np.bincount``, signs of zero included. The non-empty rows, sorted by
 entry count, most first, are summed by level: level k adds the k-th entry
 of every row with more than k entries into a contiguous prefix of an
-accumulator, while a level holds at least ``_MIN_LEVEL_ROWS`` rows. Each
-row still unfinished then adds its remaining terms to its level sum by one
-in-place cumsum, which adds in sequence, and the sums are put in
-place at the end. The plan (the sorted rows, their starts and the level
-sizes) depends on the pattern alone, and a product may put other values
-on it (``data=``), zeros included. A level's gathered terms, the
-accumulator and a contiguous copy of a strided input live in one
-grow-only scratch buffer per thread, at most twice the output's size
-plus the copy, which no result ever aliases. Besides its output a
-product allocates only a run for each row finished alone. The transposed
+accumulator, while a level holds at least ``_MIN_LEVEL_ROWS`` rows. The
+rows still unfinished then add their remaining terms to their level sums,
+a batch of rows at a time: one take gathers the batch's terms and one
+in-place cumsum per row adds them in sequence. Where no row is empty the
+output is gathered from the accumulator by the inverse of the row order;
+otherwise the sums are put in place in a zeroed output. The plan (the
+sorted rows, their starts and the level sizes) depends on the pattern
+alone, and a product may put other values on it (``data=``), zeros
+included.
+
+A product by the matrix's own values multiplies no term where those
+values are constant down each column, a property each matrix finds in
+its values on its first such product (O(nnz)) and keeps. If every value
+is 1.0 (an incidence matrix, the edge blocks' scatter, identity
+features) the terms are only gathered and added. If column c holds s[c]
+throughout (H D_e^-1, H^T D_v^-1/2) and there are no more columns than
+entries, the rows of ``other`` are multiplied by s once, cols x width,
+and the same loop runs on the result. Each term is then the IEEE
+product other[c] * s[c], which equals other[c] * data[p], so every
+output bit stays. Products given ``data=`` multiply each gathered row by
+its entry's value.
+
+A level's gathered terms, the accumulator and a contiguous copy of a
+strided or column-scaled input live in one grow-only scratch buffer per
+thread, at most twice the output's size plus the copy, which no result
+ever aliases. A batch of unfinished rows uses the level terms' part of
+it; a row too long for that part is summed in a run of its own, the only
+allocation besides the output. The transposed
 product :meth:`SparseMatrix.transpose_matmul_dense` is the product of the
 transpose with the values reordered by the transpose's column sort, so
 output row c adds column c's entries in stored order.
@@ -110,7 +128,7 @@ class SparseMatrix:
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data",
-                 "_transpose", "_order", "_plan", "_index")
+                 "_transpose", "_order", "_plan", "_inverse", "_columns", "_index")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data, validate: bool = True):
         self.rows = int(rows)
@@ -121,6 +139,8 @@ class SparseMatrix:
         self._transpose: SparseMatrix | None = None
         self._order: np.ndarray | None = None
         self._plan: tuple[np.ndarray, ...] | None = None
+        self._inverse: np.ndarray | None = None
+        self._columns: np.ndarray | bool | None = None
         self._index: tuple[np.ndarray, int] | None = None
         if validate:
             self._check()
@@ -214,7 +234,15 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n: int) -> SparseMatrix:
         idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return cls.ones(n, n, np.arange(n + 1, dtype=np.int64), idx)
+
+    @classmethod
+    def ones(cls, rows: int, cols: int, indptr, indices, validate: bool = True) -> SparseMatrix:
+        """The pattern ``indptr``, ``indices`` with every value 1.0; its
+        products skip the scan of the values for the column check."""
+        matrix = cls(rows, cols, indptr, indices, np.ones(len(indices)), validate)
+        matrix._columns = True
+        return matrix
 
     @classmethod
     def from_diag(cls, diag) -> SparseMatrix:
@@ -292,6 +320,8 @@ class SparseMatrix:
                 indptr, indices = self.indptr, self.indices
             t = SparseMatrix(self.cols, self.rows, indptr, indices, self.data[order], validate=False)
             t._transpose = self
+            if self._columns is True:
+                t._columns = True
             self._transpose = t
         return self._transpose
 
@@ -309,13 +339,37 @@ class SparseMatrix:
         # rows most entries first, their starts, and the sizes of the levels
         # run. Level k holds the k-th entry of each row with more than k
         # entries, a prefix of the rows; it runs if that is _MIN_LEVEL_ROWS rows.
+        # Where no row is empty, the inverse of the row order is kept too.
         if self._plan is None:
             counts = np.diff(self.indptr)
             rows = np.flatnonzero(counts)
-            rows = rows[np.argsort(-counts[rows], kind="stable")]
+            key = -counts[rows]
+            # numpy's stable sort of keys of 16 bits or fewer is a radix sort.
+            if len(key) and key.min() > np.iinfo(np.int16).min:
+                key = key.astype(np.int16)
+            rows = rows[np.argsort(key, kind="stable")]
             sizes = np.searchsorted(-counts[rows], -np.arange(counts.max(initial=0)), side="left")
             self._plan = (rows, self.indptr[rows], sizes[sizes >= _MIN_LEVEL_ROWS])
+            if len(rows) == self.rows:
+                self._inverse = np.empty(self.rows, dtype=np.int64)
+                self._inverse[rows] = np.arange(self.rows)
         return self._plan
+
+    def _column_values(self) -> np.ndarray | bool:
+        # Kept after the first call: True if every value is 1.0; else the
+        # vector s with s[indices] == data, where each column's values are one
+        # number and there are no more columns than entries; else False.
+        if self._columns is None:
+            if np.all(self.data == 1.0):
+                self._columns = True
+            elif self.nnz < self.cols:
+                self._columns = False
+            else:
+                scale = np.ones(self.cols)
+                scale[self.indices] = self.data
+                same = np.array_equal(np.take(scale, self.indices), self.data)
+                self._columns = scale if same else False
+        return self._columns
 
     def matmul_dense(self, other, data=None, out=None) -> np.ndarray:
         """This matrix @ ``other``, or this pattern with values ``data`` @ ``other``.
@@ -333,55 +387,97 @@ class SparseMatrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         if data is None:
-            data = self.data
+            data, columns = self.data, self._column_values()
         else:
-            data = np.asarray(data, dtype=np.float64)
+            data, columns = np.asarray(data, dtype=np.float64), False
             if data.shape != (self.nnz,):
                 raise ShapeMismatchError(
                     f"matmul_dense needs {self.nnz} values, got shape {data.shape}"
                 )
         width = other.shape[1]
+        rows, starts, sizes = self._levels()
+        gather = self._inverse is not None
         if out is None:
-            out = np.zeros((self.rows, width))
+            out = np.empty((self.rows, width)) if gather else np.zeros((self.rows, width))
         elif out.shape != (self.rows, width):
             raise ShapeMismatchError(f"matmul_dense cannot write {(self.rows, width)} into {out.shape}")
-        else:
+        elif not gather:
             out[...] = 0.0
-        rows, starts, sizes = self._levels()
         depth = len(sizes)
         # One scratch block holds a level's terms, the accumulator and a
         # contiguous copy of a strided ``other``, which take would otherwise
-        # copy once per level.
+        # copy once per level, or of a column-scaled one.
         block = len(rows) * width
-        scratch = _scratch(2 * block + (0 if other.flags.c_contiguous else other.size))
-        other = _contiguous(other, scratch[2 * block :])
+        scaled = isinstance(columns, np.ndarray)
+        scratch = _scratch(2 * block + (0 if other.flags.c_contiguous and not scaled else other.size))
+        if scaled:
+            # Each row of ``other`` times its column's value, once: a term is
+            # then the product other[c] * data[p] that the entry would form.
+            copy = np.empty(other.size) if np.may_share_memory(other, scratch) else scratch[2 * block :]
+            other = np.multiply(other, columns[:, None], out=copy.reshape(other.shape))
+        else:
+            other = _contiguous(other, scratch[2 * block :])
+        per_entry = columns is False
         acc = scratch[block : 2 * block].reshape(len(rows), width)
-        acc[...] = 0.0
+        if not depth:
+            acc[...] = 0.0
         for k, size in enumerate(sizes):
             pos = starts[:size] + k
             # Column indices are valid by construction; "clip" keeps take
-            # from buffering its output.
-            terms = np.take(other, self.indices[pos], axis=0,
-                            out=scratch[: size * width].reshape(size, width), mode="clip")
-            terms *= data[pos, None]
-            acc[:size] += terms
-        # Each row the levels left unfinished: its level sum, then its
-        # remaining terms, summed in sequence by one in-place cumsum
-        # (``np.add.accumulate``, without ``np.cumsum``'s wrapper) over a run
-        # of its own, so a long row never grows the scratch buffer.
-        for j in range(min(len(rows), _MIN_LEVEL_ROWS)):
-            first, end = int(starts[j]) + depth, int(self.indptr[rows[j] + 1])
-            if first >= end:
-                break
-            run = np.empty((end - first + 1, width))
-            run[0] = acc[j]
-            np.take(other, self.indices[first:end], axis=0, out=run[1:], mode="clip")
-            run[1:] *= data[first:end, None]
-            acc[j] = np.add.accumulate(run, axis=0, out=run)[-1]
-            # Free this run before the next row's is allocated.
-            del run
-        out[rows] = acc
+            # from buffering its output. Level 0 holds every row and lands in
+            # the accumulator itself; adding 0.0 then gives 0.0 + term.
+            terms = np.take(other, self.indices[pos], axis=0, mode="clip",
+                            out=acc if not k else scratch[: size * width].reshape(size, width))
+            if per_entry:
+                terms *= data[pos, None]
+            if k:
+                acc[:size] += terms
+            else:
+                acc += 0.0
+        self._finish_rows(other, data if per_entry else None, scratch[:block], acc, depth)
+        if gather and out.flags.c_contiguous:
+            np.take(acc, self._inverse, axis=0, out=out, mode="clip")
+        else:
+            out[rows] = acc
         return out
+
+    def _finish_rows(self, other, data, region, acc, depth) -> None:
+        # The rows the levels left unfinished, a prefix of the plan's rows: each
+        # adds its remaining terms to its level sum in sequence. Consecutive rows
+        # are batched while their terms fit in ``region``, the level terms' part
+        # of the scratch buffer; a longer row takes a run of its own, so at most
+        # one run is live and the scratch buffer never grows here. A batch
+        # gathers its terms by one take and, with per-entry values ``data``,
+        # scales them by one multiply; each row then adds its level sum to its
+        # first term and the rest by one in-place cumsum (``np.add.accumulate``,
+        # without ``np.cumsum``'s wrapper).
+        rows, starts, _ = self._plan
+        head = rows[:_MIN_LEVEL_ROWS]
+        firsts = starts[: len(head)] + depth
+        left = self.indptr[head + 1] - firsts
+        left = left[left > 0].tolist()
+        width = acc.shape[1]
+        j = 0
+        while j < len(left):
+            k, total = j + 1, left[j]
+            while k < len(left) and total + left[k] <= len(rows):
+                total += left[k]
+                k += 1
+            if k == j + 1:
+                pos = slice(int(firsts[j]), int(firsts[j]) + total)
+            else:
+                pos = _ranges(np.asarray(left[j:k])) + np.repeat(firsts[j:k], left[j:k])
+            run = region[: total * width] if total <= len(rows) else np.empty(total * width)
+            run = np.take(other, self.indices[pos], axis=0, out=run.reshape(total, width), mode="clip")
+            if data is not None:
+                run *= data[pos, None]
+            at = np.cumsum([0, *left[j : k - 1]])
+            run[at] = acc[j:k] + run[at]
+            for row, (lo, count) in enumerate(zip(at.tolist(), left[j:k]), start=j):
+                acc[row] = np.add.accumulate(run[lo : lo + count], axis=0, out=run[lo : lo + count])[-1]
+            # Free a run of its own before the next one is allocated.
+            del run
+            j = k
 
     def transpose_matmul_dense(self, data, other, out=None) -> np.ndarray:
         """(this pattern with values ``data``)ᵀ @ ``other``.

@@ -32,7 +32,7 @@ from dphgnn.model import (
     predict_layer,
 )
 from dphgnn.precompute import build_structure
-from dphgnn.sparse import SparseMatrix
+from dphgnn.sparse import FactoredOperator, SparseMatrix
 from dphgnn.synthetic import TwoCommunitySpec, generate_synthetic
 
 
@@ -564,6 +564,46 @@ def test_train_step_logits_and_every_gradient_are_frozen():
     digests = dict(zip(TRAIN_STEP_DIGESTS, (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)))
     assert len(arrays) == len(TRAIN_STEP_DIGESTS)
     assert digests == TRAIN_STEP_DIGESTS
+
+
+# The same digests from _train_step(<two_community n=120, m=60, size 8, seed 0>, 3):
+# 5.95 pairs per incidence, so the attention sums run on edge blocks and the
+# three clique-pattern operators are factored through H. Any change to the
+# block sums, the scatter or a factor's product shows here.
+WIDE_TRAIN_STEP_DIGESTS = {
+    "logits": "4b647540d22d81ce",
+    "proj.weight": "a40390583d313a2d",
+    "proj.bias": "6732661d622174f6",
+    "taa.delta": "73efaf2898806ccb",
+    "taa.weight": "5adc34214e7a89c1",
+    "taa.theta_clique": "51d19c6a56827e17",
+    "taa.theta_star": "c8dbca5f5c85e5a5",
+    "taa.theta_hypergcn": "d7e0fa4ec0831ff0",
+    "sib.theta": "38f9b8eb2c01a3ff",
+    "mix.attended.weight": "2d2f9d137e910d3a",
+    "mix.attended.bias": "92dc2b839f397dac",
+    "mix.gate.weight": "36a78203af963f8c",
+    "mix.gate.bias": "38ff885e94bc18c4",
+    "mix.skip.weight": "2bb7b2ec5a7d7612",
+    "mix.skip.bias": "bc57a56e71a45405",
+    "fusion.0.theta": "e46398bb0e78bec5",
+    "head.theta": "37b41283d87b3f21",
+}
+
+
+def test_wide_edge_train_step_logits_and_every_gradient_are_frozen():
+    data = generate_synthetic(TwoCommunitySpec(num_nodes=120, num_edges=60, edge_size=8), 0)
+    data = make_data(ensure_min_degree(data.hypergraph), data.features, labels=data.labels)
+    # The instance must stay above both wide-edge thresholds.
+    bundle = build_structure(data.hypergraph, data.features)
+    assert bundle.attention_blocks is not None
+    assert all(isinstance(op, FactoredOperator) for op in
+               (bundle.laplacians.smoothing, bundle.laplacians.clique, bundle.prop_clique))
+    arrays = _train_step(data, 3)
+    digests = dict(zip(WIDE_TRAIN_STEP_DIGESTS,
+                       (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)))
+    assert len(arrays) == len(WIDE_TRAIN_STEP_DIGESTS)
+    assert digests == WIDE_TRAIN_STEP_DIGESTS
 
 
 def test_csr_identity_features_give_the_dense_identity_results_bit_for_bit():

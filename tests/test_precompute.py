@@ -856,3 +856,59 @@ def test_wide_edge_training_still_runs_the_traced_attention_ops(monkeypatch):
     train(RunConfig.from_dict({"epochs": 1, "seed": 0}), data=data)
     assert all(calls.values())
     assert {type(args[2]) for args in calls["segment_sums"]} == {EdgeBlocks}
+
+
+def column_paths(bundle: StructureBundle, features) -> dict[str, str]:
+    """How each incidence operator's products by its own values scale their
+    terms: "ones" (no multiply), "columns" (each column's value once) or
+    "entries" (per stored entry)."""
+    ops = {"node_from_edge": bundle.node_from_edge, "node_from_edge.T": bundle.node_from_edge.T,
+           "edge_from_node": bundle.edge_from_node, "edge_from_node.T": bundle.edge_from_node.T}
+    clique = bundle.laplacians.clique
+    if isinstance(clique, FactoredOperator):
+        # The -H H^T term of diag(D_c + d_v) - H H^T + C.
+        ops["H"], ops["H^T"] = clique.terms[1][1]
+    if bundle.attention_blocks is not None:
+        ops["scatter"] = bundle.attention_blocks.scatter
+    if isinstance(features, SparseMatrix):
+        ops["features"], ops["features.T"] = features, features.T
+
+    def kind(columns) -> str:
+        return "ones" if columns is True else "entries" if columns is False else "columns"
+
+    return {name: kind(m._column_values()) for name, m in ops.items()}
+
+
+@pytest.mark.parametrize(
+    "make_data, expected",
+    [
+        # Every edge of both instances has one size, so D_e^-1 H^T is
+        # column-constant too; so is D_v^-1/2 H on the iso pool, whose
+        # nodes share one degree.
+        (lambda: build_iso_pool(IsoPoolSpec(num_pairs=10), 0)[0],
+         {"node_from_edge": "columns", "node_from_edge.T": "columns",
+          "edge_from_node": "columns", "edge_from_node.T": "columns"}),
+        (_wide_edges,
+         {"node_from_edge": "columns", "node_from_edge.T": "columns",
+          "edge_from_node": "columns", "edge_from_node.T": "entries",
+          "H": "ones", "H^T": "ones", "scatter": "ones", "features": "ones", "features.T": "ones"}),
+    ],
+    ids=["iso_pool", "two_community"],
+)
+def test_incidence_operators_take_the_column_path(tmp_path, make_data, expected):
+    # Products by these skip the per-entry multiply only while the bundle
+    # builds them with values constant down each column.
+    data = make_data()
+    hg = ensure_min_degree(data.hypergraph)
+    missed = load_or_build(hg, data.features, cache_dir=tmp_path)
+    hit = load_or_build(hg, data.features, cache_dir=tmp_path)
+    assert hit is not missed
+    if "H" in expected:
+        # The npz marks all-ones values, so a loaded H needs no scan.
+        assert all(m._columns is True for m in hit.laplacians.clique.terms[1][1])
+    for bundle in (missed, hit):
+        assert column_paths(bundle, data.features) == expected
+        np.testing.assert_array_equal(bundle.node_from_edge._column_values(),
+                                      1.0 / hg.edge_degrees)
+        np.testing.assert_array_equal(bundle.edge_from_node._column_values(),
+                                      1.0 / np.sqrt(hg.node_degrees))

@@ -790,6 +790,126 @@ def test_matmul_dense_writes_into_a_column_view_of_out():
             m.matmul_dense(other, out=bad)
 
 
+def special_values(rng, rows, width):
+    """wide_range rows with +-0.0, NaN, +-inf and values near the largest float mixed in."""
+    other = wide_range(rng, rows, width)
+    flat = other.reshape(-1)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.7e308, -1.7e308]
+    at = rng.choice(flat.size, 3 * len(specials), replace=False)
+    flat[at] = np.repeat(specials, 3)
+    return other
+
+
+def assert_same_bits_but_nan(got, want):
+    # NaN in the same places, every other bit equal. A NaN's sign is not
+    # compared: numpy's add returns one operand's NaN or the other's depending
+    # on where the pair falls in its vector loop.
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert_same_bits(got[~nan], want[~nan])
+
+
+# Row lengths for the column-path products: 63 rows run five levels; the
+# 150-entry row is then finished in a run of its own, and the twelve rows of
+# 13 to 40 entries in batches that share the level terms' scratch.
+COLUMN_PATH_LENGTHS = {
+    "batches": [150, 40, 35, 30, 28, 25, 22, 20, 18, 17, 16, 15, 13, *[5] * 50],
+    "empty rows": [0, 9, 0, 30, *[3] * 20, 0],
+    "hub": [2000, *[4] * 40],
+}
+
+
+def column_path_matrix(rng, lengths, kind):
+    # A pattern with unit values, a value per column, or a value per column
+    # but for one entry one ulp off.
+    m = with_row_lengths(rng, lengths, max(lengths) + 10)
+    scale = wide_range(rng, m.cols, 1)[:, 0]
+    data = {"ones": np.ones(m.nnz), "columns": scale[m.indices],
+            "one ulp off": scale[m.indices]}[kind]
+    if kind == "one ulp off":
+        shared = np.flatnonzero(np.bincount(m.indices)[m.indices] > 1)
+        off = shared[len(shared) // 2]
+        data[off] = np.nextafter(data[off], np.inf)
+    return SparseMatrix(m.rows, m.cols, m.indptr, m.indices, data)
+
+
+@pytest.mark.parametrize("kind", ["ones", "columns", "one ulp off"])
+@pytest.mark.parametrize("lengths", list(COLUMN_PATH_LENGTHS), ids=list(COLUMN_PATH_LENGTHS))
+def test_column_path_products_are_bit_identical_to_add_at(kind, lengths):
+    rng = np.random.default_rng(90 + len(kind) + len(lengths))
+    lengths = np.array(COLUMN_PATH_LENGTHS[lengths])
+    m = column_path_matrix(rng, lengths, kind)
+    columns = m._column_values()
+    if kind == "ones":
+        assert columns is True
+    else:
+        assert (columns is False) == (kind == "one ulp off")
+    with np.errstate(all="ignore"):
+        for width in (1, 7):
+            other = special_values(rng, 2 * m.cols, width)
+            target = np.full((m.rows + 1, width + 2), 7.0)
+            want = add_at_product(m, other[::2])
+            # A strided operand, and a strided column view of out as segment_sums passes.
+            got = m.matmul_dense(other[::2], out=target[1:, 1:-1])
+            assert_same_bits_but_nan(got, want)
+            assert np.all(target[0] == 7.0) and np.all(target[:, [0, -1]] == 7.0)
+            assert_same_bits_but_nan(m @ np.ascontiguousarray(other[::2]), want)
+            # The product matmul's backward runs: by the transpose's own values.
+            g = special_values(rng, m.rows, width)
+            assert_same_bits_but_nan(m.T @ g, bincount_product(m, m.data, g))
+    # Without empty rows the output is gathered from the accumulator.
+    empty = lengths == 0
+    assert (m._inverse is None) == empty.any()
+    assert np.all(got[empty] == 0.0) and not np.signbit(got[empty]).any()
+
+
+def test_row_scaled_matrix_has_a_column_scaled_transpose():
+    rng = np.random.default_rng(95)
+    unit = column_path_matrix(rng, COLUMN_PATH_LENGTHS["batches"], "ones")
+    rows = unit.scale_rows(wide_range(rng, unit.rows, 1)[:, 0])
+    assert rows._column_values() is False
+    assert isinstance(rows.T._column_values(), np.ndarray)
+    # A unit matrix built as such, and its transpose, need no scan.
+    ones = SparseMatrix.ones(unit.rows, unit.cols, unit.indptr, unit.indices)
+    assert ones._columns is True and ones.T._columns is True
+    g = special_values(rng, rows.rows, 5)
+    with np.errstate(all="ignore"):
+        assert_same_bits_but_nan(rows.T @ g, bincount_product(rows, rows.data, g))
+        assert_same_bits_but_nan(rows.transpose_matmul_dense(rows.data, g), bincount_product(rows, rows.data, g))
+
+
+def test_column_path_leaves_the_scratch_buffer_at_two_outputs_and_a_copy(monkeypatch):
+    from dphgnn import sparse
+
+    rng = np.random.default_rng(96)
+    for kind in ("ones", "columns"):
+        m = column_path_matrix(rng, COLUMN_PATH_LENGTHS["hub"], kind)
+        other = wide_range(rng, m.cols, 32)
+        monkeypatch.setattr(sparse._SCRATCH, "buffer", np.empty(0))
+        got = m @ other
+        # A level's terms, the accumulator and, for scaled columns, the scaled copy;
+        # the hub row's run is its own.
+        copy = 0 if kind == "ones" else other.size
+        assert sparse._SCRATCH.buffer.size <= 2 * m.rows * 32 + copy
+        assert_same_bits(got, add_at_product(m, other))
+
+
+def test_scaled_copy_never_overwrites_an_operand_in_the_scratch_buffer():
+    from dphgnn import sparse
+
+    rng = np.random.default_rng(97)
+    m = column_path_matrix(rng, COLUMN_PATH_LENGTHS["batches"], "columns")
+    values = wide_range(rng, m.cols, 4)
+    want = add_at_product(m, values)
+    # The operand sits where the product would put its scaled copy: behind
+    # the level terms and the accumulator.
+    block = m.rows * 4
+    other = sparse._scratch(2 * block + values.size)[2 * block :].reshape(values.shape)
+    other[...] = values
+    assert_same_bits(m @ other, want)
+    assert_same_bits(other, values)
+
+
 def test_transpose_keeps_its_column_sort_only_for_transposed_products():
     from dphgnn.attention import attention_pattern
     from dphgnn.expand import clique_expand
